@@ -230,7 +230,7 @@ def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, 
 @click.option("--bins", type=int, default=None, help="Bin count override.")
 @click.option("--lambda", "lam", type=float, default=None,
               help="Kernel decay rate; default ln2 / median interaction gap.")
-@click.option("--variant", default="coordinated", show_default=True,
+@click.option("--variant", default="coord", show_default=True,
               type=click.Choice(["weighted", "coord", "coord-prior"]))
 @click.option("--mode-default", default="clique", show_default=True, type=click.Choice(MODES),
               help="Temporal block for untimed edges.")
@@ -255,9 +255,8 @@ def propagate_spacetime(ctx, graph_path, obs_path, config_path, dt, bins, lam, v
     tol, reducer = float(cfg["tol"]), cfg["reducer"]
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
-    times = np.array([t for e in g.interactions if e.timestamped for t in (e.t_u, e.t_v)])
-    obs_times = np.array([e.t for e in obs.entries if e.t is not None])
-    all_times = np.concatenate([times, obs_times]) if obs_times.size else times
+    obs_times = [e.t for e in obs.entries if e.t is not None]
+    all_times = np.concatenate([g.t_u[g.timed], g.t_v[g.timed], obs_times])
     if all_times.size == 0:
         raise click.UsageError("no timestamps anywhere: space-time propagation needs times")
     if lam is None:

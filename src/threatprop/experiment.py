@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExperimentError, GraphError
+from .errors import ExperimentError, GraphError, ThreatPropagationError
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
@@ -110,19 +110,14 @@ def choose_cue(net: GeneratedNetwork, rng: np.random.Generator) -> tuple[int, fl
         raise ExperimentError("all foreground vertices are isolated")
     cue = int(rng.choice(candidates))
 
-    truth = net.truth
-    times = [
-        (e.t_u if e.u == cue else e.t_v)
-        for e in net.graph.interactions
-        if e.timestamped and cue in (e.u, e.v) and truth[e.u] and truth[e.v]
-    ]
-    if not times:
-        times = [
-            (e.t_u if e.u == cue else e.t_v)
-            for e in net.graph.interactions
-            if e.timestamped and cue in (e.u, e.v)
-        ]
-    cue_time = float(times[int(rng.integers(len(times)))]) if times else None
+    g, truth = net.graph, net.truth != 0
+    at_u = g.u == cue
+    touching = g.timed & (at_u | (g.v == cue))
+    own_time = np.where(at_u, g.t_u, g.t_v)
+    times = own_time[touching & truth[g.u] & truth[g.v]]
+    if not times.size:
+        times = own_time[touching]
+    cue_time = float(times[int(rng.integers(times.size))]) if times.size else None
     return cue, cue_time
 
 
@@ -159,7 +154,11 @@ def sttp_detector_scores(
 
 def run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, np.ndarray] | str:
     """One generate-cue-detect round; returns scores per detector or an
-    abort reason."""
+    abort reason.
+
+    Only toolkit errors abort a trial; any other exception is a programming
+    error and propagates.
+    """
     seed = _trial_seed(cfg.seed, trial)
     try:
         if cfg.kind == "sbm":
@@ -179,7 +178,7 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, np.ndarray] | str:
                 # blind to a small embedded subgraph.
                 scores[det] = localized_modularity_scores(net.graph)
         return scores
-    except Exception as exc:  # noqa: BLE001 - abort reasons are reported upward
+    except ThreatPropagationError as exc:
         logger.warning("trial %d aborted: %s", trial, exc)
         return f"{type(exc).__name__}: {exc}"
 

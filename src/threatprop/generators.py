@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphError
-from .graph import Graph, Interaction, build_graph
+from .graph import Graph
 
 logger = logging.getLogger(__name__)
 
@@ -115,18 +115,15 @@ def generate_sbm(params: SbmParams, temporal: str = "coordinated", seed: int = 0
 
     truth = (labels == params.foreground).astype(np.int8) if params.foreground is not None else np.zeros(n, np.int8)
 
-    edges: list[tuple]
-    if temporal == "none":
-        edges = [(int(u), int(v), 1.0) for u, v in zip(src, dst)]
-    else:
+    times = None
+    if temporal != "none":
         t_star = float(clock.uniform(0.0, params.horizon))
         times = clock.uniform(0.0, params.horizon, size=src.size)
         if temporal == "coordinated":
             fg_edge = (truth[src] == 1) & (truth[dst] == 1)
             times = np.where(fg_edge, t_star, times)
-        edges = [(int(u), int(v), 1.0, float(t), float(t)) for u, v, t in zip(src, dst, times)]
 
-    graph = build_graph(edges, directed=False, n=n)
+    graph = Graph(n, src, dst, np.ones(src.size), times, times)
     return GeneratedNetwork(
         graph=graph,
         truth=truth,
@@ -260,11 +257,7 @@ def generate_hmmb(params: HmmbParams, seed: int = 0) -> GeneratedNetwork:
     t_src = stamp(role_s)
     t_dst = stamp(role_d)
 
-    interactions = tuple(
-        Interaction(int(u), int(v), 1.0, float(a), float(b))
-        for u, v, a, b in zip(src, dst, t_src, t_dst)
-    )
-    graph = Graph(n=n, interactions=interactions, directed=False)
+    graph = Graph(n, src, dst, np.ones(src.size), t_src, t_dst)
     truth = np.isin(lifestyle, params.foreground_lifestyles).astype(np.int8)
     return GeneratedNetwork(
         graph=graph,

@@ -2,9 +2,11 @@
 
 Vertices are dense integer indices ``0..n-1``; external string identifiers are
 handled by the I/O layer and carried here only as an optional label table.
-Edges are stored as individual interaction records so that repeated,
-timestamped contacts between the same pair survive construction; the
-adjacency view coalesces them by weight summation.
+Edges are stored as parallel numpy columns ``u, v, w, t_u, t_v``, one entry
+per interaction record, so that repeated timestamped contacts between the
+same pair survive construction; NaN in both time columns marks an untimed
+record.  Every matrix view is computed from these columns, and the adjacency
+view coalesces repeated records by weight summation.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ logger = logging.getLogger(__name__)
 
 # Dense eigensolvers below this order: deterministic and fast at test scale.
 DENSE_EIG_LIMIT = 256
-CONNECTIVITY_TOL = 1e-10
 
 LAPLACIAN_KINDS = ("kirchhoff", "normalized", "generalized")
 
@@ -48,31 +49,101 @@ class Interaction(NamedTuple):
         return self.t_u is not None
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable weighted graph.
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """One integer key per record for its vertex pair, unordered unless directed."""
+    a, b = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
+    return a * n + b
 
-    All matrix views are built lazily and cached; the object is safe to share
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Immutable weighted graph stored as edge columns.
+
+    ``u, v, w, t_u, t_v`` hold one entry per interaction record; omitted
+    time columns mean every record is untimed.  Construction validates the
+    columns (endpoints in range, finite nonnegative weights, times finite or
+    NaN in both columns of a record) and merges duplicate untimed records of
+    the same pair by weight summation, in record order at the position of the
+    first; repeated timestamped records are legitimate multiplicity.  All
+    matrix views are built lazily and cached; the object is safe to share
     across worker threads once constructed.
     """
 
     n: int
-    interactions: tuple[Interaction, ...]
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    t_u: np.ndarray | None = None
+    t_v: np.ndarray | None = None
     directed: bool = False
     labels: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        n = int(self.n)
+        if n <= 0:
+            raise GraphError("empty graph")
+        u, v = np.array(self.u, dtype=np.int64).reshape(-1), np.array(self.v, dtype=np.int64).reshape(-1)
+        w = np.array(self.w, dtype=np.float64).reshape(-1)
+        t_u, t_v = (np.full(u.size, np.nan) if t is None else np.array(t, dtype=np.float64).reshape(-1)
+                    for t in (self.t_u, self.t_v))
+        if not u.size == v.size == w.size == t_u.size == t_v.size:
+            raise GraphError("edge columns differ in length")
+        checks = (
+            ((u < 0) | (v < 0), "negative vertex index in edge {e}"),
+            ((u >= n) | (v >= n), "vertex index out of range for n={n} in edge {e}"),
+            (~np.isfinite(w), "non-finite weight {w} on edge {e}"),
+            (w < 0, "negative weight {w} on edge {e}"),
+            (np.isnan(t_u) != np.isnan(t_v), "edge {e} has a half-set timestamp pair"),
+            (np.isinf(t_u) | np.isinf(t_v), "non-finite timestamp on edge {e}"),
+        )
+        for bad, message in checks:
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise GraphError(message.format(e=(int(u[i]), int(v[i])), n=n, w=w[i]))
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != n:
+                raise GraphError(f"label table has {len(labels)} entries for n={n}")
+
+        static = np.flatnonzero(np.isnan(t_u))
+        keys = _pair_keys(u[static], v[static], n, self.directed)
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        if first.size < static.size:
+            dup = np.ones(static.size, dtype=bool)
+            dup[first] = False
+            total = w[static[first]]
+            np.add.at(total, group[dup], w[static[dup]])
+            w[static[first]] = total
+            keep = np.ones(u.size, dtype=bool)
+            keep[static[dup]] = False
+            u, v, w, t_u, t_v = (col[keep] for col in (u, v, w, t_u, t_v))
+            logger.warning("merged %d duplicate static edge records by weight summation", int(dup.sum()))
+        for col in (u, v, w, t_u, t_v):
+            col.flags.writeable = False
+        # Frozen: store the normalized fields past the dataclass __setattr__.
+        vars(self).update(n=n, u=u, v=v, w=w, t_u=t_u, t_v=t_v, labels=labels)
+
+    @cached_property
+    def timed(self) -> np.ndarray:
+        """Boolean mask of timestamped records."""
+        return ~np.isnan(self.t_u)
+
+    @cached_property
+    def interactions(self) -> tuple[Interaction, ...]:
+        """Read-only record view of the columns (untimed times read as None)."""
+        times = (np.where(self.timed, t, None).tolist() for t in (self.t_u, self.t_v))
+        return tuple(map(Interaction, self.u.tolist(), self.v.tolist(), self.w.tolist(), *times))
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Coalesced weighted adjacency; symmetric for undirected graphs."""
-        us = np.fromiter((e.u for e in self.interactions), dtype=np.int64, count=len(self.interactions))
-        vs = np.fromiter((e.v for e in self.interactions), dtype=np.int64, count=len(self.interactions))
-        ws = np.fromiter((e.weight for e in self.interactions), dtype=np.float64, count=len(self.interactions))
         if self.directed:
-            rows, cols, vals = us, vs, ws
+            rows, cols, vals = self.u, self.v, self.w
         else:
-            rows = np.concatenate([us, vs])
-            cols = np.concatenate([vs, us])
-            vals = np.concatenate([ws, ws])
+            rows = np.concatenate([self.u, self.v])
+            cols = np.concatenate([self.v, self.u])
+            vals = np.concatenate([self.w, self.w])
         a = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         return a.tocsr()
 
@@ -90,20 +161,16 @@ class Graph:
     @cached_property
     def interaction_weight(self) -> np.ndarray:
         """Per-vertex total interaction weight (each record counted once)."""
-        w = np.zeros(self.n)
-        for e in self.interactions:
-            w[e.u] += e.weight
-            if e.v != e.u:
-                w[e.v] += e.weight
-        return w
+        # Endpoints interleaved per record, so the sums accumulate in record order.
+        ends = np.column_stack([self.u, self.v]).ravel()
+        weights = np.column_stack([self.w, np.where(self.u != self.v, self.w, 0.0)]).ravel()
+        return np.bincount(ends, weights=weights, minlength=self.n)
 
     @property
     def size(self) -> int:
-        return len(self.interactions)
+        return int(self.u.size)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
         ncomp, _ = csgraph.connected_components(
             self.adjacency, directed=self.directed, connection="strong" if self.directed else "weak"
         )
@@ -134,68 +201,25 @@ def build_graph(
     Raises
     ------
     GraphError
-        On an empty edge list with no vertex count, negative weights,
-        out-of-range indices, self-loops (unless allowed), or a half-set
-        timestamp pair.
+        On an empty edge list with no vertex count, negative or non-finite
+        weights, non-finite times, out-of-range indices, self-loops (unless
+        allowed), or a half-set timestamp pair.
     """
-    records: list[Interaction] = []
-    max_idx = -1
-    for row in edges:
-        if len(row) == 3:
-            u, v, w = row
-            t_u = t_v = None
-        elif len(row) == 5:
-            u, v, w, t_u, t_v = row
-        else:
-            raise GraphError(f"edge row must have 3 or 5 fields, got {len(row)}")
-        u, v = int(u), int(v)
-        w = float(w)
-        if u < 0 or v < 0:
-            raise GraphError(f"negative vertex index in edge ({u}, {v})")
-        if w < 0:
-            raise GraphError(f"negative weight {w} on edge ({u}, {v})")
-        if u == v and not allow_self_loops:
-            raise GraphError(f"self-loop at vertex {u} (pass allow_self_loops=True to permit)")
-        if (t_u is None) != (t_v is None):
-            raise GraphError(f"edge ({u}, {v}) has a half-set timestamp pair")
-        if t_u is not None:
-            t_u, t_v = float(t_u), float(t_v)
-        max_idx = max(max_idx, u, v)
-        records.append(Interaction(u, v, w, t_u, t_v))
-
+    rows = [(*row, None, None) if len(row) == 3 else tuple(row) for row in edges]
+    bad = next((len(row) for row in rows if len(row) != 5), None)
+    if bad is not None:
+        raise GraphError(f"edge row must have 3 or 5 fields, got {bad}")
+    u, v, w, t_u, t_v = zip(*rows) if rows else ((),) * 5
+    u, v = np.array(u, dtype=np.int64), np.array(v, dtype=np.int64)
+    # NaN is the untimed marker inside a graph, so an explicit NaN time is bad input.
+    times = np.array([t_u, t_v], dtype=np.float64).reshape(2, -1)
+    if np.any(np.isnan(times) & np.not_equal(np.array([t_u, t_v], dtype=object).reshape(2, -1), None)):
+        raise GraphError("non-finite timestamp in edge rows")
+    if not allow_self_loops and np.any(u == v):
+        raise GraphError(f"self-loop at vertex {u[np.argmax(u == v)]} (pass allow_self_loops=True to permit)")
     if n is None:
-        n = max_idx + 1
-    if n <= 0:
-        raise GraphError("empty graph")
-    if max_idx >= n:
-        raise GraphError(f"vertex index {max_idx} out of range for n={n}")
-
-    # Merge duplicate static records of the same (unordered) pair; repeated
-    # timestamped interactions are legitimate multiplicity.
-    merged: dict[tuple[int, int], int] = {}
-    out: list[Interaction] = []
-    dupes = 0
-    for rec in records:
-        if rec.timestamped:
-            out.append(rec)
-            continue
-        key = (rec.u, rec.v) if directed or rec.u <= rec.v else (rec.v, rec.u)
-        if key in merged:
-            i = merged[key]
-            out[i] = out[i]._replace(weight=out[i].weight + rec.weight)
-            dupes += 1
-        else:
-            merged[key] = len(out)
-            out.append(rec)
-    if dupes:
-        logger.warning("merged %d duplicate static edge records by weight summation", dupes)
-
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise GraphError(f"label table has {len(labels)} entries for n={n}")
-
-    return Graph(n=n, interactions=tuple(out), directed=directed, labels=labels)
+        n = int(max(u.max(), v.max())) + 1 if u.size else 0
+    return Graph(n, u, v, w, *times, directed=directed, labels=labels)
 
 
 def incidence(g: Graph) -> sp.csc_matrix:
@@ -204,18 +228,18 @@ def incidence(g: Graph) -> sp.csc_matrix:
     The initial vertex of each edge gets ``-sqrt(w)`` and the terminal vertex
     ``+sqrt(w)``, so that ``B @ B.T`` reproduces the Kirchhoff matrix for
     undirected graphs (stored orientation is used as the arbitrary one).
+    Columns follow the first appearance of each vertex pair.
     """
-    seen: dict[tuple[int, int], float] = {}
-    for e in g.interactions:
-        key = (e.u, e.v) if g.directed or e.u <= e.v else (e.v, e.u)
-        seen[key] = seen.get(key, 0.0) + e.weight
-    rows, cols, vals = [], [], []
-    for j, ((u, v), w) in enumerate(seen.items()):
-        r = np.sqrt(w)
-        rows += [u, v]
-        cols += [j, j]
-        vals += [-r, +r]
-    return sp.csc_matrix((vals, (rows, cols)), shape=(g.n, len(seen)))
+    keys = _pair_keys(g.u, g.v, g.n, g.directed)
+    keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    weight = np.zeros(keys.size)
+    np.add.at(weight, group, g.w)
+    col = np.empty(keys.size, dtype=np.int64)
+    col[np.argsort(first)] = np.arange(keys.size)
+    r = np.sqrt(weight)
+    rows = np.concatenate([keys // g.n, keys % g.n])
+    cols = np.concatenate([col, col])
+    return sp.csc_matrix((np.concatenate([-r, r]), (rows, cols)), shape=(g.n, keys.size))
 
 
 def laplacian(g: Graph, kind: str = "kirchhoff", psi: np.ndarray | None = None) -> sp.csr_matrix:

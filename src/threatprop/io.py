@@ -30,49 +30,38 @@ def _fmt(x) -> str:
 
 
 def write_edges(path, g: Graph) -> None:
-    labels = g.labels or tuple(str(i) for i in range(g.n))
+    labels = np.asarray(g.labels or [str(i) for i in range(g.n)], dtype=object)
+    # The csv module writes floats with repr and None as an empty field.
+    t_u, t_v = (np.where(g.timed, t, None).tolist() for t in (g.t_u, g.t_v))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(EDGE_HEADER)
-        for e in g.interactions:
-            t_u = _fmt(e.t_u) if e.t_u is not None else ""
-            t_v = _fmt(e.t_v) if e.t_v is not None else ""
-            w.writerow([labels[e.u], labels[e.v], _fmt(e.weight), t_u, t_v])
+        w.writerows(zip(labels[g.u], labels[g.v], g.w.tolist(), t_u, t_v))
 
 
 def read_edges(path, directed: bool = False) -> Graph:
     """Load a graph, mapping string vertex ids to dense indices by first
-    appearance."""
-    symbols: dict[str, int] = {}
-
-    def idx(name: str) -> int:
-        if name not in symbols:
-            symbols[name] = len(symbols)
-        return symbols[name]
-
-    rows = []
+    appearance.  An empty weight reads as 1 and empty time fields mark an
+    untimed edge; a non-finite weight or time is an error."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)
         if header is None or [h.strip() for h in header[:3]] != EDGE_HEADER[:3]:
             raise GraphError(f"{path}: expected edge header {','.join(EDGE_HEADER)}")
-        for line in r:
-            if not line or all(not c.strip() for c in line):
-                continue
-            src, dst = idx(line[0].strip()), idx(line[1].strip())
-            weight = float(line[2]) if len(line) > 2 and line[2].strip() else 1.0
-            t_src = line[3].strip() if len(line) > 3 else ""
-            t_dst = line[4].strip() if len(line) > 4 else ""
-            if bool(t_src) != bool(t_dst):
-                raise GraphError(f"{path}: half-set timestamp pair on ({line[0]},{line[1]})")
-            if t_src:
-                rows.append((src, dst, weight, float(t_src), float(t_dst)))
-            else:
-                rows.append((src, dst, weight))
-    if not symbols:
+        lines = [[c.strip() or None for c in (line + [""] * 4)[:5]]
+                 for line in r if any(c.strip() for c in line)]
+    if not lines:
         raise GraphError(f"{path}: empty graph")
-    labels = tuple(sorted(symbols, key=symbols.get))
-    return build_graph(rows, directed=directed, n=len(symbols), labels=labels)
+    src, dst, weight, t_src, t_dst = zip(*lines)
+    if None in src + dst:
+        raise GraphError(f"{path}: edge row without two vertex ids")
+    symbols: dict[str, int] = {}
+    ends = np.array([symbols.setdefault(name, len(symbols)) for pair in zip(src, dst) for name in pair])
+    try:
+        return build_graph(zip(ends[0::2], ends[1::2], [x or 1.0 for x in weight], t_src, t_dst),
+                           directed=directed, n=len(symbols), labels=list(symbols))
+    except (GraphError, ValueError) as exc:
+        raise GraphError(f"{path}: {exc}") from None
 
 
 def resolve_vertex(g: Graph, name: str) -> int:

@@ -68,11 +68,15 @@ class TimeGrid:
     def end(self) -> float:
         return self.t0 + self.nt * self.dt
 
-    def bin_of(self, t: float) -> int:
+    def bin_of(self, t):
+        """Covering bin of a timestamp, or of each entry of an array of them."""
+        t = np.asarray(t, dtype=float)
         # Half-bin slack at the ends absorbs roundoff in caller-supplied times.
-        if t < self.t0 - 0.5 * self.dt or t > self.end + 0.5 * self.dt:
-            raise GraphError(f"timestamp {t} outside grid [{self.t0}, {self.end})")
-        return int(np.clip(int((t - self.t0) // self.dt), 0, self.nt - 1))
+        outside = ~((t >= self.t0 - 0.5 * self.dt) & (t <= self.end + 0.5 * self.dt))
+        if np.any(outside):
+            raise GraphError(f"timestamp {t[outside].flat[0]} outside grid [{self.t0}, {self.end})")
+        k = np.clip(((t - self.t0) // self.dt).astype(np.int64), 0, self.nt - 1)
+        return int(k) if k.ndim == 0 else k
 
     @classmethod
     def cover(cls, times: np.ndarray, dt: float | None = None, lam: float = 1.0, nt: int | None = None) -> "TimeGrid":
@@ -101,17 +105,14 @@ def default_rate(g: Graph, horizon: float | None = None) -> float:
     Uses ``ln 2 / median positive inter-interaction gap`` pooled over
     vertices; falls back to the horizon scale when gaps degenerate.
     """
-    per_vertex: dict[int, list[float]] = {}
-    for e in g.interactions:
-        if e.timestamped:
-            per_vertex.setdefault(e.u, []).append(e.t_u)
-            per_vertex.setdefault(e.v, []).append(e.t_v)
-    gaps = []
-    for ts in per_vertex.values():
-        ts = np.sort(np.asarray(ts))
-        d = np.diff(ts)
-        gaps.extend(d[d > 0].tolist())
-    if gaps:
+    timed = g.timed
+    vertex = np.concatenate([g.u[timed], g.v[timed]])
+    times = np.concatenate([g.t_u[timed], g.t_v[timed]])
+    order = np.lexsort((times, vertex))
+    vertex, times = vertex[order], times[order]
+    d = np.diff(times)
+    gaps = d[(vertex[1:] == vertex[:-1]) & (d > 0)]
+    if gaps.size:
         return float(np.log(2.0) / np.median(gaps))
     if horizon:
         return 1.0 / horizon
@@ -137,24 +138,19 @@ class SpaceTimeSystem:
     def order(self) -> int:
         return self.graph.n * self.grid.nt
 
-    def index(self, vertex: int, time_bin: int) -> int:
-        return vertex * self.grid.nt + time_bin
-
 
 def assemble_spacetime(
     g: Graph,
     grid: TimeGrid,
     rates: float | np.ndarray = 1.0,
     mode_default: str = "clique",
-    modes=None,
     truncation: float = KERNEL_TRUNCATION,
 ) -> SpaceTimeSystem:
-    """Build the weighted space-time adjacency from interaction records.
+    """Build the weighted space-time adjacency from the graph's edge columns.
 
     Timestamped records use the kernel mode; untimed ones fall back to
-    ``mode_default``.  An explicit ``modes`` sequence (aligned with
-    ``g.interactions``) overrides both.  Kernel rates may be global or
-    per-vertex and must be positive.
+    ``mode_default``.  Kernel rates may be global or per-vertex and must be
+    positive.
     """
     if mode_default not in MODES:
         raise GraphError(f"unknown mode {mode_default!r}")
@@ -167,49 +163,48 @@ def assemble_spacetime(
         raise GraphError(
             f"space-time order {g.n * grid.nt} exceeds {MAX_ORDER}; coarsen the grid (dt/bins)"
         )
-
     nt = grid.nt
+    timed, untimed = np.flatnonzero(g.timed), np.flatnonzero(~g.timed)
+    if untimed.size and mode_default == "kernel":
+        i = untimed[0]
+        raise GraphError(f"interaction {i} ({g.u[i]},{g.v[i]}) has no timestamps for kernel mode")
+
+    # A timed record couples both ways: receiver v from sender u, then u from
+    # v.  The receiver's kernel column is centred on its own bin and lands in
+    # the sender's bin; entries below the truncation are dropped.
+    recv = np.stack([g.v[timed], g.u[timed]], axis=1)
+    t_recv = grid.bin_of(np.stack([g.t_v[timed], g.t_u[timed]], axis=1))
+    send, t_send = recv[:, ::-1], t_recv[:, ::-1]
     centers = grid.centers
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    eye = np.arange(nt)
+    profile = g.w[timed][:, None, None] * kernel_profile(
+        lam[recv][..., None], centers - centers[t_recv][..., None]
+    )
+    keep = profile >= truncation
+    kernel = ((recv[..., None] * nt + np.arange(nt))[keep],
+              np.broadcast_to((send * nt + t_send)[..., None], keep.shape)[keep], profile[keep])
 
-    def add_column(recv: int, send: int, t_recv: float, t_send: float, w: float):
-        profile = w * kernel_profile(lam[recv], centers - centers[grid.bin_of(t_recv)])
-        keep = np.flatnonzero(profile >= truncation)
-        if keep.size == 0:
-            return
-        rows.append(recv * nt + keep)
-        cols.append(np.full(keep.size, send * nt + grid.bin_of(t_send)))
-        vals.append(profile[keep])
+    # An untimed record adds a (u, v) and a (v, u) block: identity for
+    # instantaneous contact, uniform rank one for a time clique.
+    if mode_default == "instant":
+        block_r = block_c = np.arange(nt)
+        value = g.w[untimed]
+    else:
+        block_r, block_c = np.divmod(np.arange(nt * nt), nt)
+        value = g.w[untimed] / nt
+    ends = np.stack([g.u[untimed], g.v[untimed]], axis=1)
+    rows = ends[..., None] * nt + block_r
+    cols = ends[:, ::-1, None] * nt + block_c
+    static = (rows.ravel(), cols.ravel(), np.repeat(value, 2 * block_r.size))
 
-    for i, e in enumerate(g.interactions):
-        mode = modes[i] if modes is not None else ("kernel" if e.timestamped else mode_default)
-        if mode not in MODES:
-            raise GraphError(f"unknown mode {mode!r} on interaction {i}")
-        if mode == "kernel":
-            if not e.timestamped:
-                raise GraphError(f"interaction {i} ({e.u},{e.v}) has no timestamps for kernel mode")
-            add_column(e.v, e.u, e.t_v, e.t_u, e.weight)
-            add_column(e.u, e.v, e.t_u, e.t_v, e.weight)
-        elif mode == "instant":
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                rows.append(a * nt + eye)
-                cols.append(b * nt + eye)
-                vals.append(np.full(nt, e.weight))
-        else:  # clique
-            block = np.full(nt * nt, e.weight / nt)
-            grid_r, grid_c = np.divmod(np.arange(nt * nt), nt)
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                rows.append(a * nt + grid_r)
-                cols.append(b * nt + grid_c)
-                vals.append(block)
-
-    order = g.n * nt
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(order, order)
-    ).tocsr()
+    # Entries are ordered by record, as a per-record loop would emit them:
+    # the CSR conversion sums duplicates in input order, so this keeps the
+    # sums bitwise reproducible.
+    owner = np.concatenate([np.broadcast_to(timed[:, None, None], keep.shape)[keep],
+                            np.repeat(untimed, 2 * block_r.size)])
+    order = np.argsort(owner, kind="stable")
+    rows, cols, vals = (np.concatenate(pair)[order] for pair in zip(kernel, static))
+    size = g.n * nt
+    a = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     return SpaceTimeSystem(graph=g, grid=grid, rates=lam, adjacency=a, spatial_degree=g.interaction_weight)
 
 
@@ -247,7 +242,7 @@ def _spacetime_boundary(sys: SpaceTimeSystem, obs: ObservationSet) -> tuple[np.n
             for k in range(nt):
                 idx[e.vertex * nt + k] = e.p
         else:
-            idx[sys.index(e.vertex, sys.grid.bin_of(e.t))] = e.p
+            idx[e.vertex * nt + sys.grid.bin_of(e.t)] = e.p
     boundary = np.fromiter(idx.keys(), dtype=np.int64, count=len(idx))
     values = np.fromiter(idx.values(), dtype=np.float64, count=len(idx))
     order = np.argsort(boundary)

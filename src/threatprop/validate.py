@@ -19,7 +19,7 @@ from . import spatial
 from .errors import ValidationFailure
 from .evaluation import roc
 from .generators import SbmParams, generate_sbm
-from .graph import Graph, ObservationSet, build_graph, fiedler, laplacian
+from .graph import Graph, ObservationSet, fiedler, laplacian
 from .priors import PriorSpec, compute_prior
 from .spacetime import TimeGrid, assemble_spacetime, coordination_prior, kernel_profile, solve_spacetime
 from .spatial import build_absorbing_chain, hitting_threat, monte_carlo_threat
@@ -45,7 +45,7 @@ def random_connected_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> 
         hit = rng.random(iu.size) < p
         if not hit.any():
             continue
-        g = build_graph([(int(u), int(v), 1.0) for u, v in zip(iu[hit], ju[hit])], n=n)
+        g = Graph(n, iu[hit], ju[hit], np.ones(int(hit.sum())))
         if g.is_connected():
             return g
     raise ValidationFailure(f"could not draw a connected graph at n={n}, p={p}")
@@ -202,8 +202,8 @@ def check_degenerate_constant(rng):
     err_sp = float(np.abs(theta - p0).max())
 
     grid = TimeGrid(0.0, 1.0, 8)
-    timed = [(e.u, e.v, e.weight, t, t) for e, t in zip(g.interactions, rng.uniform(0, 8, g.size))]
-    gt = build_graph(timed, n=g.n)
+    times = rng.uniform(0, 8, g.size)
+    gt = Graph(g.n, g.u, g.v, g.w, times, times)
     sys_ = assemble_spacetime(gt, grid, rates=0.25)
     theta_st = solve_spacetime(sys_, ObservationSet.of((3, p0)), variant="weighted", tol=1e-12)
     err_st = float(np.abs(theta_st - p0).max())
@@ -223,7 +223,7 @@ def check_kernel_identities(rng):
             return False, "kernel not nonincreasing"
     g = random_connected_graph(rng, 12)
     times = rng.uniform(0, 10, g.size)
-    gt = build_graph([(e.u, e.v, e.weight, t, t) for e, t in zip(g.interactions, times)], n=g.n)
+    gt = Graph(g.n, g.u, g.v, g.w, times, times)
     sys_ = assemble_spacetime(gt, TimeGrid(0.0, 1.0, 10), rates=0.8)
     psi = coordination_prior(sys_)
     if psi.min() < 0 or psi.max() > 1 + 1e-12:
@@ -266,10 +266,9 @@ def check_generator_statistics(rng):
     for t in range(trials):
         net = generate_sbm(params, temporal="none", seed=int(rng.integers(2**63)))
         labels = net.meta["labels"]
-        for e in net.graph.interactions:
-            counts[labels[e.u], labels[e.v]] += 1
-            if labels[e.u] != labels[e.v]:
-                counts[labels[e.v], labels[e.u]] += 1
+        a, b = labels[net.graph.u], labels[net.graph.v]
+        np.add.at(counts, (a, b), 1)
+        np.add.at(counts, (b[a != b], a[a != b]), 1)
     pairs = np.array([[190, 400], [400, 190]]) * trials
     phat = counts / pairs
     sigma = np.sqrt(s * (1 - s) / pairs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import threatprop.experiment as experiment
-from threatprop.errors import ExperimentError, GraphError
+from threatprop.errors import ConvergenceError, ExperimentError, GraphError
 from threatprop.experiment import (
     ExperimentConfig,
     choose_cue,
@@ -91,7 +91,7 @@ class TestRunExperiment:
 
     def test_abort_budget_enforced(self, monkeypatch):
         def broken(net, cue, cue_time, cfg):
-            raise RuntimeError("synthetic detector failure")
+            raise ConvergenceError("synthetic detector failure")
 
         monkeypatch.setattr(experiment, "sttp_detector_scores", broken)
         with pytest.raises(ExperimentError, match="aborted"):
@@ -104,7 +104,7 @@ class TestRunExperiment:
         def flaky(net, cue, cue_time, cfg):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise RuntimeError("synthetic one-off failure")
+                raise ConvergenceError("synthetic one-off failure")
             return real(net, cue, cue_time, cfg)
 
         monkeypatch.setattr(experiment, "sttp_detector_scores", flaky)
@@ -114,9 +114,17 @@ class TestRunExperiment:
 
     def test_run_trial_reports_abort_reason(self, monkeypatch):
         monkeypatch.setattr(experiment, "bfs_detector_scores",
-                            lambda *a, **k: (_ for _ in ()).throw(ValueError("boom")))
+                            lambda *a, **k: (_ for _ in ()).throw(GraphError("boom")))
         out = run_trial(tiny_sbm_config(), 0)
         assert isinstance(out, str) and "boom" in out
+
+    def test_programming_error_is_not_an_abort(self, monkeypatch):
+        def buggy(net, cue, cue_time, cfg):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(experiment, "sttp_detector_scores", buggy)
+        with pytest.raises(TypeError, match="synthetic"):
+            run_experiment(tiny_sbm_config(max_abort_fraction=1.0))
 
     def test_config_validation(self):
         with pytest.raises(GraphError):

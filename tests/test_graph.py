@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
-from threatprop.graph import ObservationSet, build_graph, fiedler, incidence, laplacian
+from threatprop.graph import Graph, ObservationSet, build_graph, fiedler, incidence, laplacian
 
 from conftest import adjacency_sets, bfs_component, make_er, rng_for
 
@@ -33,6 +33,34 @@ class TestBuildGraph:
             build_graph([(2, 2, 1.0)])
         g = build_graph([(0, 1, 1.0), (2, 2, 1.0)], allow_self_loops=True)
         assert g.size == 2
+
+    @pytest.mark.parametrize("row, message", [
+        ((0, 1, float("nan")), "non-finite weight"),
+        ((0, 1, float("inf")), "non-finite weight"),
+        ((0, 1, 1.0, float("nan"), float("nan")), "non-finite timestamp"),
+        ((0, 1, 1.0, 2.0, float("inf")), "non-finite timestamp"),
+    ])
+    def test_non_finite_values_rejected(self, row, message):
+        # NaN marks an untimed record inside a graph, so an explicit NaN time
+        # in a row is bad input rather than "untimed".
+        with pytest.raises(GraphError, match=message):
+            build_graph([(1, 2, 1.0), row])
+
+    def test_direct_construction_validates_columns(self):
+        with pytest.raises(GraphError, match="out of range"):
+            Graph(3, [0], [5], [1.0])
+        with pytest.raises(GraphError, match="non-finite weight"):
+            Graph(3, [0], [1], [np.nan])
+        with pytest.raises(GraphError, match="half-set"):
+            Graph(3, [0], [1], [1.0], [2.0], [np.nan])
+
+    def test_interaction_view_reads_the_columns(self):
+        g = build_graph([(0, 1, 2.0), (1, 2, 1.0, 3.25, 4.5)])
+        assert g.interactions == ((0, 1, 2.0, None, None), (1, 2, 1.0, 3.25, 4.5))
+        assert [e.timestamped for e in g.interactions] == [False, True]
+        assert g.timed.tolist() == [False, True]
+        with pytest.raises(ValueError):
+            g.w[0] = 5.0
 
     def test_half_timestamp_pair_rejected(self):
         with pytest.raises(GraphError, match="timestamp"):

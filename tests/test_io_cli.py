@@ -66,6 +66,20 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match="half-set"):
             read_edges(bad)
 
+    @pytest.mark.parametrize("row, message", [
+        ("a,b,nan,1.0,1.0", "non-finite"),
+        ("a,b,inf,,", "non-finite"),
+        ("a,b,1.0,nan,nan", "non-finite"),
+        ("a,b,1.0,1.0,-inf", "non-finite"),
+        ("a,b,heavy,,", "could not convert"),
+        ("a,,1.0,,", "two vertex ids"),
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, row, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"src,dst,weight,t_src,t_dst\nb,c,1.0,2.0,2.0\n{row}\n")
+        with pytest.raises(GraphError, match=message):
+            read_edges(bad)
+
     def test_truth_round_trip(self, tmp_path):
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], labels=["x", "y", "z"])
         truth = np.array([1, 0, 1], dtype=np.int8)
@@ -164,6 +178,33 @@ class TestCli:
         obs.write_text("vertex,p\na,1.0\n")
         assert main(["propagate", "spatial", "--graph", str(bad), "--obs", str(obs),
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("command, row", [
+        ("spatial", "a,b,nan,1.0,1.0"),
+        ("spacetime", "a,b,nan,1.0,1.0"),
+        ("spacetime", "a,b,1.0,nan,nan"),
+    ])
+    def test_non_finite_input_exits_1(self, tmp_path, capsys, command, row):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"src,dst,weight,t_src,t_dst\n{row}\nb,c,1.0,2.0,2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p\nb,1.0\n")
+        rc = main(["propagate", command, "--graph", str(edges), "--obs", str(obs),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_spacetime_default_variant(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p,t\na,1.0,1.0\n")
+        out = tmp_path / "st.csv"
+        assert main(["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs),
+                     "--bins", "4", "--lambda", "0.7", "--out", str(out)]) == 0
+        meta = json.loads(Path(str(out) + ".meta.json").read_text())
+        assert meta["config"]["variant"] == "coord"
 
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "net"

@@ -1,0 +1,119 @@
+"""Property tests on random small graphs with timed, untimed and duplicate records."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from threatprop.errors import GraphError
+from threatprop.graph import build_graph
+from threatprop.io import read_edges, write_edges
+from threatprop.spacetime import MODES, TimeGrid, assemble_spacetime, kernel_profile
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+
+def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
+    """Space-time adjacency built one interaction record at a time."""
+    lam = np.asarray(rates, dtype=float)
+    if lam.ndim == 0:
+        lam = np.full(g.n, float(lam))
+    nt = grid.nt
+    centers = grid.centers
+    rows, cols, vals = [], [], []
+    eye = np.arange(nt)
+
+    def add_column(recv, send, t_recv, t_send, w):
+        profile = w * kernel_profile(lam[recv], centers - centers[grid.bin_of(t_recv)])
+        keep = np.flatnonzero(profile >= truncation)
+        if keep.size == 0:
+            return
+        rows.append(recv * nt + keep)
+        cols.append(np.full(keep.size, send * nt + grid.bin_of(t_send)))
+        vals.append(profile[keep])
+
+    for i, e in enumerate(g.interactions):
+        mode = "kernel" if e.timestamped else mode_default
+        if mode == "kernel":
+            if not e.timestamped:
+                raise GraphError(f"interaction {i} ({e.u},{e.v}) has no timestamps for kernel mode")
+            add_column(e.v, e.u, e.t_v, e.t_u, e.weight)
+            add_column(e.u, e.v, e.t_u, e.t_v, e.weight)
+        elif mode == "instant":
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                rows.append(a * nt + eye)
+                cols.append(b * nt + eye)
+                vals.append(np.full(nt, e.weight))
+        else:  # clique
+            block = np.full(nt * nt, e.weight / nt)
+            grid_r, grid_c = np.divmod(np.arange(nt * nt), nt)
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                rows.append(a * nt + grid_r)
+                cols.append(b * nt + grid_c)
+                vals.append(block)
+
+    if not vals:  # every kernel entry fell below the truncation
+        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    order = g.n * nt
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(order, order)
+    ).tocsr()
+
+
+@st.composite
+def timed_graphs(draw, labelled=False):
+    """Edge rows on a few vertices: some timed, some untimed, some repeated."""
+    n = draw(st.integers(2, 6))
+    nt = draw(st.integers(1, 5))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    weight = st.floats(0.0, 1e6, allow_nan=False)
+    time = st.floats(0.0, float(nt), allow_nan=False)
+    static = st.tuples(pair, weight).map(lambda r: (*r[0], r[1]))
+    timed = st.tuples(pair, weight, time, time).map(lambda r: (*r[0], *r[1:]))
+    rows = draw(st.lists(st.one_of(static, timed), min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    labels = None
+    if labelled:
+        name = st.text("abcxyz019_-", min_size=1, max_size=4)
+        labels = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    return build_graph(rows, n=n, labels=labels), TimeGrid(0.0, 1.0, nt)
+
+
+@PROPERTY
+@given(
+    case=timed_graphs(),
+    mode=st.sampled_from(MODES),
+    rate=st.floats(0.05, 5.0),
+    per_vertex=st.booleans(),
+    data=st.data(),
+)
+def test_columnar_assembly_matches_record_loop(case, mode, rate, per_vertex, data):
+    g, grid = case
+    rates = rate
+    if per_vertex:
+        rates = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=g.n, max_size=g.n)))
+    try:
+        want = reference_assembly(g, grid, rates, mode)
+    except GraphError:
+        with pytest.raises(GraphError, match="no timestamps"):
+            assemble_spacetime(g, grid, rates, mode_default=mode)
+        return
+    got = assemble_spacetime(g, grid, rates, mode_default=mode).adjacency
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@PROPERTY
+@given(case=timed_graphs(labelled=True))
+def test_edge_csv_round_trip(tmp_path_factory, case):
+    g, _ = case
+    path = tmp_path_factory.mktemp("edges") / "edges.csv"
+    write_edges(path, g)
+    back = read_edges(path)
+
+    def records(graph):
+        return [(graph.labels[e.u], graph.labels[e.v], e.weight, e.t_u, e.t_v) for e in graph.interactions]
+
+    assert records(back) == records(g)
