@@ -1,9 +1,19 @@
 """Shared boundary-value solver for harmonic propagation systems.
 
 Solves ``theta = P @ theta`` on interior vertices with boundary entries held
-fixed, where ``P`` is a (sub)stochastic propagation operator.  The residual
-reported and tested is ``max_i |theta_i - (P theta)_i|`` over the interior,
-i.e. the harmonic equation defect.
+fixed, where ``P`` is a (sub)stochastic propagation operator.  Two methods:
+
+* ``'iterative'`` (the default) sweeps ``theta <- P theta`` with the boundary
+  re-imposed until the interior residual is below ``tol``; it needs only
+  matrix-vector products.
+* ``'direct'`` factorizes ``I - P_II`` with SuperLU.  It is the exact
+  reference for validation and tests; its fill grows quickly with the order
+  of space-time systems, so nothing selects it by default.
+
+``tol`` bounds the interior residual ``max_i |theta_i - (P theta)_i|``, the
+harmonic equation defect.  The error against the exact solution is bounded by
+residual / (1 - rho) only when ``rho = ||P_II||_inf < 1``; at ``rho = 1``
+(a uniform prior of one, for instance) ``tol`` bounds the residual alone.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import logging
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from .errors import ConvergenceError
 
@@ -21,10 +32,7 @@ logger = logging.getLogger(__name__)
 # Clamping beyond this magnitude indicates ill-conditioning and is reported.
 CLAMP_WARN = 1e-6
 
-SOLVE_METHODS = ("iterative", "direct", "bicgstab", "auto")
-
-# Direct sparse factorization is exact and fast up to this many unknowns.
-_DIRECT_LIMIT = 50_000
+SOLVE_METHODS = ("iterative", "direct")
 
 
 def solve_boundary_value(
@@ -35,19 +43,11 @@ def solve_boundary_value(
     max_iter: int | None = None,
     method: str = "iterative",
 ) -> np.ndarray:
-    """Solve the fixed-boundary harmonic system and clamp the result to [0, 1].
-
-    ``method='iterative'`` is plain repeated application of ``P`` (robust, no
-    factorization); ``'direct'`` and ``'bicgstab'`` solve the equivalent
-    interior linear system; ``'auto'`` picks direct below a size cutoff.
-    """
+    """Solve the fixed-boundary harmonic system and clamp the result to [0, 1]."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
     n = p.shape[0]
     boundary = np.asarray(boundary, dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[boundary] = True
-
     theta = np.zeros(n)
     theta[boundary] = boundary_values
 
@@ -55,14 +55,12 @@ def solve_boundary_value(
     # A vertex with no pull-path to the boundary has exactly zero threat;
     # solving only on the reaching set also keeps the interior system
     # nonsingular (a detached stochastic component would make I - P_ii
-    # singular for the factorized methods).
+    # singular for the factorization).
     reach = _reaches_boundary(p, boundary)
-    interior = np.flatnonzero(reach & ~mask)
+    reach[boundary] = False
+    interior = np.flatnonzero(reach)
     if interior.size == 0:
         return theta
-
-    if method == "auto":
-        method = "direct" if interior.size <= _DIRECT_LIMIT else "iterative"
 
     if method == "iterative":
         # Iteration count floor: the 10n heuristic is too small for tight
@@ -71,17 +69,9 @@ def solve_boundary_value(
             max_iter = max(10 * n, 4096)
         theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter)
     else:
-        pii = p[interior][:, interior]
-        pib = p[interior][:, boundary]
-        rhs = pib @ boundary_values
-        a = sp.identity(interior.size, format="csc") - pii
-        if method == "direct":
-            x = spla.spsolve(a, rhs)
-        else:
-            x, info = spla.bicgstab(a, rhs, rtol=0.0, atol=tol * 1e-3, maxiter=max_iter or 10 * n)
-            if info != 0:
-                raise ConvergenceError(f"bicgstab did not converge (info={info})")
-        theta[interior] = x
+        rows = p[interior]
+        a = sp.identity(interior.size, format="csc") - rows[:, interior]
+        theta[interior] = spla.spsolve(a, rows[:, boundary] @ boundary_values)
         resid = _residual(p, theta, interior)
         if not resid <= tol:  # NaN-safe: a failed factorization must not pass
             raise ConvergenceError(f"direct solve residual {resid:.3e} exceeds tol {tol:.1e}", residual=resid)
@@ -93,19 +83,10 @@ def solve_boundary_value(
 
 
 def _reaches_boundary(p: sp.csr_matrix, boundary: np.ndarray) -> np.ndarray:
-    """Vertices with a pull-path (following nonzeros of P row->column) to the
-    boundary set."""
-    csc = p.tocsc()
-    reach = np.zeros(p.shape[0], dtype=bool)
-    reach[boundary] = True
-    frontier = boundary
-    while frontier.size:
-        preds = np.unique(
-            np.concatenate([csc.indices[csc.indptr[j]:csc.indptr[j + 1]] for j in frontier])
-        ) if frontier.size else np.empty(0, dtype=np.int64)
-        frontier = preds[~reach[preds]] if preds.size else preds
-        reach[frontier] = True
-    return reach
+    """Vertices with a pull-path (following stored entries of P row->column)
+    to the boundary set: one traversal of P^T from every boundary vertex."""
+    hops = csgraph.dijkstra(p.T, indices=boundary, min_only=True, unweighted=True)
+    return np.isfinite(hops)
 
 
 def _residual(p, theta, interior) -> float:

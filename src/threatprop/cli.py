@@ -73,7 +73,8 @@ def _config_override(ctx, config_path, values: dict, keymap: dict[str, str]) -> 
     """Merge a JSON config under explicit command-line flags.
 
     ``keymap`` maps parameter names to (possibly dotted) config keys; a value
-    from the file is used only where the flag was left at its default.
+    from the file is used only where the flag was left at its default, and
+    is converted and checked by that flag's own type.
     """
     if not config_path:
         return values
@@ -87,6 +88,7 @@ def _config_override(ctx, config_path, values: dict, keymap: dict[str, str]) -> 
             node = node[part]
         return node
 
+    params = {p.name: p for p in ctx.command.params}
     merged = dict(values)
     for param, key in keymap.items():
         file_val = lookup(key)
@@ -94,7 +96,7 @@ def _config_override(ctx, config_path, values: dict, keymap: dict[str, str]) -> 
             continue
         src = ctx.get_parameter_source(param)
         if src is not None and src.name != "COMMANDLINE":
-            merged[param] = file_val
+            merged[param] = params[param].type.convert(file_val, params[param], ctx)
     return merged
 
 
@@ -187,7 +189,7 @@ def propagate():
 @click.option("--psi0", type=float, default=1.0, show_default=True, help="Uniform prior value.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
 @click.option("--method", default="harmonic", show_default=True,
-              type=click.Choice(["harmonic", "mc", "direct", "bicgstab"]))
+              type=click.Choice(["harmonic", "mc"]))
 @click.option("--walks", type=int, default=10_000, show_default=True, help="Walks per vertex for --method mc.")
 @click.option("--seed", type=int, default=None, help="Required for --method mc.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
@@ -199,8 +201,8 @@ def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, 
         {"prior": "prior.kind", "psi0": "prior.psi0", "tol": "tol", "method": "method",
          "walks": "walks", "seed": "seed"},
     )
-    prior, psi0, tol = cfg["prior"], float(cfg["psi0"]), float(cfg["tol"])
-    method, walks, seed = cfg["method"], int(cfg["walks"]), cfg["seed"]
+    prior, psi0, tol = cfg["prior"], cfg["psi0"], cfg["tol"]
+    method, walks, seed = cfg["method"], cfg["walks"], cfg["seed"]
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     psi = compute_prior(g, PriorSpec(prior, psi0=psi0), obs)
@@ -209,8 +211,7 @@ def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, 
         chain = build_absorbing_chain(g, psi, obs)
         theta = monte_carlo_threat(chain, walks, seed=seed).theta
     else:
-        solver = "iterative" if method == "harmonic" else method
-        theta = solve_harmonic(g, psi, obs, tol=tol, method=solver)
+        theta = solve_harmonic(g, psi, obs, tol=tol)
     write_scores(out_path, g, theta)
     write_meta(str(out_path) + ".meta.json",
                {"command": "propagate-spatial", "graph": str(graph_path), "obs": str(obs_path),
@@ -252,7 +253,7 @@ def propagate_spacetime(ctx, graph_path, obs_path, config_path, dt, bins, lam, v
     )
     dt, bins, lam = cfg["dt"], cfg["bins"], cfg["lam"]
     variant, mode_default, prior = cfg["variant"], cfg["mode_default"], cfg["prior"]
-    tol, reducer = float(cfg["tol"]), cfg["reducer"]
+    tol, reducer = cfg["tol"], cfg["reducer"]
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     obs_times = [e.t for e in obs.entries if e.t is not None]
@@ -265,9 +266,8 @@ def propagate_spacetime(ctx, graph_path, obs_path, config_path, dt, bins, lam, v
     grid = TimeGrid.cover(all_times, dt=dt, lam=lam, nt=bins)
     sys_ = assemble_spacetime(g, grid, rates=lam, mode_default=mode_default)
     names = {"weighted": "weighted", "coord": "coordinated", "coord-prior": "coordinated-spatial"}
-    variant_name = names.get(variant, variant)  # config files may use long names
     spatial_psi = compute_prior(g, PriorSpec(prior), obs) if variant == "coord-prior" else None
-    theta = solve_spacetime(sys_, obs, variant=variant_name, spatial_psi=spatial_psi, tol=tol)
+    theta = solve_spacetime(sys_, obs, variant=names[variant], spatial_psi=spatial_psi, tol=tol)
     write_spacetime_scores(out_path, g, theta, grid)
     if reducer:
         write_scores(Path(out_path).with_suffix(".vertex.csv"), g, reduce_to_vertex_scores(theta, reducer),

@@ -44,7 +44,7 @@ class ExperimentConfig:
     variant: str = "coordinated"
     reducer: str = "max"
     tol: float = 1e-8
-    solve_method: str = "auto"
+    solve_method: str = "iterative"
     cue_value: float = 1.0
     threads: int = 1
     max_abort_fraction: float = 0.01

@@ -334,6 +334,8 @@ class ObservationSet:
         for e in self.entries:
             if not 0.0 <= e.p <= 1.0:
                 raise ObservationError(f"boundary probability {e.p} outside [0, 1]")
+            if e.t is not None and not np.isfinite(e.t):
+                raise ObservationError(f"observation time {e.t} at vertex {e.vertex} is not finite")
             key = (e.vertex, e.t)
             if key in seen:
                 raise ObservationError(f"duplicate observation at {key}")

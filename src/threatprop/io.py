@@ -92,11 +92,13 @@ def read_observations(path, g: Graph) -> ObservationSet:
         for line in r:
             if not line or all(not c.strip() for c in line):
                 continue
-            v = resolve_vertex(g, line[cols["vertex"]].strip())
-            p = float(line[cols["p"]])
-            t = None
-            if t_col is not None and len(line) > t_col and line[t_col].strip():
-                t = float(line[t_col])
+            try:
+                v = resolve_vertex(g, line[cols["vertex"]].strip())
+                p = float(line[cols["p"]])
+                t_field = line[t_col].strip() if t_col is not None and len(line) > t_col else ""
+                t = float(t_field) if t_field else None
+            except (ValueError, IndexError) as exc:
+                raise ObservationError(f"{path}: bad observation row {line}: {exc}") from None
             entries.append(Observation(v, p, t))
     return ObservationSet(tuple(entries))
 

@@ -55,8 +55,8 @@ class TimeGrid:
     nt: int
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise GraphError("bin width must be positive")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise GraphError(f"bin width must be positive and finite, got {self.dt}")
         if self.nt < 1:
             raise GraphError("grid needs at least one bin")
 
@@ -89,6 +89,11 @@ class TimeGrid:
         times = np.asarray(times, dtype=float)
         if times.size == 0:
             raise GraphError("no timestamps to cover")
+        for name, value in (("bin width", dt), ("kernel rate", lam)):
+            if value is not None and not (np.isfinite(value) and value > 0):
+                raise GraphError(f"{name} must be positive and finite, got {value}")
+        if nt is not None and nt < 1:
+            raise GraphError("grid needs at least one bin")
         lo, hi = float(times.min()), float(times.max())
         span = max(hi - lo, 1e-9)
         if nt is not None:
@@ -157,8 +162,8 @@ def assemble_spacetime(
     lam = np.asarray(rates, dtype=float)
     if lam.ndim == 0:
         lam = np.full(g.n, float(lam))
-    if lam.shape != (g.n,) or np.any(lam <= 0):
-        raise GraphError("kernel rates must be positive, one global or one per vertex")
+    if lam.shape != (g.n,) or not np.all(np.isfinite(lam) & (lam > 0)):
+        raise GraphError("kernel rates must be positive and finite, one global or one per vertex")
     if g.n * grid.nt > MAX_ORDER:
         raise GraphError(
             f"space-time order {g.n * grid.nt} exceeds {MAX_ORDER}; coarsen the grid (dt/bins)"
@@ -256,7 +261,7 @@ def solve_spacetime(
     spatial_psi: np.ndarray | None = None,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    method: str = "auto",
+    method: str = "iterative",
     on_isolated: str = "error",
 ) -> np.ndarray:
     """Threat probability over every (vertex, bin), shape ``(n, nt)``.

@@ -83,17 +83,15 @@ def solve_harmonic(
     assigned exactly that zero.
     """
     boundary, values = _boundary_arrays(g, obs)
-    reach = g.component_of(boundary)
-    if not reach.all():
-        if on_unreachable == "error":
+    if on_unreachable == "error":
+        reach = g.component_of(boundary)
+        if not reach.all():
             bad = int(np.flatnonzero(~reach)[0])
             raise DisconnectedGraphError(f"vertex {bad} unreachable from any observed vertex")
-        if on_unreachable != "zero":
-            raise ValueError(f"unknown on_unreachable policy {on_unreachable!r}")
+    elif on_unreachable != "zero":
+        raise ValueError(f"unknown on_unreachable policy {on_unreachable!r}")
     p = propagation_operator(g, psi, allow_isolated=on_unreachable == "zero")
-    theta = solve_boundary_value(p, boundary, values, tol=tol, max_iter=max_iter, method=method)
-    theta[~reach] = 0.0
-    return theta
+    return solve_boundary_value(p, boundary, values, tol=tol, max_iter=max_iter, method=method)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import threatprop.experiment as experiment
 from threatprop.errors import ConvergenceError, ExperimentError, GraphError
@@ -14,6 +15,9 @@ from threatprop.experiment import (
     _trial_seed,
 )
 from threatprop.generators import generate_sbm
+from threatprop.graph import ObservationSet
+from threatprop.spacetime import TimeGrid, assemble_spacetime, solve_spacetime
+from threatprop.spatial import solve_harmonic
 
 
 def tiny_sbm_config(**kw):
@@ -169,3 +173,21 @@ class TestBenchmarkConfigs:
         assert p.gamma[9] == 10.0
         assert np.all(p.gamma[:9] == p.gamma[0])
         assert p.phi.sum() == pytest.approx(1.0)
+
+
+def test_default_paths_never_factorize(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse factorization on a default path")
+
+    monkeypatch.setattr(spla, "spsolve", refuse)
+    net = generate_sbm(sbm_detection_config(2.0).params, seed=3)
+    cue = int(net.foreground_vertices[0])
+    with pytest.raises(AssertionError, match="factorization"):
+        solve_harmonic(net.graph, np.full(net.graph.n, 0.9), ObservationSet.of((cue, 1.0)),
+                       method="direct", on_unreachable="zero")
+
+    scores = run_trial(sbm_detection_config(2.0), 0)
+    assert set(scores) == {"_truth", "sttp", "bfs", "spec"}
+    sys_ = assemble_spacetime(net.graph, TimeGrid(0.0, 1.0, 24), rates=0.7)
+    theta = solve_spacetime(sys_, ObservationSet.of((cue, 1.0)), on_isolated="zero")
+    assert theta.shape == (net.graph.n, 24) and theta.max() == 1.0

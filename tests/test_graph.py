@@ -223,6 +223,11 @@ class TestObservationSet:
         with pytest.raises(ObservationError, match="duplicate"):
             ObservationSet.of((0, 0.5), (0, 0.5))
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ObservationError, match="not finite"):
+            ObservationSet.of((0, 0.5, t))
+
     def test_timed_entries_distinct_per_bin(self):
         obs = ObservationSet.of((0, 0.5, 1.0), (0, 0.5, 2.0))
         assert len(obs.entries) == 2

@@ -6,7 +6,7 @@ import pytest
 
 import threatprop.validate as validate
 from threatprop.cli import main
-from threatprop.errors import GraphError
+from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import roc
 from threatprop.graph import build_graph
 from threatprop.io import (
@@ -103,6 +103,19 @@ class TestEdgeListIO:
         assert obs.entries[0] == (2, 0.5, 3.5)
         assert obs.entries[1] == (1, 0.9, None)
 
+    @pytest.mark.parametrize("row, message", [
+        ("y,abc,", "could not convert"),
+        ("y,0.5,noon", "could not convert"),
+        ("y,0.5,nan", "not finite"),
+        ("y", "bad observation row"),
+    ])
+    def test_malformed_observation_rows_rejected(self, tmp_path, row, message):
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], labels=["x", "y", "z"])
+        p = tmp_path / "obs.csv"
+        p.write_text(f"vertex,p,t\nx,1.0,2.0\n{row}\n")
+        with pytest.raises(ObservationError, match=message):
+            read_observations(p, g)
+
     def test_canonical_json_and_digest_stable(self):
         a = {"b": 1, "a": [1.5, 2], "arr": np.array([1.0, 2.0])}
         b = {"arr": np.array([1.0, 2.0]), "a": [1.5, 2], "b": 1}
@@ -194,6 +207,38 @@ class TestCli:
         assert rc == 1
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, flags, obs_text, config", [
+        pytest.param("spacetime", ["--dt", "0"], "a,1.0,1.0", None, id="dt-zero"),
+        pytest.param("spacetime", ["--lambda", "0"], "a,1.0,1.0", None, id="lambda-zero"),
+        pytest.param("spacetime", ["--bins", "0"], "a,1.0,1.0", None, id="bins-zero"),
+        pytest.param("spacetime", [], "a,1.0,nan", None, id="nan-cue-time"),
+        pytest.param("spacetime", ["--bins", "4"], "a,1.0,nan", None, id="nan-cue-time-bins"),
+        pytest.param("spatial", [], "a,abc", None, id="spatial-bad-p"),
+        pytest.param("spacetime", ["--bins", "4"], "a,abc,1.0", None, id="spacetime-bad-p"),
+        pytest.param("spatial", [], "a,1.0", {"tol": "abc"}, id="config-tol"),
+        pytest.param("spatial", [], "a,1.0", {"method": "bogus"}, id="config-method"),
+        pytest.param("spatial", [], "a,1.0", {"method": "direct"}, id="config-method-direct"),
+        pytest.param("spatial", [], "a,1.0", {"method": "bicgstab"}, id="config-method-bicgstab"),
+        pytest.param("spacetime", ["--bins", "4"], "a,1.0,1.0", {"reduce": "bogus"}, id="config-reduce"),
+        pytest.param("spacetime", ["--bins", "4"], "a,1.0,1.0", {"lambda": "fast"}, id="config-lambda"),
+    ])
+    def test_bad_input_error_contract(self, tmp_path, capsys, command, flags, obs_text, config):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(("vertex,p,t\n" if command == "spacetime" else "vertex,p\n") + obs_text + "\n")
+        args = ["propagate", command, "--graph", str(edges), "--obs", str(obs), *flags]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            args += ["--config", str(cfg)]
+        rc = main([*args, "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp_path.glob("x.*")) == []
 
     def test_spacetime_default_variant(self, tmp_path):
         edges = tmp_path / "edges.csv"

@@ -1,4 +1,5 @@
-"""Property tests on random small graphs with timed, untimed and duplicate records."""
+"""Property tests on random small graphs (timed, untimed and duplicate records)
+and random sparse propagation operators."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from threatprop._solve import _reaches_boundary
 from threatprop.errors import GraphError
 from threatprop.graph import build_graph
 from threatprop.io import read_edges, write_edges
@@ -117,3 +119,35 @@ def test_edge_csv_round_trip(tmp_path_factory, case):
         return [(graph.labels[e.u], graph.labels[e.v], e.weight, e.t_u, e.t_v) for e in graph.interactions]
 
     assert records(back) == records(g)
+
+
+def reference_reach(p, boundary):
+    """Pull-path reach of the boundary, grown one frontier at a time."""
+    csc = p.tocsc()
+    reach = np.zeros(p.shape[0], dtype=bool)
+    reach[boundary] = True
+    frontier = boundary
+    while frontier.size:
+        preds = np.unique(np.concatenate([csc.indices[csc.indptr[j]:csc.indptr[j + 1]] for j in frontier]))
+        frontier = preds[~reach[preds]]
+        reach[frontier] = True
+    return reach
+
+
+@st.composite
+def sparse_operators(draw):
+    """Directed sparse P with zero rows and some stored zeros, plus a boundary set."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(vertex, vertex, st.sampled_from([0.0, 0.25, 1.0])), max_size=3 * n))
+    rows, cols, vals = np.array(entries, dtype=float).reshape(-1, 3).T
+    p = sp.csr_matrix((vals, (rows.astype(int), cols.astype(int))), shape=(n, n))
+    boundary = draw(st.lists(vertex, min_size=1, max_size=n, unique=True))
+    return p, np.array(sorted(boundary), dtype=np.int64)
+
+
+@PROPERTY
+@given(case=sparse_operators())
+def test_reach_mask_matches_frontier_loop(case):
+    p, boundary = case
+    assert np.array_equal(_reaches_boundary(p, boundary), reference_reach(p, boundary))

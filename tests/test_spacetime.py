@@ -38,7 +38,18 @@ class TestTimeGrid:
         with pytest.raises(GraphError):
             TimeGrid(0.0, 0.0, 4)
         with pytest.raises(GraphError):
+            TimeGrid(0.0, np.nan, 4)
+        with pytest.raises(GraphError):
             TimeGrid(0.0, 1.0, 0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": 0.0}, {"dt": -1.0}, {"dt": np.nan}, {"dt": np.inf},
+        {"lam": 0.0}, {"lam": -2.0}, {"lam": np.nan}, {"lam": np.inf},
+        {"nt": 0}, {"nt": -3},
+    ])
+    def test_cover_rejects_bad_width_rate_and_count(self, kwargs):
+        with pytest.raises(GraphError, match="positive|at least one bin"):
+            TimeGrid.cover(np.array([0.0, 5.0]), **kwargs)
 
     def test_cover_spans_times(self):
         times = np.array([1.0, 4.5, 9.9])
@@ -96,6 +107,8 @@ class TestAssembly:
             assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=0.0)
         with pytest.raises(GraphError, match="positive"):
             assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=np.array([1.0, -1.0]))
+        with pytest.raises(GraphError, match="finite"):
+            assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=np.nan)
 
     def test_kernel_mode_needs_timestamps(self):
         g = build_graph([(0, 1, 1.0)])
@@ -250,6 +263,29 @@ class TestSolveSpacetime:
             obs = ObservationSet.of((cue, 1.0, float(times[0])))
             theta = solve_spacetime(sys_, obs, variant="coordinated", tol=1e-12)
             assert np.abs(theta - dense_spacetime_oracle(sys_, obs)).max() <= 1e-9
+
+    @pytest.mark.parametrize("variant, mode", [
+        ("coordinated", "clique"), ("coordinated", "instant"), ("weighted", "clique"),
+    ])
+    def test_iterative_matches_direct_on_random_systems(self, variant, mode):
+        # Both methods stop at an interior residual of at most 1e-12; with
+        # interior row sums below one that bounds each one's error by
+        # 1e-12 / (1 - rho), and 1e-9 leaves room for rho up to 0.999.
+        rng = rng_for("st-methods", variant, mode)
+        for _ in range(6):
+            g = make_er(rng, 9, p=0.35)
+            times = rng.uniform(0, 6, g.size)
+            timed = rng.random(g.size) < 0.7
+            timed[0] = True  # the cue sits on the first record's time
+            rows = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), *((t, t) if k else ()))
+                    for e, t, k in zip(g.interactions, times, timed)]
+            sys_ = assemble_spacetime(build_graph(rows, n=g.n), TimeGrid(0.0, 1.0, 6), rates=0.6,
+                                      mode_default=mode)
+            obs = ObservationSet.of((int(g.u[0]), 1.0, float(times[0])))
+            it = solve_spacetime(sys_, obs, variant=variant, tol=1e-12, on_isolated="zero")
+            ref = solve_spacetime(sys_, obs, variant=variant, tol=1e-12, method="direct",
+                                  on_isolated="zero")
+            assert np.abs(it - ref).max() <= 1e-9
 
     def test_clique_cue_constant_at_partner(self):
         g = build_graph([(0, 1, 1.0)])

@@ -82,9 +82,8 @@ class TestSolveHarmonic:
         rng = rng_for("methods")
         g, psi, obs = random_system(rng)
         base = solve_harmonic(g, psi, obs, tol=1e-12, method="iterative")
-        for method in ("direct", "bicgstab", "auto"):
-            other = solve_harmonic(g, psi, obs, tol=1e-12, method=method)
-            assert np.abs(base - other).max() <= 1e-9
+        other = solve_harmonic(g, psi, obs, tol=1e-12, method="direct")
+        assert np.abs(base - other).max() <= 1e-9
 
     def test_maximum_principle_property(self):
         rng = rng_for("maxprin")
