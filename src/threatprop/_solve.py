@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, checked_number
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +46,7 @@ def solve_boundary_value(
     """Solve the fixed-boundary harmonic system and clamp the result to [0, 1]."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
+    checked_number("tol", tol, low=0, open_low=True)
     n = p.shape[0]
     boundary = np.asarray(boundary, dtype=np.int64)
     theta = np.zeros(n)

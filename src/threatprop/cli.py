@@ -12,6 +12,7 @@ import json
 import logging
 import secrets
 import sys
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import click
@@ -38,7 +39,8 @@ from .io import (
     write_truth,
 )
 from .priors import PRIOR_KINDS, PriorSpec, compute_prior
-from .spacetime import MODES, TimeGrid, assemble_spacetime, default_rate, reduce_to_vertex_scores, solve_spacetime
+from .spacetime import (MODES, REDUCERS, TimeGrid, assemble_spacetime, default_rate, reduce_to_vertex_scores,
+                        solve_spacetime)
 from .spatial import build_absorbing_chain, monte_carlo_threat, solve_harmonic
 from .spectral import localized_modularity_scores, spectral_scores
 from .svgplot import plot_roc
@@ -64,34 +66,52 @@ def _resolve_seed(seed: int | None) -> int:
 
 def _load_json(path) -> dict:
     try:
-        return json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise click.UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise click.UsageError(f"config {path} must be a JSON object")
+    return raw
+
+
+def _check_keys(keys, allowed, required=()) -> None:
+    for what, bad in (("unknown", set(keys) - set(allowed)), ("missing", set(required) - set(keys))):
+        if bad:
+            raise click.UsageError(f"{what} config key(s): {', '.join(sorted(bad))}")
+
+
+def _from_config(cls, raw: dict):
+    """``cls(**raw)``: the keys are checked here, the values by the dataclass."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(raw, [f.name for f in fields(cls)], required)
+    return cls(**raw)
+
+
+def _leaves(node: dict, prefix: str = ""):
+    """(dotted key, value) for every non-object value of a nested JSON object."""
+    for key, val in node.items():
+        if isinstance(val, dict):
+            yield from _leaves(val, f"{prefix}{key}.")
+        else:
+            yield prefix + key, val
 
 
 def _config_override(ctx, config_path, values: dict, keymap: dict[str, str]) -> dict:
     """Merge a JSON config under explicit command-line flags.
 
-    ``keymap`` maps parameter names to (possibly dotted) config keys; a value
-    from the file is used only where the flag was left at its default, and
-    is converted and checked by that flag's own type.
+    ``keymap`` maps parameter names to (possibly dotted) config keys; a key
+    it does not name is a usage error.  A value from the file is used only
+    where the flag was left at its default, and is converted and checked by
+    that flag's own type.
     """
     if not config_path:
         return values
-    raw = _load_json(config_path)
-
-    def lookup(key):
-        node = raw
-        for part in key.split("."):
-            if not isinstance(node, dict) or part not in node:
-                return None
-            node = node[part]
-        return node
-
+    raw = dict(_leaves(_load_json(config_path)))
+    _check_keys(raw, keymap.values())
     params = {p.name: p for p in ctx.command.params}
     merged = dict(values)
     for param, key in keymap.items():
-        file_val = lookup(key)
+        file_val = raw.get(key)
         if file_val is None:
             continue
         src = ctx.get_parameter_source(param)
@@ -116,7 +136,7 @@ def _emit_network(net, out_dir: Path, config: dict, seed: int):
 
 @generate.command("sbm")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON with sizes, block_probs, foreground, horizon.")
+              help="JSON with the SbmParams fields: sizes, block_probs, foreground, horizon, shuffle.")
 @click.option("--activity", type=float, default=2.0, show_default=True,
               help="Foreground density multiplier for the benchmark shape (ignored with --config).")
 @click.option("--temporal", default="coordinated", show_default=True,
@@ -124,51 +144,28 @@ def _emit_network(net, out_dir: Path, config: dict, seed: int):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def generate_sbm_cmd(config_path, activity, temporal, seed, out_dir):
-    seed = _resolve_seed(seed)
     if config_path:
-        raw = _load_json(config_path)
-        params = SbmParams(
-            sizes=tuple(raw["sizes"]),
-            block_probs=np.asarray(raw["block_probs"], dtype=float),
-            foreground=raw.get("foreground"),
-            horizon=float(raw.get("horizon", 24.0)),
-            shuffle=bool(raw.get("shuffle", True)),
-        )
+        params = _from_config(SbmParams, _load_json(config_path))
     else:
         params = sbm_detection_config(activity=activity).params
+    seed = _resolve_seed(seed)
     net = generate_sbm(params, temporal=temporal, seed=seed)
-    config = {"generator": "sbm", "sizes": list(params.sizes), "block_probs": params.block_probs,
-              "foreground": params.foreground, "horizon": params.horizon, "temporal": temporal}
-    _emit_network(net, Path(out_dir), config, seed)
+    _emit_network(net, Path(out_dir), {"generator": "sbm", "params": params, "temporal": temporal}, seed)
 
 
 @generate.command("hmmb")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON with the full parameter set.")
+              help="JSON with the HmmbParams fields.")
 @click.option("--gamma-fg", type=float, default=1.0, show_default=True,
               help="Foreground coordination level for the default shape (ignored with --config).")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def generate_hmmb_cmd(config_path, gamma_fg, seed, out_dir):
-    seed = _resolve_seed(seed)
     if config_path:
-        raw = _load_json(config_path)
-        params = HmmbParams(
-            n=int(raw["n"]),
-            communities=int(raw["communities"]),
-            lifestyles=int(raw["lifestyles"]),
-            phi=np.asarray(raw["phi"], dtype=float),
-            concentration=np.asarray(raw["concentration"], dtype=float),
-            block_support=np.asarray(raw["block_support"], dtype=float),
-            block_strength=np.asarray(raw["block_strength"], dtype=float),
-            gamma=np.asarray(raw["gamma"], dtype=float),
-            alpha=float(raw.get("alpha", 2.8)),
-            lam_min=float(raw.get("lam_min", 1.0)),
-            horizon=float(raw.get("horizon", 24.0)),
-            foreground_lifestyles=tuple(raw.get("foreground_lifestyles", ())),
-        )
+        params = _from_config(HmmbParams, _load_json(config_path))
     else:
         params = default_hmmb_params(gamma_fg=gamma_fg)
+    seed = _resolve_seed(seed)
     net = generate_hmmb(params, seed=seed)
     config = {"generator": "hmmb", "params": params}
     _emit_network(net, Path(out_dir), config, seed)
@@ -238,7 +235,7 @@ def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, 
 @click.option("--prior", default="dwtp", show_default=True, type=click.Choice(PRIOR_KINDS),
               help="Spatial prior for --variant coord-prior.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@click.option("--reduce", "reducer", default=None, type=click.Choice(["max", "mean"]),
+@click.option("--reduce", "reducer", default=None, type=click.Choice(REDUCERS),
               help="Also write per-vertex scores with this reducer.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.pass_context
@@ -309,30 +306,23 @@ def detect_spec(graph_path, eigenvector, out_path):
     click.echo(f"wrote {out_path}")
 
 
-def _experiment_config(raw: dict, trials, seed, threads) -> ExperimentConfig:
-    kind = raw.get("kind", "sbm")
-    kwargs = {}
-    for key in ("trials", "seed", "time_bins", "rate", "variant", "reducer", "tol", "cue_value", "aggregate"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "detectors" in raw:
-        kwargs["detectors"] = tuple(raw["detectors"])
-    if kind == "sbm":
-        cfg = sbm_detection_config(activity=float(raw.get("activity", 2.0)))
-    elif kind == "hmmb":
-        cfg = hmmb_detection_config(gamma_fg=float(raw.get("gamma_fg", 1.0)))
-    else:
-        raise click.UsageError(f"unknown experiment kind {kind!r}")
-    from dataclasses import replace
+# Each experiment kind's preset and the one config key that tunes it.
+_PRESETS = {"sbm": (sbm_detection_config, "activity"), "hmmb": (hmmb_detection_config, "gamma_fg")}
+# ExperimentConfig fields an experiment config file may set over the preset.
+_RUN_KEYS = ("detectors", "trials", "seed", "time_bins", "rate", "variant", "reducer", "tol", "cue_value",
+             "aggregate")
 
-    cfg = replace(cfg, **kwargs)
-    if trials is not None:
-        cfg = replace(cfg, trials=trials)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if threads is not None:
-        cfg = replace(cfg, threads=threads)
-    return cfg
+
+def _experiment_config(raw: dict, **flags) -> ExperimentConfig:
+    kind = raw.get("kind", "sbm")
+    if not isinstance(kind, str) or kind not in _PRESETS:
+        raise click.UsageError(f"unknown experiment kind {kind!r}")
+    preset, knob = _PRESETS[kind]
+    _check_keys(raw, ("kind", knob, *_RUN_KEYS))
+    cfg = preset(**({knob: raw[knob]} if knob in raw else {}))
+    changes = {k: raw[k] for k in _RUN_KEYS if k in raw}
+    changes.update((k, v) for k, v in flags.items() if v is not None)
+    return replace(cfg, **changes)
 
 
 @cli.command("experiment")
@@ -345,7 +335,7 @@ def experiment_cmd(config_path, trials, seed, threads, out_dir):
     raw = _load_json(config_path)
     if seed is None and "seed" not in raw:
         seed = _resolve_seed(None)
-    cfg = _experiment_config(raw, trials, seed, threads)
+    cfg = _experiment_config(raw, trials=trials, seed=seed, threads=threads)
     result = run_experiment(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,9 +345,7 @@ def experiment_cmd(config_path, trials, seed, threads, out_dir):
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     plot_roc(sorted(result.curves.items()), out / "roc.svg")
     # threads excluded: it must not change any artifact byte
-    meta_cfg = {k: v for k, v in raw.items()}
-    meta_cfg.update({"kind": cfg.kind, "trials": cfg.trials})
-    write_meta(out / "meta.json", meta_cfg, cfg.seed, __version__)
+    write_meta(out / "meta.json", {**raw, "kind": cfg.kind, "trials": cfg.trials}, cfg.seed, __version__)
     for name, stats in sorted(summary["detectors"].items()):
         click.echo(f"{name}: auc={stats['auc']:.4f} (se {stats['auc_se']:.4f})")
     click.echo(f"wrote {out_dir}")

@@ -1,10 +1,14 @@
 """Exception types shared across the toolkit.
 
 The CLI maps these onto exit codes: input/usage problems exit 1, numerical
-failures exit 2, validation-suite failures exit 3.
+failures exit 2, validation-suite failures exit 3.  ``checked_number`` is
+the one scalar input check the config objects and solvers share.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class ThreatPropagationError(Exception):
@@ -41,3 +45,23 @@ class ExperimentError(ThreatPropagationError):
 
 class ValidationFailure(ThreatPropagationError):
     """One or more checks of the self-validation suite failed."""
+
+
+def checked_number(name: str, value, *, integer: bool = False, low: float = -math.inf,
+                   high: float = math.inf, open_low: bool = False):
+    """``value`` as an ``int`` (with ``integer``) or a finite ``float`` in
+    ``[low, high]``, or ``(low, high]`` with ``open_low``.
+
+    Anything else, a boolean or a string included, is a :class:`GraphError`.
+    """
+    ok = (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Integral if integer else numbers.Real)
+        and (integer or math.isfinite(value))
+        and low <= value <= high
+        and not (open_low and value == low)
+    )
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise GraphError(f"{name} must be {kind} in {'(' if open_low else '['}{low:g}, {high:g}], got {value!r}")
+    return int(value) if integer else float(value)

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExperimentError, GraphError, ThreatPropagationError
+from ._solve import SOLVE_METHODS
+from .errors import ExperimentError, GraphError, ThreatPropagationError, checked_number
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
 from .priors import PriorSpec, hop_distances
-from .spacetime import TimeGrid, assemble_spacetime, reduce_to_vertex_scores, solve_spacetime
+from .spacetime import REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores, solve_spacetime
 from .spatial import solve_harmonic
 from .spectral import localized_modularity_scores
 
@@ -51,15 +52,28 @@ class ExperimentConfig:
     aggregate: str = "pool"  # or "vertical"
 
     def __post_init__(self):
-        if self.kind not in ("sbm", "hmmb"):
-            raise GraphError(f"unknown generator kind {self.kind!r}")
+        choices = {"kind": ("sbm", "hmmb"), "variant": VARIANTS, "reducer": REDUCERS,
+                   "solve_method": SOLVE_METHODS, "aggregate": ("pool", "vertical")}
+        for name, allowed in choices.items():
+            if getattr(self, name) not in allowed:
+                raise GraphError(f"unknown {name} {getattr(self, name)!r}; expected one of {', '.join(allowed)}")
+        if not isinstance(self.detectors, (list, tuple)):
+            raise GraphError(f"detectors must be a list, got {self.detectors!r}")
         bad = [d for d in self.detectors if d not in DETECTORS]
         if bad:
             raise GraphError(f"unknown detectors {bad}")
-        if self.trials < 1:
-            raise GraphError("need at least one trial")
-        if self.aggregate not in ("pool", "vertical"):
-            raise GraphError(f"unknown aggregation {self.aggregate!r}")
+        fixed = {
+            "detectors": tuple(self.detectors),
+            "trials": checked_number("trials", self.trials, integer=True, low=1),
+            "seed": checked_number("seed", self.seed, integer=True, low=0),
+            "time_bins": checked_number("time_bins", self.time_bins, integer=True, low=1),
+            "threads": checked_number("threads", self.threads, integer=True, low=1),
+            "rate": checked_number("rate", self.rate, low=0, open_low=True),
+            "tol": checked_number("tol", self.tol, low=0, open_low=True),
+            "cue_value": checked_number("cue_value", self.cue_value, low=0, high=1),
+        }
+        for name, val in fixed.items():
+            object.__setattr__(self, name, val)
 
 
 @dataclass(frozen=True)
@@ -241,7 +255,7 @@ def sbm_detection_config(
         [
             [0.08, 0.02, 0.02],
             [0.02, 0.08, 0.02],
-            [0.02, 0.02, activity * 0.1],
+            [0.02, 0.02, checked_number("activity", activity) * 0.1],
         ]
     )
     params = SbmParams(sizes=(113, 113, 30), block_probs=s, foreground=2)

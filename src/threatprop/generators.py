@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, checked_number
 from .graph import Graph
 
 logger = logging.getLogger(__name__)
@@ -31,6 +31,22 @@ logger = logging.getLogger(__name__)
 def _streams(seed: int, count: int = 2) -> list[np.random.Generator]:
     children = np.random.SeedSequence(seed).spawn(count)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise GraphError(f"{name} must be an array of numbers") from None
+    if not np.all(np.isfinite(arr)):
+        raise GraphError(f"{name} entries must be finite")
+    return arr
+
+
+def _int_tuple(name: str, values, low: int, high: float = math.inf) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise GraphError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(checked_number(name, v, integer=True, low=low, high=high) for v in values)
 
 
 def activity_density(size: int, activity: float = 1.0) -> float:
@@ -57,19 +73,23 @@ class SbmParams:
     shuffle: bool = True
 
     def __post_init__(self):
-        s = np.asarray(self.block_probs, dtype=float)
-        k = len(self.sizes)
+        sizes = _int_tuple("community size", self.sizes, low=1)
+        s = _float_array("block_probs", self.block_probs)
+        k = len(sizes)
         if s.shape != (k, k):
             raise GraphError(f"block matrix shape {s.shape} does not match {k} communities")
         if np.any(s < 0) or np.any(s > 1):
             raise GraphError("block probabilities must lie in [0, 1]")
         if not np.allclose(s, s.T):
             raise GraphError("block matrix must be symmetric")
-        object.__setattr__(self, "block_probs", s)
-        if any(sz < 1 for sz in self.sizes):
-            raise GraphError("community sizes must be positive")
-        if self.foreground is not None and not 0 <= self.foreground < k:
-            raise GraphError("foreground community index out of range")
+        if not isinstance(self.shuffle, bool):
+            raise GraphError(f"shuffle must be true or false, got {self.shuffle!r}")
+        fg = self.foreground
+        if fg is not None:
+            fg = checked_number("foreground community", fg, integer=True, low=0, high=k - 1)
+        horizon = checked_number("horizon", self.horizon, low=0, open_low=True)
+        for name, val in (("sizes", sizes), ("block_probs", s), ("foreground", fg), ("horizon", horizon)):
+            object.__setattr__(self, name, val)
 
     @property
     def n(self) -> int:
@@ -161,12 +181,10 @@ class HmmbParams:
     foreground_lifestyles: tuple[int, ...] = ()
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        x = np.asarray(self.concentration, dtype=float)
-        s = np.asarray(self.block_support, dtype=float)
-        b = np.asarray(self.block_strength, dtype=float)
-        g = np.asarray(self.gamma, dtype=float)
-        l, k = self.lifestyles, self.communities
+        phi, x, s, b, g = (_float_array(name, getattr(self, name)) for name in (
+            "phi", "concentration", "block_support", "block_strength", "gamma"))
+        l = checked_number("lifestyles", self.lifestyles, integer=True, low=1)
+        k = checked_number("communities", self.communities, integer=True, low=1)
         if phi.shape != (l,) or not math.isclose(phi.sum(), 1.0, abs_tol=1e-9) or np.any(phi < 0):
             raise GraphError("lifestyle probabilities must form a simplex vector")
         if x.shape != (l, k) or np.any(x <= 0):
@@ -177,12 +195,15 @@ class HmmbParams:
             raise GraphError("block strength entries must be nonnegative")
         if g.shape != (k,) or np.any(g <= 0):
             raise GraphError("coordination parameters must be positive")
-        if self.alpha <= 1.0:
-            raise GraphError("power-law exponent must exceed 1")
-        if any(not 0 <= i < l for i in self.foreground_lifestyles):
-            raise GraphError("foreground lifestyle index out of range")
-        for name, val in (("phi", phi), ("concentration", x), ("block_support", s),
-                          ("block_strength", b), ("gamma", g)):
+        fixed = {
+            "n": checked_number("n", self.n, integer=True, low=1), "communities": k, "lifestyles": l,
+            "phi": phi, "concentration": x, "block_support": s, "block_strength": b, "gamma": g,
+            "alpha": checked_number("power-law exponent alpha", self.alpha, low=1, open_low=True),
+            "lam_min": checked_number("lam_min", self.lam_min, low=0, open_low=True),
+            "horizon": checked_number("horizon", self.horizon, low=0, open_low=True),
+            "foreground_lifestyles": _int_tuple("foreground lifestyle", self.foreground_lifestyles, 0, l - 1),
+        }
+        for name, val in fixed.items():
             object.__setattr__(self, name, val)
 
     @property
@@ -321,7 +342,7 @@ def default_hmmb_params(
     b[9, 9] = 900.0  # covert roles interact intensely when they do interact
 
     gamma = np.full(k, gamma_bg)
-    gamma[9] = gamma_fg
+    gamma[9] = checked_number("gamma_fg", gamma_fg)
 
     return HmmbParams(
         n=n,

@@ -31,6 +31,7 @@ logger = logging.getLogger(__name__)
 
 MODES = ("kernel", "instant", "clique")
 VARIANTS = ("weighted", "coordinated", "coordinated-spatial")
+REDUCERS = ("max", "mean")
 
 # Kernel entries below this are dropped to preserve sparsity (not renormalized).
 KERNEL_TRUNCATION = 1e-4

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solve import solve_boundary_value
-from .errors import DisconnectedGraphError, GraphError
+from .errors import DisconnectedGraphError, GraphError, checked_number
 from .graph import Graph, ObservationSet
 
 logger = logging.getLogger(__name__)
@@ -195,8 +195,7 @@ def monte_carlo_threat(
     ``max_steps`` count as absorbed to non-threat and are tallied in
     ``capped_walks``.
     """
-    if walks_per_vertex < 1:
-        raise ValueError("walks_per_vertex must be >= 1")
+    k = checked_number("walks_per_vertex", walks_per_vertex, integer=True, low=1)
     n = chain.n
     if n > _WALK_DENSE_LIMIT:
         raise GraphError(f"walk simulation supports up to {_WALK_DENSE_LIMIT} vertices, got {n}")
@@ -221,7 +220,6 @@ def monte_carlo_threat(
     slot = np.full(n + 1, -1, dtype=np.int64)
     slot[chain.boundary] = np.arange(nb)
 
-    k = walks_per_vertex
     total = n * k
     state = np.repeat(np.arange(n), k).astype(np.int64)
     absorbing = np.zeros(n + 1, dtype=bool)

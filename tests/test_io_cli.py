@@ -24,6 +24,9 @@ from threatprop.svgplot import render_roc_svg
 
 from conftest import make_er, rng_for
 
+SBM_PARAMS = {"sizes": [10, 10], "block_probs": [[0.5, 0.1], [0.1, 0.5]]}
+EXPERIMENT = {"kind": "sbm", "trials": 2, "seed": 1, "detectors": ["sttp"]}
+
 
 class TestEdgeListIO:
     def test_round_trip(self, tmp_path):
@@ -222,6 +225,10 @@ class TestCli:
         pytest.param("spatial", [], "a,1.0", {"method": "bicgstab"}, id="config-method-bicgstab"),
         pytest.param("spacetime", ["--bins", "4"], "a,1.0,1.0", {"reduce": "bogus"}, id="config-reduce"),
         pytest.param("spacetime", ["--bins", "4"], "a,1.0,1.0", {"lambda": "fast"}, id="config-lambda"),
+        pytest.param("spatial", ["--tol", "nan"], "a,1.0", None, id="spatial-tol-nan"),
+        pytest.param("spatial", ["--tol", "-1"], "a,1.0", None, id="spatial-tol-negative"),
+        pytest.param("spacetime", ["--bins", "4", "--tol", "nan"], "a,1.0,1.0", None, id="spacetime-tol-nan"),
+        pytest.param("spacetime", ["--bins", "4", "--tol", "-1"], "a,1.0,1.0", None, id="spacetime-tol-negative"),
     ])
     def test_bad_input_error_contract(self, tmp_path, capsys, command, flags, obs_text, config):
         edges = tmp_path / "edges.csv"
@@ -239,6 +246,56 @@ class TestCli:
         assert "error: " in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert list(tmp_path.glob("x.*")) == []
+
+    @pytest.mark.parametrize("command, config, flags", [
+        pytest.param("generate sbm", {"sizes": [10, 10]}, [], id="sbm-missing-key"),
+        pytest.param("generate hmmb", {"n": 50}, [], id="hmmb-missing-key"),
+        pytest.param("generate sbm", {**SBM_PARAMS, "horizon": "x"}, [], id="sbm-horizon-type"),
+        pytest.param("generate sbm", {**SBM_PARAMS, "horizon": -5}, [], id="sbm-horizon-negative"),
+        pytest.param("generate sbm", {**SBM_PARAMS, "typo_key": 1}, [], id="sbm-unknown-key"),
+        pytest.param("propagate spatial", {"tolerance": 1e-3}, [], id="propagate-unknown-key"),
+        pytest.param("experiment", {**EXPERIMENT, "trials": "x"}, [], id="experiment-trials-type"),
+        pytest.param("experiment", {**EXPERIMENT, "tol": "abc"}, [], id="experiment-tol-type"),
+        pytest.param("experiment", {**EXPERIMENT, "variant": "bogus"}, [], id="experiment-variant"),
+        pytest.param("experiment", {**EXPERIMENT, "threads": 2, "solve_method": "direct"}, [],
+                     id="experiment-unapplied-keys"),
+        pytest.param("experiment", {**EXPERIMENT, "bogus": 1}, [], id="experiment-unknown-key"),
+        pytest.param("experiment", {**EXPERIMENT, "activity": "x"}, [], id="experiment-activity-type"),
+        pytest.param("experiment", {**EXPERIMENT, "kind": "hmmb", "gamma_fg": "x"}, [], id="experiment-gamma-type"),
+        pytest.param("experiment", {**EXPERIMENT, "kind": "hmmb", "activity": 2.0}, [],
+                     id="experiment-knob-of-other-kind"),
+        pytest.param("experiment", EXPERIMENT, ["--threads", "0"], id="experiment-threads-zero"),
+    ])
+    def test_config_error_contract(self, tmp_path, capsys, command, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [*command.split(), "--config", str(cfg), *flags]
+        if command.startswith("generate"):
+            args += ["--seed", "1"]
+        if command.startswith("propagate"):
+            edges, obs = tmp_path / "edges.csv", tmp_path / "obs.csv"
+            edges.write_text("src,dst,weight\na,b,1.0\nb,c,1.0\n")
+            obs.write_text("vertex,p\na,1.0\n")
+            args += ["--graph", str(edges), "--obs", str(obs)]
+        rc = main([*args, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: " in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert "aborted" not in captured.err  # refused before any trial runs
+        assert not (tmp_path / "out").exists()
+
+    def test_meta_params_reproduce_the_network(self, tmp_path):
+        cfg = tmp_path / "sbm.json"
+        cfg.write_text(json.dumps({**SBM_PARAMS, "foreground": 1, "shuffle": False}))
+        for generator, source in (("sbm", ["--config", str(cfg)]), ("hmmb", ["--gamma-fg", "2"])):
+            first, again = tmp_path / f"{generator}-first", tmp_path / f"{generator}-again"
+            assert main(["generate", generator, *source, "--seed", "7", "--out", str(first)]) == 0
+            replay = tmp_path / f"{generator}-params.json"
+            replay.write_text(json.dumps(json.loads((first / "meta.json").read_text())["config"]["params"]))
+            assert main(["generate", generator, "--config", str(replay), "--seed", "7", "--out", str(again)]) == 0
+            for name in ("edges.csv", "truth.csv"):
+                assert (first / name).read_bytes() == (again / name).read_bytes(), (generator, name)
 
     def test_spacetime_default_variant(self, tmp_path):
         edges = tmp_path / "edges.csv"

@@ -1,5 +1,5 @@
-"""Property tests on random small graphs (timed, untimed and duplicate records)
-and random sparse propagation operators."""
+"""Property tests on random small graphs (timed, untimed and duplicate records),
+random sparse propagation operators and random detector scores."""
 
 import numpy as np
 import pytest
@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from threatprop._solve import _reaches_boundary
 from threatprop.errors import GraphError
-from threatprop.graph import build_graph
+from threatprop.evaluation import roc
+from threatprop.graph import ObservationSet, build_graph
 from threatprop.io import read_edges, write_edges
 from threatprop.spacetime import MODES, TimeGrid, assemble_spacetime, kernel_profile
+from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
@@ -151,3 +153,56 @@ def sparse_operators(draw):
 def test_reach_mask_matches_frontier_loop(case):
     p, boundary = case
     assert np.array_equal(_reaches_boundary(p, boundary), reference_reach(p, boundary))
+
+
+@st.composite
+def propagation_problems(draw):
+    """A graph from ``timed_graphs`` joined up by a unit-weight path, a prior
+    in [0.05, 0.95] and observed vertices with values in [0, 1].
+
+    A prior below one bounds the fixed point's contraction by 0.95, so the
+    default iterative solve converges however uneven the weights are."""
+    g, _ = draw(timed_graphs())
+    rows = [(e.u, e.v, e.weight) for e in g.interactions] + [(i, i + 1, 1.0) for i in range(g.n - 1)]
+    g = build_graph(rows, n=g.n)
+    psi = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
+    observed = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True))
+    values = draw(st.lists(st.floats(0.0, 1.0), min_size=len(observed), max_size=len(observed)))
+    return g, psi, ObservationSet.of(*zip(observed, values))
+
+
+@PROPERTY
+@given(case=propagation_problems())
+def test_harmonic_maximum_principle(case):
+    g, psi, obs = case
+    theta = solve_harmonic(g, psi, obs, tol=1e-12)
+    interior = np.setdiff1d(np.arange(g.n), obs.vertices)
+    assert np.array_equal(theta[obs.vertices], obs.values)
+    # theta_i = psi_i * (weighted neighbour mean), so no interior vertex
+    # exceeds psi_i times the largest observed value or falls below zero
+    assert np.all(theta[interior] >= 0.0)
+    assert np.all(theta[interior] <= psi[interior] * obs.values.max() + 1e-10)
+
+
+@PROPERTY
+@given(case=propagation_problems())
+def test_harmonic_matches_hitting_matrix(case):
+    g, psi, obs = case
+    theta = solve_harmonic(g, psi, obs, tol=1e-12)
+    assert np.max(np.abs(theta - hitting_threat(build_absorbing_chain(g, psi, obs)))) <= 1e-9
+
+
+@PROPERTY
+@given(
+    rows=st.lists(st.tuples(st.integers(-40, 40), st.booleans()), min_size=2, max_size=60).filter(
+        lambda rows: len({label for _, label in rows}) == 2),
+    transform=st.sampled_from([np.exp, np.arctan, lambda x: x**3, lambda x: 3.0 * x - 7.0]),
+)
+def test_roc_invariant_under_increasing_transforms(rows, transform):
+    # quarter steps over [-10, 10]: every transform keeps distinct scores distinct
+    scores = np.array([score / 4 for score, _ in rows])
+    truth = np.array([label for _, label in rows], dtype=int)
+    base, moved = roc(scores, truth), roc(transform(scores), truth)
+    for name in ("pfa", "pd", "se_pd"):
+        assert np.array_equal(getattr(base, name), getattr(moved, name)), name
+    assert base.auc == moved.auc

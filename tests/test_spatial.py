@@ -262,7 +262,7 @@ class TestMonteCarlo:
     def test_walk_count_validated(self, path3):
         psi = compute_prior(path3, PriorSpec("dwtp"))
         chain = build_absorbing_chain(path3, psi, ObservationSet.of((2, 1.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError, match="walks_per_vertex"):
             monte_carlo_threat(chain, 0, seed=1)
 
 
