@@ -96,28 +96,22 @@ def _leaves(node: dict, prefix: str = ""):
             yield prefix + key, val
 
 
-def _config_override(ctx, config_path, values: dict, keymap: dict[str, str]) -> dict:
-    """Merge a JSON config under explicit command-line flags.
+def _config_option(keymap: dict[str, str]):
+    """``--config FILE``: a JSON object whose values become the defaults of
+    the flags that ``keymap`` (dotted config key -> parameter name) names.
 
-    ``keymap`` maps parameter names to (possibly dotted) config keys; a key
-    it does not name is a usage error.  A value from the file is used only
-    where the flag was left at its default, and is converted and checked by
-    that flag's own type.
+    A flag given on the command line still wins, and click converts and
+    checks each file value with that flag's own type; a key the keymap does
+    not name is a usage error and a ``null`` value is skipped.
     """
-    if not config_path:
-        return values
-    raw = dict(_leaves(_load_json(config_path)))
-    _check_keys(raw, keymap.values())
-    params = {p.name: p for p in ctx.command.params}
-    merged = dict(values)
-    for param, key in keymap.items():
-        file_val = raw.get(key)
-        if file_val is None:
-            continue
-        src = ctx.get_parameter_source(param)
-        if src is not None and src.name != "COMMANDLINE":
-            merged[param] = params[param].type.convert(file_val, params[param], ctx)
-    return merged
+    def load(ctx, _param, path):
+        if path:
+            raw = dict(_leaves(_load_json(path)))
+            _check_keys(raw, keymap)
+            ctx.default_map = {keymap[key]: val for key, val in raw.items() if val is not None}
+
+    return click.option("--config", type=click.Path(exists=True), is_eager=True, expose_value=False,
+                        callback=load, help=f"JSON defaults ({', '.join(keymap)}); flags win.")
 
 
 @cli.group()
@@ -180,8 +174,8 @@ def propagate():
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--obs", "obs_path", type=click.Path(exists=True), required=True,
               help="CSV vertex,p")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON defaults (prior.kind, prior.psi0, tol, method, walks, seed); flags win.")
+@_config_option({"prior.kind": "prior", "prior.psi0": "psi0", "tol": "tol", "method": "method",
+                 "walks": "walks", "seed": "seed"})
 @click.option("--prior", default="dwtp", show_default=True, type=click.Choice(PRIOR_KINDS))
 @click.option("--psi0", type=float, default=1.0, show_default=True, help="Uniform prior value.")
 @click.option("--tol", type=float, default=1e-10, show_default=True)
@@ -190,16 +184,7 @@ def propagate():
 @click.option("--walks", type=int, default=10_000, show_default=True, help="Walks per vertex for --method mc.")
 @click.option("--seed", type=int, default=None, help="Required for --method mc.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.pass_context
-def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, method, walks, seed, out_path):
-    cfg = _config_override(
-        ctx, config_path,
-        {"prior": prior, "psi0": psi0, "tol": tol, "method": method, "walks": walks, "seed": seed},
-        {"prior": "prior.kind", "psi0": "prior.psi0", "tol": "tol", "method": "method",
-         "walks": "walks", "seed": "seed"},
-    )
-    prior, psi0, tol = cfg["prior"], cfg["psi0"], cfg["tol"]
-    method, walks, seed = cfg["method"], cfg["walks"], cfg["seed"]
+def propagate_spatial(graph_path, obs_path, prior, psi0, tol, method, walks, seed, out_path):
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     psi = compute_prior(g, PriorSpec(prior, psi0=psi0), obs)
@@ -222,8 +207,8 @@ def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, 
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--obs", "obs_path", type=click.Path(exists=True), required=True,
               help="CSV vertex,t,p (empty t broadcasts the cue)")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-              help="JSON defaults (dt, bins, lambda, variant, mode_default, prior.kind, tol); flags win.")
+@_config_option({"dt": "dt", "bins": "bins", "lambda": "lam", "variant": "variant", "mode_default": "mode_default",
+                 "prior.kind": "prior", "tol": "tol", "reduce": "reducer"})
 @click.option("--dt", type=float, default=None, help="Bin width; default from kernel accuracy.")
 @click.option("--bins", type=int, default=None, help="Bin count override.")
 @click.option("--lambda", "lam", type=float, default=None,
@@ -238,19 +223,7 @@ def propagate_spatial(ctx, graph_path, obs_path, config_path, prior, psi0, tol, 
 @click.option("--reduce", "reducer", default=None, type=click.Choice(REDUCERS),
               help="Also write per-vertex scores with this reducer.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@click.pass_context
-def propagate_spacetime(ctx, graph_path, obs_path, config_path, dt, bins, lam, variant, mode_default,
-                        prior, tol, reducer, out_path):
-    cfg = _config_override(
-        ctx, config_path,
-        {"dt": dt, "bins": bins, "lam": lam, "variant": variant, "mode_default": mode_default,
-         "prior": prior, "tol": tol, "reducer": reducer},
-        {"dt": "dt", "bins": "bins", "lam": "lambda", "variant": "variant",
-         "mode_default": "mode_default", "prior": "prior.kind", "tol": "tol", "reducer": "reduce"},
-    )
-    dt, bins, lam = cfg["dt"], cfg["bins"], cfg["lam"]
-    variant, mode_default, prior = cfg["variant"], cfg["mode_default"], cfg["prior"]
-    tol, reducer = cfg["tol"], cfg["reducer"]
+def propagate_spacetime(graph_path, obs_path, dt, bins, lam, variant, mode_default, prior, tol, reducer, out_path):
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     obs_times = [e.t for e in obs.entries if e.t is not None]

@@ -68,11 +68,6 @@ class RocCurve:
     def auc_se(self) -> float:
         return auc_standard_error(self.auc, self.n_fg, self.n_bg)
 
-    def rows(self):
-        """(threshold, pfa, pd, se) tuples, finite thresholds clamped to the
-        score range endpoints."""
-        return list(zip(self.thresholds, self.pfa, self.pd, self.se_pd))
-
 
 def roc(scores, truth, thresholds: str | int = "unique", trials: int = 1) -> RocCurve:
     """Sweep detection thresholds over a score vector.

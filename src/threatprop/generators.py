@@ -29,7 +29,7 @@ logger = logging.getLogger(__name__)
 
 
 def _streams(seed: int, count: int = 2) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(count)
+    children = np.random.SeedSequence(checked_number("seed", seed, integer=True, low=0)).spawn(count)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 

@@ -23,20 +23,26 @@ from .graph import Graph, Observation, ObservationSet, build_graph
 EDGE_HEADER = ["src", "dst", "weight", "t_src", "t_dst"]
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
+def _write_csv(path, header, *columns) -> None:
+    """A header row, then one row per position of the equal-length columns.
+
+    The csv module writes a Python float with ``repr`` and ``None`` as an
+    empty field, so columns are passed as ``ndarray.tolist()``.
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(zip(*columns))
+
+
+def _labels(g: Graph) -> np.ndarray:
+    return np.asarray(g.labels or [str(i) for i in range(g.n)], dtype=object)
 
 
 def write_edges(path, g: Graph) -> None:
-    labels = np.asarray(g.labels or [str(i) for i in range(g.n)], dtype=object)
-    # The csv module writes floats with repr and None as an empty field.
+    labels = _labels(g)
     t_u, t_v = (np.where(g.timed, t, None).tolist() for t in (g.t_u, g.t_v))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EDGE_HEADER)
-        w.writerows(zip(labels[g.u], labels[g.v], g.w.tolist(), t_u, t_v))
+    _write_csv(path, EDGE_HEADER, labels[g.u].tolist(), labels[g.v].tolist(), g.w.tolist(), t_u, t_v)
 
 
 def read_edges(path, directed: bool = False) -> Graph:
@@ -104,23 +110,14 @@ def read_observations(path, g: Graph) -> ObservationSet:
 
 
 def write_scores(path, g: Graph, values: np.ndarray, column: str = "theta") -> None:
-    labels = g.labels or tuple(str(i) for i in range(g.n))
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", column])
-        for i, v in enumerate(values):
-            w.writerow([labels[i], _fmt(float(v))])
+    _write_csv(path, ["vertex", column], _labels(g).tolist(), np.asarray(values, dtype=float).tolist())
 
 
 def write_spacetime_scores(path, g: Graph, theta_st: np.ndarray, grid) -> None:
-    labels = g.labels or tuple(str(i) for i in range(g.n))
-    centers = grid.centers
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vertex", "t", "theta"])
-        for i in range(theta_st.shape[0]):
-            for k in range(theta_st.shape[1]):
-                w.writerow([labels[i], _fmt(float(centers[k])), _fmt(float(theta_st[i, k]))])
+    """One ``vertex,t,theta`` row per (vertex, bin) cell, vertex-major."""
+    n, nt = theta_st.shape
+    _write_csv(path, ["vertex", "t", "theta"], np.repeat(_labels(g)[:n], nt).tolist(),
+               np.tile(grid.centers, n).tolist(), np.asarray(theta_st, dtype=float).ravel().tolist())
 
 
 def write_truth(path, g: Graph, truth: np.ndarray) -> None:
@@ -140,11 +137,8 @@ def read_truth(path, g: Graph) -> np.ndarray:
 
 
 def write_roc(path, curve) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["threshold", "pfa", "pd", "se"])
-        for thr, pfa, pd, se in curve.rows():
-            w.writerow([_fmt(thr), _fmt(pfa), _fmt(pd), _fmt(se)])
+    _write_csv(path, ["threshold", "pfa", "pd", "se"],
+               curve.thresholds.tolist(), curve.pfa.tolist(), curve.pd.tolist(), curve.se_pd.tolist())
 
 
 def canonical_json(obj) -> str:

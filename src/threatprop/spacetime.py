@@ -42,6 +42,11 @@ DT_ACCURACY = 0.02
 # Lifted systems beyond this order are almost certainly a misconfigured grid.
 MAX_ORDER = 20_000_000
 
+# A solve peaks at about 80 bytes of RSS per matrix entry (0.88 GB for 10.1M
+# entries, 1.24 GB for 14.5M; 343 time cliques at 120 and 144 bins), so this
+# caps it near 1.4 GB.
+MAX_ENTRIES = 16_000_000
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -174,6 +179,12 @@ def assemble_spacetime(
     if untimed.size and mode_default == "kernel":
         i = untimed[0]
         raise GraphError(f"interaction {i} ({g.u[i]},{g.v[i]}) has no timestamps for kernel mode")
+    # Per direction and before truncation, a timed record spans nt entries,
+    # an instant block nt and a time clique nt x nt.
+    entries = 2 * nt * (timed.size + untimed.size * (1 if mode_default == "instant" else nt))
+    if entries > MAX_ENTRIES:
+        raise GraphError(f"space-time grid of {nt} bins needs about {entries:,} matrix entries, over "
+                         f"the {MAX_ENTRIES:,} limit; coarsen it (--bins/--dt)")
 
     # A timed record couples both ways: receiver v from sender u, then u from
     # v.  The receiver's kernel column is centred on its own bin and lands in

@@ -247,6 +247,28 @@ class TestCli:
         assert "Traceback" not in captured.out + captured.err
         assert list(tmp_path.glob("x.*")) == []
 
+    @pytest.mark.parametrize("generator", ["sbm", "hmmb"])
+    def test_generate_negative_seed_error_contract(self, tmp_path, capsys, generator):
+        rc = main(["generate", generator, "--seed", "-1", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: seed" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_oversize_grid_exits_1(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,,\nb,c,1.0,2.0,2.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p,t\na,1.0,2.0\n")
+        # one time clique of 3,000 bins is 18M matrix entries
+        rc = main(["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs), "--bins", "3000",
+                   "--lambda", "1", "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: " in captured.err and "--bins" in captured.err
+        assert list(tmp_path.glob("x.*")) == []
+
     @pytest.mark.parametrize("command, config, flags", [
         pytest.param("generate sbm", {"sizes": [10, 10]}, [], id="sbm-missing-key"),
         pytest.param("generate hmmb", {"n": 50}, [], id="hmmb-missing-key"),
@@ -361,6 +383,54 @@ class TestCli:
                      "--config", str(cfg), "--prior", "dwtp", "--out", str(theta2)]) == 0
         meta2 = json.loads(Path(str(theta2) + ".meta.json").read_text())
         assert meta2["config"]["prior"] == "dwtp"
+
+    # One case per key of each propagate config: the file value, a different
+    # flag value, and the flags under which the two give different outputs.
+    @pytest.mark.parametrize("command, key, file_value, flag, flag_value, extra", [
+        ("spatial", "prior.kind", "uniform", "--prior", "bfs", []),
+        ("spatial", "prior.psi0", 0.5, "--psi0", "0.25", ["--prior", "uniform"]),
+        ("spatial", "tol", 1e-6, "--tol", "1e-8", []),
+        ("spatial", "method", "mc", "--method", "harmonic", ["--walks", "50", "--seed", "1"]),
+        ("spatial", "walks", 50, "--walks", "80", ["--method", "mc", "--seed", "1"]),
+        ("spatial", "seed", 3, "--seed", "4", ["--method", "mc", "--walks", "50"]),
+        ("spacetime", "dt", 0.5, "--dt", "0.25", ["--lambda", "0.7"]),
+        ("spacetime", "bins", 4, "--bins", "6", ["--lambda", "0.7"]),
+        ("spacetime", "lambda", 0.7, "--lambda", "0.3", ["--bins", "4"]),
+        ("spacetime", "variant", "weighted", "--variant", "coord", ["--bins", "4", "--lambda", "0.7"]),
+        ("spacetime", "mode_default", "instant", "--mode-default", "clique", ["--bins", "4", "--lambda", "0.7"]),
+        ("spacetime", "prior.kind", "uniform", "--prior", "bfs",
+         ["--bins", "4", "--lambda", "0.7", "--variant", "coord-prior"]),
+        ("spacetime", "tol", 1e-6, "--tol", "1e-8", ["--bins", "4", "--lambda", "0.7"]),
+        ("spacetime", "reduce", "max", "--reduce", "mean", ["--bins", "4", "--lambda", "0.7"]),
+    ])
+    def test_propagate_config_values_are_flag_defaults(self, tmp_path, command, key, file_value, flag,
+                                                       flag_value, extra):
+        edges, obs = tmp_path / "edges.csv", tmp_path / "obs.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,0.5,0.5\nb,c,2.0,1.5,1.0\n"
+                         "c,d,1.0,,\nd,a,1.0,3.0,3.5\n")
+        obs.write_text("vertex,p,t\na,1.0,0.5\n" if command == "spacetime" else "vertex,p\na,1.0\n")
+        head, _, leaf = key.partition(".")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({head: {leaf: file_value}} if leaf else {key: file_value}))
+
+        def run(name, *args):
+            out = tmp_path / name
+            out.mkdir()
+            assert main(["propagate", command, "--graph", str(edges), "--obs", str(obs), *extra, *args,
+                         "--out", str(out / "x.csv")]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        from_file = run("file", "--config", str(cfg))
+        assert from_file == run("flag", flag, str(file_value))
+        overridden = run("both", "--config", str(cfg), flag, flag_value)
+        assert overridden == run("other", flag, flag_value)
+        assert overridden != from_file
+        meta = json.loads(from_file["x.csv.meta.json"])
+        recorded = {"prior.kind": "prior", "prior.psi0": "psi0"}.get(key, key)
+        if key == "seed":
+            assert meta["seed"] == file_value
+        elif not (command == "spacetime" and key == "prior.kind"):  # the prior is not in that record
+            assert meta["config"][recorded] == file_value
 
     def test_experiment_hmmb_kind(self, tmp_path):
         cfg = tmp_path / "exp.json"

@@ -1,6 +1,8 @@
 """Property tests on random small graphs (timed, untimed and duplicate records),
 random sparse propagation operators and random detector scores."""
 
+import csv
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,9 +11,9 @@ from hypothesis import strategies as st
 
 from threatprop._solve import _reaches_boundary
 from threatprop.errors import GraphError
-from threatprop.evaluation import roc
+from threatprop.evaluation import RocCurve, roc
 from threatprop.graph import ObservationSet, build_graph
-from threatprop.io import read_edges, write_edges
+from threatprop.io import read_edges, write_edges, write_roc, write_scores, write_spacetime_scores
 from threatprop.spacetime import MODES, TimeGrid, assemble_spacetime, kernel_profile
 from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
 
@@ -206,3 +208,66 @@ def test_roc_invariant_under_increasing_transforms(rows, transform):
     for name in ("pfa", "pd", "se_pd"):
         assert np.array_equal(getattr(base, name), getattr(moved, name)), name
     assert base.auc == moved.auc
+
+
+def reference_csv(path, header, rows):
+    """The per-row writer the columnar ones replaced: ``repr`` for every float."""
+
+    def fmt(x):
+        return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
+
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([fmt(x) for x in row])
+
+
+# Every float, with the ones a writer could mangle drawn often.
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, 0.1]),
+)
+
+
+@st.composite
+def score_tables(draw):
+    """A labelled (or unlabelled) graph, a time grid and an (n, nt) float table."""
+    n, nt = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    labels = None
+    if draw(st.booleans()):
+        name = st.text(st.sampled_from(list('ab,"\' \n\r;é€中😀')), min_size=0, max_size=5)
+        labels = draw(st.lists(name, min_size=n, max_size=n))
+    g = build_graph([(0, 1, 1.0)], n=n, labels=labels)
+    t0 = draw(st.floats(-1e300, 1e300))
+    dt = draw(st.one_of(st.floats(5e-324, 1e300), st.sampled_from([5e-324, 0.1, 1.0])))
+    table = np.array(draw(st.lists(ANY_FLOAT, min_size=n * nt, max_size=n * nt))).reshape(n, nt)
+    return g, TimeGrid(t0, dt, nt), table
+
+
+def check_writer(directory, write, header, rows):
+    """``write(path)`` gives the same bytes as the per-row reference."""
+    got, want = directory / "got.csv", directory / "want.csv"
+    write(got)
+    reference_csv(want, header, rows)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@PROPERTY
+@given(case=score_tables())
+def test_score_writers_match_per_row_writer(tmp_path_factory, case):
+    g, grid, table = case
+    labels = g.labels or [str(i) for i in range(g.n)]
+    check_writer(tmp_path_factory.mktemp("scores"), lambda path: write_scores(path, g, table[:, 0]),
+                 ["vertex", "theta"], [(labels[i], table[i, 0]) for i in range(g.n)])
+    cells = [(labels[i], grid.centers[k], table[i, k]) for i in range(g.n) for k in range(grid.nt)]
+    check_writer(tmp_path_factory.mktemp("cells"), lambda path: write_spacetime_scores(path, g, table, grid),
+                 ["vertex", "t", "theta"], cells)
+
+
+@PROPERTY
+@given(columns=st.integers(0, 6).flatmap(lambda m: st.lists(
+    st.lists(ANY_FLOAT, min_size=m, max_size=m).map(np.array), min_size=4, max_size=4)))
+def test_roc_writer_matches_per_row_writer(tmp_path_factory, columns):
+    check_writer(tmp_path_factory.mktemp("roc"), lambda path: write_roc(path, RocCurve(*columns, 0.5, 1, 1)),
+                 ["threshold", "pfa", "pd", "se"], zip(*columns))

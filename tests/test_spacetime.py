@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,19 @@ class TestAssembly:
         g = build_graph([(0, 1, 1.0)])
         with pytest.raises(GraphError, match="no timestamps"):
             assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), mode_default="kernel")
+
+    # 2 x nt x (1 + nt) and 2 x nt x (1 + 1) entries, both over MAX_ENTRIES
+    @pytest.mark.parametrize("mode, nt", [("clique", 3_000), ("instant", 4_100_000)])
+    def test_oversize_grid_refused_before_allocating(self, mode, nt):
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0, 0.0, 0.0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="--bins"):
+                assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), mode_default=mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_truncation_preserves_sparsity(self):
         grid = TimeGrid(0.0, 1.0, 200)
