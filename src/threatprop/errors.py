@@ -2,13 +2,16 @@
 
 The CLI maps these onto exit codes: input/usage problems exit 1, numerical
 failures exit 2, validation-suite failures exit 3.  ``checked_number`` is
-the one scalar input check the config objects and solvers share.
+the one scalar input check the config objects and solvers share, and
+``checked_prior`` the one check of a per-vertex prior vector.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ThreatPropagationError(Exception):
@@ -65,3 +68,14 @@ def checked_number(name: str, value, *, integer: bool = False, low: float = -mat
         kind = "an integer" if integer else "a finite number"
         raise GraphError(f"{name} must be {kind} in {'(' if open_low else '['}{low:g}, {high:g}], got {value!r}")
     return int(value) if integer else float(value)
+
+
+def checked_prior(psi, n: int) -> np.ndarray:
+    """``psi`` as a float vector of ``n`` per-vertex probabilities in ``(0, 1]``,
+    else a :class:`GraphError`."""
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape != (n,):
+        raise GraphError(f"prior vector has shape {psi.shape}, expected ({n},)")
+    if not np.all((psi > 0.0) & (psi <= 1.0)):
+        raise GraphError("prior probabilities must lie in (0, 1]")
+    return psi

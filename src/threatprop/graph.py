@@ -2,11 +2,18 @@
 
 Vertices are dense integer indices ``0..n-1``; external string identifiers are
 handled by the I/O layer and carried here only as an optional label table.
-Edges are stored as parallel numpy columns ``u, v, w, t_u, t_v``, one entry
-per interaction record, so that repeated timestamped contacts between the
-same pair survive construction; NaN in both time columns marks an untimed
-record.  Every matrix view is computed from these columns, and the adjacency
-view coalesces repeated records by weight summation.
+Graphs are undirected.  Edges are stored as parallel numpy columns
+``u, v, w, t_u, t_v``, one entry per interaction record, so that repeated
+timestamped contacts between the same pair survive construction; NaN in both
+time columns marks an untimed record.  Every matrix view is computed from
+these columns, and the adjacency view coalesces repeated records by weight
+summation.
+
+Observations are the boundary of the harmonic problem.
+``ObservationSet.boundary`` is the one rule that turns cues into boundary
+cells: a vertex in the spatial problem, a (vertex, bin) pair in the
+space-time one, where an untimed cue pins every bin.  A cell pinned twice to
+the same value is one cell; pinned to two values it is an error.
 """
 
 from __future__ import annotations
@@ -14,14 +21,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .errors import DisconnectedGraphError, EigenSolverError, GraphError, ObservationError
+from .errors import DisconnectedGraphError, EigenSolverError, GraphError, ObservationError, checked_prior
+
+if TYPE_CHECKING:
+    from .spacetime import TimeGrid
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +59,14 @@ class Interaction(NamedTuple):
         return self.t_u is not None
 
 
-def _pair_keys(u: np.ndarray, v: np.ndarray, n: int, directed: bool) -> np.ndarray:
-    """One integer key per record for its vertex pair, unordered unless directed."""
-    a, b = (u, v) if directed else (np.minimum(u, v), np.maximum(u, v))
-    return a * n + b
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """One integer key per record for its unordered vertex pair."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable weighted graph stored as edge columns.
+    """Immutable undirected weighted graph stored as edge columns.
 
     ``u, v, w, t_u, t_v`` hold one entry per interaction record; omitted
     time columns mean every record is untimed.  Construction validates the
@@ -75,7 +84,6 @@ class Graph:
     w: np.ndarray
     t_u: np.ndarray | None = None
     t_v: np.ndarray | None = None
-    directed: bool = False
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -107,7 +115,7 @@ class Graph:
                 raise GraphError(f"label table has {len(labels)} entries for n={n}")
 
         static = np.flatnonzero(np.isnan(t_u))
-        keys = _pair_keys(u[static], v[static], n, self.directed)
+        keys = _pair_keys(u[static], v[static], n)
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         if first.size < static.size:
             dup = np.ones(static.size, dtype=bool)
@@ -137,19 +145,16 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
-        """Coalesced weighted adjacency; symmetric for undirected graphs."""
-        if self.directed:
-            rows, cols, vals = self.u, self.v, self.w
-        else:
-            rows = np.concatenate([self.u, self.v])
-            cols = np.concatenate([self.v, self.u])
-            vals = np.concatenate([self.w, self.w])
+        """Coalesced symmetric weighted adjacency."""
+        rows = np.concatenate([self.u, self.v])
+        cols = np.concatenate([self.v, self.u])
+        vals = np.concatenate([self.w, self.w])
         a = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n))
         return a.tocsr()
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Weighted degree vector d = A @ 1 (out-degrees when directed)."""
+        """Weighted degree vector d = A @ 1."""
         return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
     @cached_property
@@ -171,14 +176,10 @@ class Graph:
         return int(self.u.size)
 
     def is_connected(self) -> bool:
-        ncomp, _ = csgraph.connected_components(
-            self.adjacency, directed=self.directed, connection="strong" if self.directed else "weak"
-        )
-        return ncomp == 1
+        return bool(self.component_of([0]).all())
 
     def component_of(self, vertices: Sequence[int]) -> np.ndarray:
-        """Boolean mask of vertices reachable from any of ``vertices``
-        (treating edges as undirected)."""
+        """Boolean mask of vertices reachable from any of ``vertices``."""
         _, comp = csgraph.connected_components(self.adjacency, directed=False)
         hit = np.unique(comp[np.asarray(vertices, dtype=int)])
         return np.isin(comp, hit)
@@ -186,7 +187,6 @@ class Graph:
 
 def build_graph(
     edges: Iterable[tuple],
-    directed: bool = False,
     n: int | None = None,
     allow_self_loops: bool = False,
     labels: Sequence[str] | None = None,
@@ -194,7 +194,7 @@ def build_graph(
     """Build a :class:`Graph` from edge rows.
 
     Each row is ``(u, v, weight)`` or ``(u, v, weight, t_u, t_v)`` with
-    integer endpoints.  Duplicate static undirected edges are merged by
+    integer endpoints.  Duplicate static edges are merged by
     weight summation and reported; timestamped records are kept as distinct
     interactions.
 
@@ -219,18 +219,18 @@ def build_graph(
         raise GraphError(f"self-loop at vertex {u[np.argmax(u == v)]} (pass allow_self_loops=True to permit)")
     if n is None:
         n = int(max(u.max(), v.max())) + 1 if u.size else 0
-    return Graph(n, u, v, w, *times, directed=directed, labels=labels)
+    return Graph(n, u, v, w, *times, labels=labels)
 
 
 def incidence(g: Graph) -> sp.csc_matrix:
     """Oriented incidence matrix, one column per coalesced edge.
 
     The initial vertex of each edge gets ``-sqrt(w)`` and the terminal vertex
-    ``+sqrt(w)``, so that ``B @ B.T`` reproduces the Kirchhoff matrix for
-    undirected graphs (stored orientation is used as the arbitrary one).
+    ``+sqrt(w)``, so that ``B @ B.T`` reproduces the Kirchhoff matrix (stored
+    orientation is used as the arbitrary one).
     Columns follow the first appearance of each vertex pair.
     """
-    keys = _pair_keys(g.u, g.v, g.n, g.directed)
+    keys = _pair_keys(g.u, g.v, g.n)
     keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
     weight = np.zeros(keys.size)
     np.add.at(weight, group, g.w)
@@ -266,10 +266,7 @@ def laplacian(g: Graph, kind: str = "kirchhoff", psi: np.ndarray | None = None) 
         return (dinv @ (sp.diags(d) - a) @ dinv).tocsr()
     t = sp.diags(1.0 / d) @ a
     if psi is not None:
-        psi = np.asarray(psi, dtype=float)
-        if psi.shape != (g.n,):
-            raise GraphError("prior vector length must equal vertex count")
-        t = sp.diags(psi) @ t
+        t = sp.diags(checked_prior(psi, g.n)) @ t
     return (sp.identity(g.n, format="csr") - t).tocsr()
 
 
@@ -367,12 +364,35 @@ class ObservationSet:
     def values(self) -> np.ndarray:
         return np.fromiter((e.p for e in self.entries), dtype=np.float64, count=len(self.entries))
 
-    def validate_against(self, g: Graph) -> None:
-        bad = [e.vertex for e in self.entries if not 0 <= e.vertex < g.n]
-        if bad:
-            raise ObservationError(f"observed vertices {bad} out of range for n={g.n}")
-        spatial = {}
-        for e in self.entries:
-            if e.vertex in spatial and spatial[e.vertex] != e.p and e.t is None:
-                raise ObservationError(f"conflicting untimed observations at vertex {e.vertex}")
-            spatial.setdefault(e.vertex, e.p)
+    def boundary(self, n: int, grid: TimeGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary cells and their values, sorted by cell, for a graph of order ``n``.
+
+        Without a grid a cue pins its vertex.  With one it pins the cell
+        ``vertex * nt + bin`` of its time, and an untimed cue pins the vertex
+        at every bin.  Rows pinning one cell to the same value merge; two
+        different values are an :class:`ObservationError`, so the result
+        never depends on row order.
+        """
+        verts = self.vertices
+        bad = verts[(verts < 0) | (verts >= n)]
+        if bad.size:
+            raise ObservationError(f"observed vertices {bad.tolist()} out of range for n={n}")
+        # Adding 0.0 turns -0.0 into 0.0, so merged values keep the same bits.
+        cells, vals = verts, self.values + 0.0
+        if grid is not None:
+            nt = grid.nt
+            t = np.array([np.nan if e.t is None else e.t for e in self.entries])
+            timed = ~np.isnan(t)
+            cells = np.concatenate([verts[timed] * nt + grid.bin_of(t[timed]),
+                                    (verts[~timed, None] * nt + np.arange(nt)).ravel()])
+            vals = np.concatenate([vals[timed], np.repeat(vals[~timed], nt)])
+        order = np.lexsort((vals, cells))
+        cells, vals = cells[order], vals[order]
+        same = cells[1:] == cells[:-1]
+        clash = np.flatnonzero(same & (vals[1:] != vals[:-1]))
+        if clash.size:
+            i, cell = clash[0], int(cells[clash[0]])
+            where = f"vertex {cell}" if grid is None else "vertex {} at bin {}".format(*divmod(cell, grid.nt))
+            raise ObservationError(f"{where} is cued with both p={vals[i]} and p={vals[i + 1]}")
+        keep = np.concatenate(([True], ~same))
+        return cells[keep], vals[keep]

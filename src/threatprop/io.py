@@ -45,7 +45,7 @@ def write_edges(path, g: Graph) -> None:
     _write_csv(path, EDGE_HEADER, labels[g.u].tolist(), labels[g.v].tolist(), g.w.tolist(), t_u, t_v)
 
 
-def read_edges(path, directed: bool = False) -> Graph:
+def read_edges(path) -> Graph:
     """Load a graph, mapping string vertex ids to dense indices by first
     appearance.  An empty weight reads as 1 and empty time fields mark an
     untimed edge; a non-finite weight or time is an error."""
@@ -65,7 +65,7 @@ def read_edges(path, directed: bool = False) -> Graph:
     ends = np.array([symbols.setdefault(name, len(symbols)) for pair in zip(src, dst) for name in pair])
     try:
         return build_graph(zip(ends[0::2], ends[1::2], [x or 1.0 for x in weight], t_src, t_dst),
-                           directed=directed, n=len(symbols), labels=list(symbols))
+                           n=len(symbols), labels=list(symbols))
     except (GraphError, ValueError) as exc:
         raise GraphError(f"{path}: {exc}") from None
 

@@ -104,8 +104,13 @@ def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) 
     else:  # bfs
         if obs is None:
             raise ObservationError("distance-weighted prior requires an observation set")
-        obs.validate_against(g)
-        dist = hop_distances(g, obs.vertices)
+        # Only the cued vertices matter, not their cells: a space-time cue set
+        # may pin one vertex to different values at different bins.
+        sources = obs.vertices
+        bad = sources[(sources < 0) | (sources >= g.n)]
+        if bad.size:
+            raise ObservationError(f"observed vertices {bad.tolist()} out of range for n={g.n}")
+        dist = hop_distances(g, sources)
         if np.isinf(dist).any():
             bad = int(np.flatnonzero(np.isinf(dist))[0])
             raise DisconnectedGraphError(f"vertex {bad} disconnected from cue")

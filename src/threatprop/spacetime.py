@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solve import solve_boundary_value
-from .errors import GraphError, ObservationError
+from .errors import GraphError, checked_prior
 from .graph import Graph, ObservationSet
 
 logger = logging.getLogger(__name__)
@@ -106,8 +106,11 @@ class TimeGrid:
             return cls(t0=lo, dt=span / nt * (1 + 1e-9), nt=nt)
         if dt is None:
             dt = DT_ACCURACY / lam
-        n_bins = max(1, int(np.ceil(span / dt + 1e-9)))
-        return cls(t0=lo, dt=dt, nt=n_bins)
+        n_bins = np.ceil(span / dt + 1e-9)
+        if not n_bins <= MAX_ORDER:
+            raise GraphError(f"a bin width of {dt:g} needs {n_bins:g} bins over the span {span:g}, over "
+                             f"the {MAX_ORDER:,} limit; coarsen the grid (--bins/--dt)")
+        return cls(t0=lo, dt=dt, nt=max(1, int(n_bins)))
 
 
 def default_rate(g: Graph, horizon: float | None = None) -> float:
@@ -248,24 +251,6 @@ def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.n
     return np.clip(psi, 0.0, 1.0)
 
 
-def _spacetime_boundary(sys: SpaceTimeSystem, obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
-    nt = sys.grid.nt
-    idx: dict[int, float] = {}
-    for e in obs.entries:
-        if not 0 <= e.vertex < sys.graph.n:
-            raise ObservationError(f"observed vertex {e.vertex} out of range")
-        if e.t is None:
-            # An untimed cue pins the vertex at every bin (clique-style cue).
-            for k in range(nt):
-                idx[e.vertex * nt + k] = e.p
-        else:
-            idx[e.vertex * nt + sys.grid.bin_of(e.t)] = e.p
-    boundary = np.fromiter(idx.keys(), dtype=np.int64, count=len(idx))
-    values = np.fromiter(idx.values(), dtype=np.float64, count=len(idx))
-    order = np.argsort(boundary)
-    return boundary[order], values[order]
-
-
 def solve_spacetime(
     sys: SpaceTimeSystem,
     obs: ObservationSet,
@@ -294,16 +279,16 @@ def solve_spacetime(
 
     if variant == "weighted":
         if spatial_psi is not None:
-            p = sp.diags(np.repeat(_check_spatial_psi(sys, spatial_psi), sys.grid.nt)) @ p
+            p = sp.diags(np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)) @ p
     else:
         psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
         if variant == "coordinated-spatial":
             if spatial_psi is None:
                 raise GraphError("coordinated-spatial variant needs a spatial prior")
-            psi = psi * np.repeat(_check_spatial_psi(sys, spatial_psi), sys.grid.nt)
+            psi = psi * np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
         p = sp.diags(psi) @ p
 
-    boundary, values = _spacetime_boundary(sys, obs)
+    boundary, values = obs.boundary(sys.graph.n, sys.grid)
     p = p.tocsr()
     inbound = np.diff(p.tocsc().indptr)
     inert = boundary[inbound[boundary] == 0]
@@ -316,15 +301,6 @@ def solve_spacetime(
         )
     theta = solve_boundary_value(p, boundary, values, tol=tol, max_iter=max_iter, method=method)
     return theta.reshape(sys.graph.n, sys.grid.nt)
-
-
-def _check_spatial_psi(sys: SpaceTimeSystem, psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (sys.graph.n,):
-        raise GraphError("spatial prior must have one entry per vertex")
-    if np.any(psi <= 0) or np.any(psi > 1):
-        raise GraphError("spatial prior entries must lie in (0, 1]")
-    return psi
 
 
 def reduce_to_vertex_scores(theta_st: np.ndarray, reducer: str = "max") -> np.ndarray:

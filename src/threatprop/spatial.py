@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solve import solve_boundary_value
-from .errors import DisconnectedGraphError, GraphError, checked_number
+from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior
 from .graph import Graph, ObservationSet
 
 logger = logging.getLogger(__name__)
@@ -37,33 +37,13 @@ def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False
     Isolated vertices are an error unless allowed, in which case their rows
     are zero (a walk there is absorbed to non-threat immediately).
     """
-    psi = _check_psi(g, psi)
+    psi = checked_prior(psi, g.n)
     d = g.degrees.copy()
     if np.any(d <= 0):
         if not allow_isolated:
             raise GraphError("propagation undefined at an isolated vertex")
         d[d <= 0] = 1.0  # rows are zero anyway
     return (sp.diags(psi / d) @ g.adjacency).tocsr()
-
-
-def _check_psi(g: Graph, psi) -> np.ndarray:
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (g.n,):
-        raise GraphError(f"prior vector has shape {psi.shape}, expected ({g.n},)")
-    if np.any(psi <= 0.0) or np.any(psi > 1.0):
-        raise GraphError("prior probabilities must lie in (0, 1]")
-    return psi
-
-
-def _boundary_arrays(g: Graph, obs: ObservationSet) -> tuple[np.ndarray, np.ndarray]:
-    obs.validate_against(g)
-    seen: dict[int, float] = {}
-    for e in obs.entries:
-        seen[e.vertex] = e.p
-    verts = np.fromiter(seen.keys(), dtype=np.int64, count=len(seen))
-    vals = np.fromiter(seen.values(), dtype=np.float64, count=len(seen))
-    order = np.argsort(verts)
-    return verts[order], vals[order]
 
 
 def solve_harmonic(
@@ -82,7 +62,7 @@ def solve_harmonic(
     :class:`DisconnectedGraphError`, with ``on_unreachable='zero'`` they are
     assigned exactly that zero.
     """
-    boundary, values = _boundary_arrays(g, obs)
+    boundary, values = obs.boundary(g.n)
     if on_unreachable == "error":
         reach = g.component_of(boundary)
         if not reach.all():
@@ -146,19 +126,18 @@ class AbsorbingChain:
 
 def build_absorbing_chain(g: Graph, psi: np.ndarray, obs: ObservationSet) -> AbsorbingChain:
     """Assemble the absorbing chain for a graph, prior, and observation set."""
-    psi = _check_psi(g, psi)
-    boundary, values = _boundary_arrays(g, obs)
+    p = propagation_operator(g, psi)
+    boundary, values = obs.boundary(g.n)
     mask = np.zeros(g.n, dtype=bool)
     mask[boundary] = True
     interior = np.flatnonzero(~mask)
-    p = propagation_operator(g, psi)
     return AbsorbingChain(
         interior=interior,
         boundary=boundary,
         boundary_values=values,
         g_block=p[interior][:, interior].tocsr(),
         h_block=p[interior][:, boundary].tocsr(),
-        absorb=1.0 - psi[interior],
+        absorb=1.0 - np.asarray(psi, dtype=float)[interior],
         n=g.n,
     )
 
@@ -196,6 +175,7 @@ def monte_carlo_threat(
     ``capped_walks``.
     """
     k = checked_number("walks_per_vertex", walks_per_vertex, integer=True, low=1)
+    seed = checked_number("seed", seed, integer=True, low=0, high=2**64 - 1)
     n = chain.n
     if n > _WALK_DENSE_LIMIT:
         raise GraphError(f"walk simulation supports up to {_WALK_DENSE_LIMIT} vertices, got {n}")
@@ -269,5 +249,5 @@ def monte_carlo_threat(
 
 def _step_uniforms(seed: int, step: int, count: int) -> np.ndarray:
     """Uniforms for all walks at one step from a counter-based stream."""
-    bits = np.random.Philox(key=np.uint64(seed & (2**64 - 1)), counter=[np.uint64(step), 0, 0, 0])
+    bits = np.random.Philox(key=np.uint64(seed), counter=[np.uint64(step), 0, 0, 0])
     return np.random.Generator(bits).random(count)

@@ -90,9 +90,9 @@ class TestBuildGraph:
 
 
 class TestIncidence:
-    def test_directed_single_edge_columns(self):
-        # one directed edge: initial vertex -1, terminal +1
-        g = build_graph([(0, 1, 1.0)], directed=True)
+    def test_single_edge_columns(self):
+        # one edge, stored orientation: initial vertex -1, terminal +1
+        g = build_graph([(0, 1, 1.0)])
         b = incidence(g).toarray()
         assert b.shape == (2, 1)
         assert b[0, 0] == -1.0 and b[1, 0] == 1.0
@@ -240,6 +240,12 @@ class TestObservationSet:
         obs = ObservationSet.from_measurements([(3, "hot"), (4, "cold")], model={"hot": 0.9, "cold": 0.1})
         assert obs.values.tolist() == [0.9, 0.1]
 
-    def test_validate_against_range(self, path3):
+    def test_boundary_range(self, path3):
         with pytest.raises(ObservationError, match="out of range"):
-            ObservationSet.of((7, 1.0)).validate_against(path3)
+            ObservationSet.of((7, 1.0)).boundary(path3.n)
+
+    def test_signed_zero_cues_merge_to_the_same_bits(self):
+        rows = [(1, -0.0, 0.5), (1, 0.0)]
+        for order in (1, -1):
+            cells, values = ObservationSet.of(*rows[::order]).boundary(3)
+            assert cells.tolist() == [1] and values.tobytes() == np.zeros(1).tobytes()

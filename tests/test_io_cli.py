@@ -229,6 +229,11 @@ class TestCli:
         pytest.param("spatial", ["--tol", "-1"], "a,1.0", None, id="spatial-tol-negative"),
         pytest.param("spacetime", ["--bins", "4", "--tol", "nan"], "a,1.0,1.0", None, id="spacetime-tol-nan"),
         pytest.param("spacetime", ["--bins", "4", "--tol", "-1"], "a,1.0,1.0", None, id="spacetime-tol-negative"),
+        pytest.param("spacetime", ["--dt", "1e-320"], "a,1.0,1.0", None, id="spacetime-dt-overflow"),
+        pytest.param("spacetime", ["--lambda", "1e308"], "a,1.0,1.0", None, id="spacetime-lambda-overflow"),
+        pytest.param("spacetime", ["--bins", "4"], "a,0.9,\na,0.3,1.0", None, id="spacetime-cell-cued-twice"),
+        pytest.param("spatial", ["--method", "mc", "--walks", "10", "--seed", "-1"], "a,1.0", None,
+                     id="spatial-mc-seed-negative"),
     ])
     def test_bad_input_error_contract(self, tmp_path, capsys, command, flags, obs_text, config):
         edges = tmp_path / "edges.csv"

@@ -1,5 +1,6 @@
 """Property tests on random small graphs (timed, untimed and duplicate records),
-random sparse propagation operators and random detector scores."""
+random cue sets, random sparse propagation operators and random detector
+scores."""
 
 import csv
 
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threatprop._solve import _reaches_boundary
-from threatprop.errors import GraphError
+from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import RocCurve, roc
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.io import read_edges, write_edges, write_roc, write_scores, write_spacetime_scores
-from threatprop.spacetime import MODES, TimeGrid, assemble_spacetime, kernel_profile
+from threatprop.spacetime import MODES, TimeGrid, assemble_spacetime, kernel_profile, solve_spacetime
 from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -192,6 +193,44 @@ def test_harmonic_matches_hitting_matrix(case):
     g, psi, obs = case
     theta = solve_harmonic(g, psi, obs, tol=1e-12)
     assert np.max(np.abs(theta - hitting_threat(build_absorbing_chain(g, psi, obs)))) <= 1e-9
+
+
+@st.composite
+def cue_orders(draw):
+    """A graph from ``timed_graphs`` joined up by a unit-weight path, its time
+    grid, a prior in [0.05, 0.95], and cue rows in two orders.  The rows may
+    be timed or untimed, share a vertex, a bin or a time, and agree or clash
+    in value (-0.0 and 0.0 included)."""
+    g, grid = draw(timed_graphs())
+    rows = [tuple(e) for e in g.interactions] + [(i, i + 1, 1.0) for i in range(g.n - 1)]
+    g = build_graph(rows, n=g.n)
+    psi = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
+    time = st.one_of(st.none(), st.sampled_from(grid.centers.tolist()), st.floats(0.0, float(grid.nt)))
+    cue = st.tuples(st.integers(0, g.n - 1), st.sampled_from([-0.0, 0.0, 0.5, 1.0]), time)
+    cues = draw(st.lists(cue, min_size=1, max_size=8))
+    return g, grid, psi, cues, draw(st.permutations(cues))
+
+
+def outcome(solve, cues):
+    """θ's bytes, or the error class when the cues are refused."""
+    try:
+        return solve(ObservationSet.of(*cues)).tobytes()
+    except ObservationError:
+        return ObservationError
+
+
+@PROPERTY
+@given(case=cue_orders())
+def test_cue_row_order_never_changes_the_result(case):
+    g, grid, psi, cues, shuffled = case
+    sys_ = assemble_spacetime(g, grid, rates=1.0)
+    solvers = {
+        "harmonic": lambda obs: solve_harmonic(g, psi, obs, tol=1e-12),
+        "hitting": lambda obs: hitting_threat(build_absorbing_chain(g, psi, obs)),
+        "spacetime": lambda obs: solve_spacetime(sys_, obs, variant="weighted", spatial_psi=psi, tol=1e-12),
+    }
+    for name, solve in solvers.items():
+        assert outcome(solve, cues) == outcome(solve, shuffled), name
 
 
 @PROPERTY

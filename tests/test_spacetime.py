@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from threatprop.errors import GraphError
+from threatprop.errors import GraphError, ObservationError
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
 from threatprop.spacetime import (
@@ -47,10 +47,10 @@ class TestTimeGrid:
     @pytest.mark.parametrize("kwargs", [
         {"dt": 0.0}, {"dt": -1.0}, {"dt": np.nan}, {"dt": np.inf},
         {"lam": 0.0}, {"lam": -2.0}, {"lam": np.nan}, {"lam": np.inf},
-        {"nt": 0}, {"nt": -3},
+        {"nt": 0}, {"nt": -3}, {"dt": 1e-320}, {"lam": 1e308}, {"dt": 1e-9},
     ])
     def test_cover_rejects_bad_width_rate_and_count(self, kwargs):
-        with pytest.raises(GraphError, match="positive|at least one bin"):
+        with pytest.raises(GraphError, match="positive|at least one bin|limit"):
             TimeGrid.cover(np.array([0.0, 5.0]), **kwargs)
 
     def test_cover_spans_times(self):
@@ -351,6 +351,48 @@ class TestSolveSpacetime:
         sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=1.0)
         with pytest.raises(GraphError, match="outside grid"):
             solve_spacetime(sys_, ObservationSet.of((0, 1.0, 55.0)))
+
+
+# The path 0-1-2-3 with one interaction per bin of a three-bin grid.
+PATH4 = [(0, 1, 1.0, 0.5, 0.5), (1, 2, 1.0, 1.5, 1.5), (2, 3, 1.0, 2.5, 2.5)]
+
+
+class TestCueBoundary:
+    def test_untimed_cue_pins_every_bin(self):
+        obs = ObservationSet.of((1, 0.5), (2, 0.7, 1.5), (2, 0.7, 1.9))
+        cells, values = obs.boundary(4, TimeGrid(0.0, 1.0, 3))
+        assert cells.tolist() == [3, 4, 5, 7] and values.tolist() == [0.5, 0.5, 0.5, 0.7]
+
+    def test_same_value_twice_is_one_cell(self):
+        g = build_graph(PATH4)
+        sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 3), rates=1.0)
+        once = solve_spacetime(sys_, ObservationSet.of((3, 0.9)), tol=1e-12)
+        twice = solve_spacetime(sys_, ObservationSet.of((3, 0.9, 2.5), (3, 0.9)), tol=1e-12)
+        assert np.array_equal(once, twice)
+
+    @pytest.mark.parametrize("rows, cell", [
+        pytest.param([(3, 0.9), (3, 0.3, 2.5)], "vertex 3 at bin 2", id="spacetime-untimed-then-timed"),
+        pytest.param([(3, 0.9, 2.5), (3, 0.3, 0.5)], "vertex 3", id="spatial-two-times"),
+        pytest.param([(3, 0.9), (3, 0.3, 2.5)], "vertex 3", id="spatial-untimed-then-timed"),
+    ])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["as-given", "reversed"])
+    def test_conflicting_cues_rejected_in_any_row_order(self, rows, cell, reverse):
+        g = build_graph(PATH4)
+        obs = ObservationSet.of(*(rows[::-1] if reverse else rows))
+        with pytest.raises(ObservationError, match=f"^{cell} is cued with both p=0.3 and p=0.9$"):
+            if " at bin " in cell:
+                solve_spacetime(assemble_spacetime(g, TimeGrid(0.0, 1.0, 3), rates=1.0), obs)
+            else:
+                solve_harmonic(g, compute_prior(g, PriorSpec("dwtp")), obs)
+
+    def test_bfs_prior_takes_a_vertex_cued_at_two_bins(self):
+        g = build_graph(PATH4)
+        obs = ObservationSet.of((3, 0.9, 0.5), (3, 0.3, 2.5))
+        psi = compute_prior(g, PriorSpec("bfs"), obs)
+        assert psi.tolist() == [1 / 3, 1 / 2, 1.0, 1.0]
+        sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 3), rates=1.0)
+        theta = solve_spacetime(sys_, obs, variant="coordinated-spatial", spatial_psi=psi, tol=1e-12)
+        assert theta[3, 0] == 0.9 and theta[3, 2] == 0.3
 
 
 class TestReduce:

@@ -139,6 +139,13 @@ class TestSolveHarmonic:
         with pytest.raises(GraphError):
             solve_harmonic(path3, np.array([1.0, 1.5, 1.0]), obs)
 
+    @pytest.mark.parametrize("psi", [[0.5, np.nan, 0.5], [0.5, 0.5], [[0.5, 0.5, 0.5]]])
+    def test_every_prior_consumer_checks_the_same_way(self, path3, psi):
+        with pytest.raises(GraphError, match="prior (vector has shape|probabilities must lie)"):
+            propagation_operator(path3, psi)
+        with pytest.raises(GraphError, match="prior (vector has shape|probabilities must lie)"):
+            laplacian(path3, "generalized", psi=psi)
+
 
 class TestAbsorbingChain:
     def test_single_interior_vertex_example(self):
@@ -264,6 +271,13 @@ class TestMonteCarlo:
         chain = build_absorbing_chain(path3, psi, ObservationSet.of((2, 1.0)))
         with pytest.raises(GraphError, match="walks_per_vertex"):
             monte_carlo_threat(chain, 0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_validated(self, path3, seed):
+        psi = compute_prior(path3, PriorSpec("dwtp"))
+        chain = build_absorbing_chain(path3, psi, ObservationSet.of((2, 1.0)))
+        with pytest.raises(GraphError, match="seed"):
+            monte_carlo_threat(chain, 10, seed=seed)
 
 
 class TestPropagationOperator:
