@@ -263,7 +263,7 @@ def detect():
 def detect_spec(graph_path, eigenvector, out_path):
     g = read_edges(graph_path)
     if eigenvector == "principal":
-        scores = spectral_scores(g, "modularity")
+        scores = spectral_scores(g)
     elif eigenvector == "localized":
         scores = localized_modularity_scores(g)
     else:
@@ -271,7 +271,7 @@ def detect_spec(graph_path, eigenvector, out_path):
             idx = int(eigenvector)
         except ValueError:
             raise click.UsageError(f"bad eigenvector choice {eigenvector!r}") from None
-        scores = spectral_scores(g, "modularity", index=idx)
+        scores = spectral_scores(g, index=idx)
     write_scores(out_path, g, scores, column="score")
     write_meta(str(out_path) + ".meta.json",
                {"command": "detect-spec", "graph": str(graph_path), "eigenvector": eigenvector},
@@ -379,7 +379,7 @@ def main(argv=None):
     except (ConvergenceError, EigenSolverError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return 2
-    except ThreatPropagationError as exc:
+    except (ThreatPropagationError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
 

@@ -17,6 +17,9 @@ from .errors import GraphError
 
 logger = logging.getLogger(__name__)
 
+# False-alarm rates at which ``vertical_average`` samples each curve.
+VERTICAL_GRID_SIZE = 201
+
 
 def _check_detection_inputs(scores, truth):
     scores = np.asarray(scores, dtype=float).ravel()
@@ -58,7 +61,6 @@ class RocCurve:
     n_fg: int
     n_bg: int
     trials: int = 1
-    degenerate: bool = False
 
     def pd_at(self, pfa_grid) -> np.ndarray:
         """PD linearly interpolated at the requested false-alarm rates."""
@@ -69,13 +71,12 @@ class RocCurve:
         return auc_standard_error(self.auc, self.n_fg, self.n_bg)
 
 
-def roc(scores, truth, thresholds: str | int = "unique", trials: int = 1) -> RocCurve:
+def roc(scores, truth, trials: int = 1) -> RocCurve:
     """Sweep detection thresholds over a score vector.
 
-    ``thresholds='unique'`` puts one operating point at every distinct score
-    (ties share a point); an integer requests an evenly spaced threshold
-    grid instead.  Endpoints (0, 0) and (1, 1) are always included, and the
-    AUC is the trapezoid integral.
+    There is one operating point at every distinct score (ties share a
+    point).  Endpoints (0, 0) and (1, 1) are always included, and the AUC is
+    the trapezoid integral.
     """
     scores, truth, n_fg, n_bg = _check_detection_inputs(scores, truth)
     if np.unique(scores).size == 1:
@@ -84,27 +85,17 @@ def roc(scores, truth, thresholds: str | int = "unique", trials: int = 1) -> Roc
         pfa = np.array([0.0, 1.0])
         pd = np.array([0.0, 1.0])
         se = np.sqrt(pd * (1 - pd) / n_fg)
-        return RocCurve(thr, pfa, pd, se, auc=0.5, n_fg=n_fg, n_bg=n_bg, trials=trials, degenerate=True)
+        return RocCurve(thr, pfa, pd, se, auc=0.5, n_fg=n_fg, n_bg=n_bg, trials=trials)
 
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
     y = truth[order]
-    if thresholds == "unique":
-        last = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
-        thr = s[last]
-    elif isinstance(thresholds, int):
-        if thresholds < 2:
-            raise GraphError("threshold grid needs at least two levels")
-        thr = np.linspace(s[0], s[-1], thresholds)
-        last = np.searchsorted(-s, -thr, side="right") - 1
-    else:
-        raise GraphError(f"unknown threshold policy {thresholds!r}")
-
+    last = np.r_[np.flatnonzero(np.diff(s)), s.size - 1]
     tp = np.cumsum(y)[last].astype(float)
     fp = np.cumsum(1 - y)[last].astype(float)
     pd = np.r_[0.0, tp / n_fg]
     pfa = np.r_[0.0, fp / n_bg]
-    thr = np.r_[np.inf, thr]
+    thr = np.r_[np.inf, s[last]]
     if pd[-1] != 1.0 or pfa[-1] != 1.0:
         pd = np.r_[pd, 1.0]
         pfa = np.r_[pfa, 1.0]
@@ -114,7 +105,7 @@ def roc(scores, truth, thresholds: str | int = "unique", trials: int = 1) -> Roc
     return RocCurve(thr, pfa, pd, se, auc=auc, n_fg=n_fg, n_bg=n_bg, trials=trials)
 
 
-def vertical_average(curves, grid_size: int = 201) -> RocCurve:
+def vertical_average(curves) -> RocCurve:
     """Average per-trial curves vertically (mean PD at matched PFA).
 
     The pooled aggregation mixes score scales across trials, which can dent
@@ -125,12 +116,12 @@ def vertical_average(curves, grid_size: int = 201) -> RocCurve:
     curves = list(curves)
     if not curves:
         raise GraphError("nothing to average")
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = np.linspace(0.0, 1.0, VERTICAL_GRID_SIZE)
     stack = np.vstack([c.pd_at(grid) for c in curves])
     pd = stack.mean(axis=0)
-    se = stack.std(axis=0, ddof=1) / np.sqrt(len(curves)) if len(curves) > 1 else np.zeros(grid_size)
+    se = stack.std(axis=0, ddof=1) / np.sqrt(len(curves)) if len(curves) > 1 else np.zeros(grid.size)
     return RocCurve(
-        thresholds=np.full(grid_size, np.nan),
+        thresholds=np.full(grid.size, np.nan),
         pfa=grid,
         pd=pd,
         se_pd=se,

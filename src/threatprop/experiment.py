@@ -21,7 +21,7 @@ from .errors import ExperimentError, GraphError, ThreatPropagationError, checked
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
-from .priors import PriorSpec, hop_distances
+from .priors import PRIOR_FLOOR, hop_distances
 from .spacetime import REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores, solve_spacetime
 from .spatial import solve_harmonic
 from .spectral import localized_modularity_scores
@@ -142,11 +142,11 @@ def bfs_detector_scores(g: Graph, cue: int, cue_value: float, tol: float, method
     exactly zero threat, which is their value under the absorbing-walk model.
     """
     dist = hop_distances(g, [cue])
-    psi = np.full(g.n, PriorSpec().floor)
+    psi = np.full(g.n, PRIOR_FLOOR)
     finite = np.isfinite(dist)
     psi[finite & (dist >= 1)] = 1.0 / np.maximum(dist[finite & (dist >= 1)], 1.0)
     psi[dist == 0] = 1.0
-    psi = np.clip(psi, PriorSpec().floor, 1.0)
+    psi = np.clip(psi, PRIOR_FLOOR, 1.0)
     obs = ObservationSet.of((cue, cue_value))
     return solve_harmonic(g, psi, obs, tol=tol, method=method, on_unreachable="zero")
 

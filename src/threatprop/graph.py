@@ -38,7 +38,11 @@ logger = logging.getLogger(__name__)
 # Dense eigensolvers below this order: deterministic and fast at test scale.
 DENSE_EIG_LIMIT = 256
 
-LAPLACIAN_KINDS = ("kirchhoff", "normalized", "generalized")
+# Largest accepted eigenpair residual |M x - mu x|, relative to max(1, |mu|)
+# for the Fiedler pair and to max(1, |x|) for a modularity eigenvector.
+RESIDUAL_TOL = 1e-8
+
+LAPLACIAN_KINDS = ("kirchhoff", "generalized")
 
 
 class Interaction(NamedTuple):
@@ -245,10 +249,9 @@ def incidence(g: Graph) -> sp.csc_matrix:
 def laplacian(g: Graph, kind: str = "kirchhoff", psi: np.ndarray | None = None) -> sp.csr_matrix:
     """Return a Laplacian view of the graph.
 
-    ``kind`` selects the Kirchhoff matrix ``Q = D - A``, the normalized
-    ``L = D^{-1/2} Q D^{-1/2}``, or the generalized ``I - D^{-1} A``.  With
-    ``psi`` given (per-vertex diffusion probabilities), the generalized kind
-    becomes ``I - diag(psi) D^{-1} A``.
+    ``kind`` selects the Kirchhoff matrix ``Q = D - A`` or the generalized
+    ``I - D^{-1} A``.  With ``psi`` given (per-vertex diffusion
+    probabilities), the generalized kind becomes ``I - diag(psi) D^{-1} A``.
     """
     if kind not in LAPLACIAN_KINDS:
         raise GraphError(f"unknown laplacian kind {kind!r}")
@@ -261,9 +264,6 @@ def laplacian(g: Graph, kind: str = "kirchhoff", psi: np.ndarray | None = None) 
     if np.any(d <= 0):
         isolated = int(np.argmin(d))
         raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")
-    if kind == "normalized":
-        dinv = sp.diags(1.0 / np.sqrt(d))
-        return (dinv @ (sp.diags(d) - a) @ dinv).tocsr()
     t = sp.diags(1.0 / d) @ a
     if psi is not None:
         t = sp.diags(checked_prior(psi, g.n)) @ t
@@ -276,7 +276,7 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return vec if vec[i] > 0 else -vec
 
 
-def fiedler(g: Graph, residual_tol: float = 1e-8) -> tuple[float, np.ndarray]:
+def fiedler(g: Graph) -> tuple[float, np.ndarray]:
     """Second-smallest eigenpair of the Kirchhoff matrix.
 
     Raises :class:`DisconnectedGraphError` ("not connected") when the value
@@ -305,8 +305,8 @@ def fiedler(g: Graph, residual_tol: float = 1e-8) -> tuple[float, np.ndarray]:
         vec = vec - ones * (ones @ vec)
         vec /= np.linalg.norm(vec)
     res = np.linalg.norm(q @ vec - value * vec)
-    if res > residual_tol * max(1.0, abs(value)):
-        raise EigenSolverError(f"fiedler residual {res:.3e} exceeds {residual_tol:.1e}")
+    if res > RESIDUAL_TOL * max(1.0, abs(value)):
+        raise EigenSolverError(f"fiedler residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return value, _fix_sign(vec)
 
 
@@ -327,34 +327,16 @@ class ObservationSet:
     def __post_init__(self):
         if not self.entries:
             raise ObservationError("observation set is empty")
-        seen = set()
         for e in self.entries:
             if not 0.0 <= e.p <= 1.0:
                 raise ObservationError(f"boundary probability {e.p} outside [0, 1]")
             if e.t is not None and not np.isfinite(e.t):
                 raise ObservationError(f"observation time {e.t} at vertex {e.vertex} is not finite")
-            key = (e.vertex, e.t)
-            if key in seen:
-                raise ObservationError(f"duplicate observation at {key}")
-            seen.add(key)
 
     @classmethod
     def of(cls, *pairs: tuple) -> "ObservationSet":
         """Build from ``(vertex, p)`` or ``(vertex, p, t)`` tuples."""
         return cls(tuple(Observation(int(v), float(p), *rest) for v, p, *rest in pairs))
-
-    @classmethod
-    def from_measurements(cls, measurements: Iterable[tuple], model="ideal") -> "ObservationSet":
-        """Convert raw measurements to boundary probabilities.
-
-        The ideal model equates measurement and threat; a mapping gives a
-        custom likelihood table from measurement value to threat probability.
-        """
-        entries = []
-        for v, z, *rest in measurements:
-            p = float(z) if model == "ideal" else float(model[z])
-            entries.append(Observation(int(v), p, *rest))
-        return cls(tuple(entries))
 
     @property
     def vertices(self) -> np.ndarray:

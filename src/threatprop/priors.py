@@ -29,20 +29,20 @@ EULER_GAMMA = 0.5772156649015329
 
 PRIOR_KINDS = ("uniform", "dwtp", "lwtp", "bfs")
 
+# Smallest prior value; keeps the absorbing chain non-degenerate.
+PRIOR_FLOOR = 1e-6
+
+# Above this order the lwtp path length is the closed-form estimate for
+# sparse random graphs instead of the all-pairs mean.
+EXACT_PATH_LENGTH_LIMIT = 2000
+
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Configuration of a diffusion-probability model.
-
-    ``floor`` keeps the absorbing chain non-degenerate; ``exact_path_length_limit``
-    is the order above which the average path length falls back to the
-    closed-form estimate for sparse random graphs.
-    """
+    """Configuration of a diffusion-probability model."""
 
     kind: str = "dwtp"
     psi0: float = 1.0
-    floor: float = 1e-6
-    exact_path_length_limit: int = 2000
 
     def __post_init__(self):
         if self.kind not in PRIOR_KINDS:
@@ -94,10 +94,10 @@ def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) 
             raise GraphError("degree-weighted prior undefined at an isolated vertex")
         psi = 1.0 / deg
     elif spec.kind == "lwtp":
-        if g.n > spec.exact_path_length_limit:
+        if g.n > EXACT_PATH_LENGTH_LIMIT:
             l = er_average_path_length(g.n)
             logger.warning("order %d above exact limit %d: using closed-form path length %.4f",
-                           g.n, spec.exact_path_length_limit, l)
+                           g.n, EXACT_PATH_LENGTH_LIMIT, l)
         else:
             l = average_path_length(g)
         psi = np.full(g.n, 2.0 ** (-1.0 / l))
@@ -117,4 +117,4 @@ def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) 
         psi = np.ones(g.n)
         far = dist >= 1
         psi[far] = 1.0 / dist[far]
-    return np.clip(psi, spec.floor, 1.0)
+    return np.clip(psi, PRIOR_FLOOR, 1.0)

@@ -144,9 +144,7 @@ class SpaceTimeSystem:
 
     graph: Graph
     grid: TimeGrid
-    rates: np.ndarray
     adjacency: sp.csr_matrix
-    spatial_degree: np.ndarray  # per-vertex total interaction weight
 
     @property
     def order(self) -> int:
@@ -225,7 +223,7 @@ def assemble_spacetime(
     rows, cols, vals = (np.concatenate(pair)[order] for pair in zip(kernel, static))
     size = g.n * nt
     a = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    return SpaceTimeSystem(graph=g, grid=grid, rates=lam, adjacency=a, spatial_degree=g.interaction_weight)
+    return SpaceTimeSystem(graph=g, grid=grid, adjacency=a)
 
 
 def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.ndarray:
@@ -236,7 +234,7 @@ def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.n
     clamped and reported.  An isolated spatial vertex is an error by
     default; ``on_isolated='zero'`` assigns it the absorbing prior instead.
     """
-    d = sys.spatial_degree.copy()
+    d = sys.graph.interaction_weight.copy()
     if np.any(d <= 0):
         if on_isolated == "error":
             raise GraphError(f"isolated spatial vertex {int(np.argmin(d))} has no interactions")
@@ -257,7 +255,6 @@ def solve_spacetime(
     variant: str = "coordinated",
     spatial_psi: np.ndarray | None = None,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     method: str = "iterative",
     on_isolated: str = "error",
 ) -> np.ndarray:
@@ -290,7 +287,7 @@ def solve_spacetime(
 
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
     p = p.tocsr()
-    inbound = np.diff(p.tocsc().indptr)
+    inbound = np.bincount(p.indices, minlength=p.shape[1])
     inert = boundary[inbound[boundary] == 0]
     if inert.size:
         nt = sys.grid.nt
@@ -299,7 +296,7 @@ def solve_spacetime(
             "%d cue cells have no inbound coupling (vertex inactive at that bin): %s",
             inert.size, cells,
         )
-    theta = solve_boundary_value(p, boundary, values, tol=tol, max_iter=max_iter, method=method)
+    theta = solve_boundary_value(p, boundary, values, tol=tol, method=method)
     return theta.reshape(sys.graph.n, sys.grid.nt)
 
 

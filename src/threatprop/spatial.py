@@ -30,6 +30,9 @@ logger = logging.getLogger(__name__)
 # Dense transition matrices for walk simulation are capped at this order.
 _WALK_DENSE_LIMIT = 5000
 
+# Walks still alive after this many steps count as absorbed to non-threat.
+MAX_WALK_STEPS = 1_000_000
+
 
 def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False) -> sp.csr_matrix:
     """Row-substochastic operator ``diag(psi) D^{-1} A``.
@@ -51,7 +54,6 @@ def solve_harmonic(
     psi: np.ndarray,
     obs: ObservationSet,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     method: str = "iterative",
     on_unreachable: str = "error",
 ) -> np.ndarray:
@@ -71,7 +73,7 @@ def solve_harmonic(
     elif on_unreachable != "zero":
         raise ValueError(f"unknown on_unreachable policy {on_unreachable!r}")
     p = propagation_operator(g, psi, allow_isolated=on_unreachable == "zero")
-    return solve_boundary_value(p, boundary, values, tol=tol, max_iter=max_iter, method=method)
+    return solve_boundary_value(p, boundary, values, tol=tol, method=method)
 
 
 @dataclass(frozen=True)
@@ -156,22 +158,16 @@ class MonteCarloThreat:
     """Walk-simulation estimate with diagnostics."""
 
     theta: np.ndarray
-    walks_per_vertex: int
     capped_walks: int
 
 
-def monte_carlo_threat(
-    chain: AbsorbingChain,
-    walks_per_vertex: int,
-    seed: int,
-    max_steps: int = 1_000_000,
-) -> MonteCarloThreat:
+def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) -> MonteCarloThreat:
     """Estimate threat by simulating absorbing random walks from every vertex.
 
     Randomness is counter-based: the uniform draw consumed by walk ``j`` at
     step ``s`` depends only on ``(seed, s, j)``, so results are bitwise
     reproducible regardless of scheduling or batching.  Walks still alive at
-    ``max_steps`` count as absorbed to non-threat and are tallied in
+    ``MAX_WALK_STEPS`` count as absorbed to non-threat and are tallied in
     ``capped_walks``.
     """
     k = checked_number("walks_per_vertex", walks_per_vertex, integer=True, low=1)
@@ -222,7 +218,7 @@ def monte_carlo_threat(
 
     capped = 0
     step = 0
-    while active.size and step < max_steps:
+    while active.size and step < MAX_WALK_STEPS:
         u = _step_uniforms(seed, step, total)[active]
         cur = state[active]
         nxt = np.searchsorted(flat_cdf, u + cur) - cur * (n + 1)
@@ -236,7 +232,7 @@ def monte_carlo_threat(
         step += 1
     if active.size:
         capped = int(active.size)
-        logger.warning("%d walks hit the %d-step cap; counting them as non-threat", capped, max_steps)
+        logger.warning("%d walks hit the %d-step cap; counting them as non-threat", capped, MAX_WALK_STEPS)
 
     counts = counts.reshape(n, nb)
     theta = counts @ chain.boundary_values / k
@@ -244,7 +240,7 @@ def monte_carlo_threat(
     # is that boundary value exactly (no float accumulation drift).
     sure = np.flatnonzero(counts.max(axis=1) == k)
     theta[sure] = chain.boundary_values[np.argmax(counts[sure], axis=1)]
-    return MonteCarloThreat(theta=theta, walks_per_vertex=k, capped_walks=capped)
+    return MonteCarloThreat(theta=theta, capped_walks=capped)
 
 
 def _step_uniforms(seed: int, step: int, count: int) -> np.ndarray:

@@ -1,10 +1,9 @@
 """Uncued spectral detection baselines.
 
-Scores are entries of an eigenvector: either of the modularity matrix
+Scores are entries of an eigenvector of the modularity matrix
 ``M = A - d d^T / V`` (connectivity relative to a degree-matched random
-background) or the algebraic-connectivity eigenvector of the Kirchhoff
-matrix.  The rank-one term of ``M`` is applied implicitly so the operator
-stays sparse at scale.
+background).  The rank-one term of ``M`` is applied implicitly so the
+operator stays sparse at scale.
 """
 
 from __future__ import annotations
@@ -13,11 +12,10 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverError, GraphError
-from .graph import DENSE_EIG_LIMIT, Graph, _fix_sign, fiedler
+from .graph import DENSE_EIG_LIMIT, RESIDUAL_TOL, Graph, _fix_sign
 
-RESIDUAL_TOL = 1e-8
-
-SCORE_KINDS = ("modularity", "fiedler")
+# Top modularity eigenvectors among which the localized scores pick one.
+LOCALIZED_CANDIDATES = 5
 
 
 def modularity_operator(g: Graph) -> spla.LinearOperator:
@@ -40,19 +38,14 @@ def modularity_matrix(g: Graph) -> np.ndarray:
     return g.adjacency.toarray() - np.outer(d, d) / float(d.sum())
 
 
-def spectral_scores(g: Graph, which: str = "modularity", index: int = 0) -> np.ndarray:
-    """Per-vertex detection scores from the selected eigenvector.
+def spectral_scores(g: Graph, index: int = 0) -> np.ndarray:
+    """Per-vertex detection scores from a modularity eigenvector.
 
-    ``which='modularity'`` returns the eigenvector of the ``index``-th
-    largest modularity eigenvalue (principal by default); ``'fiedler'``
-    returns the Fiedler vector.  The sign is fixed so the maximum-magnitude
-    entry is positive, and the eigenpair must satisfy
-    ``|M x - mu x| <= 1e-8 |x|``.
+    Returns the eigenvector of the ``index``-th largest modularity
+    eigenvalue (principal by default).  The sign is fixed so the
+    maximum-magnitude entry is positive, and the eigenpair must satisfy
+    ``|M x - mu x| <= RESIDUAL_TOL |x|``.
     """
-    if which == "fiedler":
-        return fiedler(g)[1]
-    if which != "modularity":
-        raise GraphError(f"unknown score kind {which!r}")
     if index < 0 or index >= g.n:
         raise GraphError(f"eigenvector index {index} out of range")
 
@@ -77,16 +70,16 @@ def spectral_scores(g: Graph, which: str = "modularity", index: int = 0) -> np.n
     return _fix_sign(vec)
 
 
-def localized_modularity_scores(g: Graph, candidates: int = 5) -> np.ndarray:
+def localized_modularity_scores(g: Graph) -> np.ndarray:
     """Scores from the most spatially concentrated top modularity eigenvector.
 
-    Among the ``candidates`` largest-eigenvalue eigenvectors, pick the one
+    Among the ``LOCALIZED_CANDIDATES`` largest-eigenvalue eigenvectors, pick the one
     with the smallest L1 norm (all are unit L2, so small L1 means the mass
     sits on few vertices).  A small dense subgraph produces exactly such a
     localized eigenvector, whereas global bisection structure spreads over
     everything; thresholding the principal vector alone keys on the latter.
     """
-    k = min(max(candidates, 1), g.n - 1)
+    k = min(LOCALIZED_CANDIDATES, g.n - 1)
     if g.n < DENSE_EIG_LIMIT:
         m = modularity_matrix(g)
         _, v = np.linalg.eigh(m)

@@ -292,13 +292,13 @@ FAST_CHECKS = [
 ]
 
 
-def run_suite(level: str = "fast", seed: int = SUITE_SEED) -> dict:
+def run_suite(level: str = "fast") -> dict:
     """Run all checks at the requested level and return the report."""
     if level not in ("fast", "full"):
         raise ValueError(f"unknown validation level {level!r}")
     results = []
     for name, fn in FAST_CHECKS:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, zlib.crc32(name.encode())))))
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((SUITE_SEED, zlib.crc32(name.encode())))))
         t0 = time.perf_counter()
         try:
             if level == "full" and name == "harmonic-vs-walks":
@@ -312,7 +312,7 @@ def run_suite(level: str = "fast", seed: int = SUITE_SEED) -> dict:
         results.append(CheckResult(name, bool(passed), detail, round(time.perf_counter() - t0, 3)))
     report = {
         "level": level,
-        "seed": seed,
+        "seed": SUITE_SEED,
         "passed": all(r.passed for r in results),
         "checks": [r.__dict__ for r in results],
     }

@@ -91,18 +91,9 @@ class TestRoc:
     def test_constant_scores_degenerate(self, caplog):
         with caplog.at_level("WARNING"):
             curve = roc(np.full(10, 0.5), np.array([1] * 3 + [0] * 7))
-        assert curve.degenerate
+        assert "degenerates to the two endpoints" in caplog.text
         assert curve.auc == 0.5
         assert curve.pfa.size == 2
-
-    def test_grid_thresholds(self):
-        rng = rng_for("grid")
-        scores = rng.random(300)
-        truth = (rng.random(300) < 0.4).astype(int)
-        curve = roc(scores, truth, thresholds=21)
-        assert curve.pfa.size <= 23
-        full = roc(scores, truth)
-        assert abs(curve.auc - full.auc) <= 0.05
 
     def test_pooling_equals_vertical_average_statistically(self):
         # equal-size trials from one score distribution: pooled ROC tracks

@@ -3,6 +3,7 @@ import pytest
 
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
 from threatprop.graph import Graph, ObservationSet, build_graph, fiedler, incidence, laplacian
+from threatprop.spacetime import TimeGrid
 
 from conftest import adjacency_sets, bfs_component, make_er, rng_for
 
@@ -124,9 +125,8 @@ class TestLaplacian:
         assert np.allclose(row, [-0.5, 1.0, -0.5])
 
     def test_normalized_requires_positive_degrees(self):
+        # the generalized kind I - D^-1 A is the random-walk normalized Laplacian
         g = build_graph([(0, 1, 1.0)], n=3)
-        with pytest.raises(GraphError, match="zero degree"):
-            laplacian(g, "normalized")
         with pytest.raises(GraphError, match="zero degree"):
             laplacian(g, "generalized")
 
@@ -219,9 +219,13 @@ class TestObservationSet:
         with pytest.raises(ObservationError, match="outside"):
             ObservationSet.of((0, 1.5))
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ObservationError, match="duplicate"):
-            ObservationSet.of((0, 0.5), (0, 0.5))
+    def test_duplicates_merge(self):
+        # a repeated row is one cue, in space and in space-time
+        once = ObservationSet.of((0, 0.5, 1.0))
+        twice = ObservationSet.of((0, 0.5, 1.0), (0, 0.5, 1.0))
+        for grid in (None, TimeGrid(0.0, 1.0, 3)):
+            cells, values = twice.boundary(3, grid)
+            assert cells.tolist() == once.boundary(3, grid)[0].tolist() and values.tolist() == [0.5]
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_time_rejected(self, t):
@@ -231,14 +235,6 @@ class TestObservationSet:
     def test_timed_entries_distinct_per_bin(self):
         obs = ObservationSet.of((0, 0.5, 1.0), (0, 0.5, 2.0))
         assert len(obs.entries) == 2
-
-    def test_ideal_measurement_model(self):
-        obs = ObservationSet.from_measurements([(3, 1), (4, 0)])
-        assert obs.values.tolist() == [1.0, 0.0]
-
-    def test_table_measurement_model(self):
-        obs = ObservationSet.from_measurements([(3, "hot"), (4, "cold")], model={"hot": 0.9, "cold": 0.1})
-        assert obs.values.tolist() == [0.9, 0.1]
 
     def test_boundary_range(self, path3):
         with pytest.raises(ObservationError, match="out of range"):

@@ -234,8 +234,12 @@ class TestCli:
         pytest.param("spacetime", ["--bins", "4"], "a,0.9,\na,0.3,1.0", None, id="spacetime-cell-cued-twice"),
         pytest.param("spatial", ["--method", "mc", "--walks", "10", "--seed", "-1"], "a,1.0", None,
                      id="spatial-mc-seed-negative"),
+        pytest.param("spatial", ["--out", "missing/x.csv"], "a,1.0", None, id="spatial-out-missing-dir"),
+        pytest.param("spacetime", ["--bins", "4", "--out", "missing/x.csv"], "a,1.0,1.0", None,
+                     id="spacetime-out-missing-dir"),
     ])
-    def test_bad_input_error_contract(self, tmp_path, capsys, command, flags, obs_text, config):
+    def test_bad_input_error_contract(self, tmp_path, capsys, monkeypatch, command, flags, obs_text, config):
+        monkeypatch.chdir(tmp_path)  # a relative --out lands here
         edges = tmp_path / "edges.csv"
         edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\n")
         obs = tmp_path / "obs.csv"
@@ -245,12 +249,13 @@ class TestCli:
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(config))
             args += ["--config", str(cfg)]
-        rc = main([*args, "--out", str(tmp_path / "x.csv")])
+        out = [] if "--out" in flags else ["--out", str(tmp_path / "x.csv")]
+        rc = main([*args, *out])
         captured = capsys.readouterr()
         assert rc == 1
         assert "error: " in captured.err
         assert "Traceback" not in captured.out + captured.err
-        assert list(tmp_path.glob("x.*")) == []
+        assert list(tmp_path.glob("x.*")) == [] and not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("generator", ["sbm", "hmmb"])
     def test_generate_negative_seed_error_contract(self, tmp_path, capsys, generator):
@@ -334,6 +339,19 @@ class TestCli:
                      "--bins", "4", "--lambda", "0.7", "--out", str(out)]) == 0
         meta = json.loads(Path(str(out) + ".meta.json").read_text())
         assert meta["config"]["variant"] == "coord"
+
+    def test_repeated_cue_row_is_one_cue(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\n")
+        written = []
+        for copies in (1, 2):
+            obs = tmp_path / f"obs{copies}.csv"
+            obs.write_text("vertex,p,t\n" + "a,1.0,0.5\n" * copies)
+            out = tmp_path / f"st{copies}.csv"
+            assert main(["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs),
+                         "--bins", "4", "--lambda", "0.7", "--variant", "coord", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_numerical_failure_exit_code(self, tmp_path):
         out = tmp_path / "net"

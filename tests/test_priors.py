@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from threatprop import priors
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import (
@@ -96,10 +97,11 @@ class TestComputePrior:
         assert np.unique(psi).size == 1
         assert np.allclose(psi, 2.0 ** (-1.0 / average_path_length(g)))
 
-    def test_lwtp_falls_back_to_closed_form_above_cutoff(self, caplog):
+    def test_lwtp_falls_back_to_closed_form_above_cutoff(self, caplog, monkeypatch):
+        monkeypatch.setattr(priors, "EXACT_PATH_LENGTH_LIMIT", 10)
         g = make_er(rng_for("lwtp-big"), 40)
         with caplog.at_level("WARNING"):
-            psi = compute_prior(g, PriorSpec("lwtp", exact_path_length_limit=10))
+            psi = compute_prior(g, PriorSpec("lwtp"))
         assert np.allclose(psi, 2.0 ** (-1.0 / er_average_path_length(40)))
         assert "closed-form" in caplog.text
 
@@ -131,9 +133,10 @@ class TestComputePrior:
     def test_uniform_prior(self, path3):
         assert np.allclose(compute_prior(path3, PriorSpec("uniform", psi0=0.7)), 0.7)
 
-    def test_floor_applied(self):
+    def test_floor_applied(self, monkeypatch):
+        monkeypatch.setattr(priors, "PRIOR_FLOOR", 0.1)
         star = build_graph([(0, i, 1.0) for i in range(1, 30)])
-        psi = compute_prior(star, PriorSpec("dwtp", floor=0.1))
+        psi = compute_prior(star, PriorSpec("dwtp"))
         assert psi[0] == pytest.approx(0.1)  # 1/29 floored
 
     def test_values_in_unit_interval(self):

@@ -352,6 +352,17 @@ class TestSolveSpacetime:
         with pytest.raises(GraphError, match="outside grid"):
             solve_spacetime(sys_, ObservationSet.of((0, 1.0, 55.0)))
 
+    def test_cue_at_an_inactive_bin_warns_with_its_cell(self, caplog):
+        # vertex 0 interacts only in bin 0, so nothing couples into its bin 2
+        g = build_graph([(0, 1, 1.0, 0.5, 0.5), (1, 2, 1.0, 1.5, 1.5)])
+        sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 4), rates=1.0)
+        with caplog.at_level("WARNING", logger="threatprop.spacetime"):
+            solve_spacetime(sys_, ObservationSet.of((0, 1.0, 0.5)), tol=1e-12)
+            assert "no inbound coupling" not in caplog.text
+            theta = solve_spacetime(sys_, ObservationSet.of((0, 1.0, 2.5)), tol=1e-12)
+        assert "1 cue cells have no inbound coupling (vertex inactive at that bin): [(0, 2)]" in caplog.text
+        assert theta[0, 2] == 1.0 and np.count_nonzero(theta) == 1
+
 
 # The path 0-1-2-3 with one interaction per bin of a three-bin grid.
 PATH4 = [(0, 1, 1.0, 0.5, 0.5), (1, 2, 1.0, 1.5, 1.5), (2, 3, 1.0, 2.5, 2.5)]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from threatprop._solve import solve_boundary_value
 from threatprop.errors import ConvergenceError, DisconnectedGraphError, GraphError
 from threatprop.graph import ObservationSet, build_graph, laplacian
 from threatprop.priors import PriorSpec, compute_prior
@@ -118,9 +119,9 @@ class TestSolveHarmonic:
                 assert theta[m] >= tight - 1e-9
 
     def test_nonconvergence_carries_residual(self, path3):
-        psi = compute_prior(path3, PriorSpec("dwtp"))
+        p = propagation_operator(path3, compute_prior(path3, PriorSpec("dwtp")))
         with pytest.raises(ConvergenceError) as err:
-            solve_harmonic(path3, psi, ObservationSet.of((2, 1.0)), tol=1e-12, max_iter=3)
+            solve_boundary_value(p, np.array([2]), np.array([1.0]), tol=1e-12, max_iter=3)
         assert err.value.residual is not None and err.value.residual > 1e-12
 
     def test_disconnected_policy(self):

@@ -5,7 +5,7 @@ from threatprop.errors import GraphError
 from threatprop.evaluation import roc
 from threatprop.experiment import sbm_detection_config
 from threatprop.generators import generate_sbm
-from threatprop.graph import build_graph, fiedler
+from threatprop.graph import build_graph
 from threatprop.spectral import (
     localized_modularity_scores,
     modularity_matrix,
@@ -29,9 +29,9 @@ class TestModularityMatrix:
         assert np.allclose(w, [-1.0, 0.0])
         split = v[:, 0]
         assert abs(split[0] + split[1]) < 1e-12  # proportional to (1, -1)
-        top = spectral_scores(k2, "modularity")
+        top = spectral_scores(k2)
         assert np.allclose(top, [2 ** -0.5, 2 ** -0.5])
-        second = spectral_scores(k2, "modularity", index=1)
+        second = spectral_scores(k2, index=1)
         assert abs(second[0] + second[1]) < 1e-12
 
     def test_row_sums_vanish(self):
@@ -55,7 +55,7 @@ class TestSpectralScores:
     def test_residual_bound(self):
         rng = rng_for("specres")
         g = make_er(rng, 30)
-        scores = spectral_scores(g, "modularity")
+        scores = spectral_scores(g)
         m = modularity_matrix(g)
         w = np.sort(np.linalg.eigvalsh(m))
         resid = np.linalg.norm(m @ scores - w[-1] * scores)
@@ -65,15 +65,15 @@ class TestSpectralScores:
         rng = rng_for("specsign")
         for _ in range(5):
             g = make_er(rng, 15)
-            s = spectral_scores(g, "modularity")
+            s = spectral_scores(g)
             assert s[np.abs(s).argmax()] > 0
 
     def test_ordering_invariant_to_weight_scaling(self):
         rng = rng_for("specscale")
         g = make_er(rng, 20)
         scaled = build_graph([(e.u, e.v, e.weight * 7.5) for e in g.interactions], n=g.n)
-        a = spectral_scores(g, "modularity")
-        b = spectral_scores(scaled, "modularity")
+        a = spectral_scores(g)
+        b = spectral_scores(scaled)
         assert np.array_equal(np.argsort(a, kind="stable"), np.argsort(b, kind="stable"))
 
     def test_secondary_eigenvector_index(self):
@@ -81,19 +81,14 @@ class TestSpectralScores:
         g = make_er(rng, 15)
         m = modularity_matrix(g)
         w, v = np.linalg.eigh(m)
-        second = spectral_scores(g, "modularity", index=1)
+        second = spectral_scores(g, index=1)
         ref = v[:, -2]
         assert min(np.abs(second - ref).max(), np.abs(second + ref).max()) <= 1e-8
-
-    def test_fiedler_kind(self):
-        rng = rng_for("specfied")
-        g = make_er(rng, 15)
-        assert np.array_equal(spectral_scores(g, "fiedler"), fiedler(g)[1])
 
     def test_sparse_path_matches_dense_oracle(self):
         rng = rng_for("bigspec")
         g = make_er(rng, 300, 0.04)
-        scores = spectral_scores(g, "modularity")  # ARPACK path above cutoff
+        scores = spectral_scores(g)  # ARPACK path above cutoff
         m = modularity_matrix(g)
         w, v = np.linalg.eigh(m)
         ref = v[:, -1]
@@ -105,9 +100,7 @@ class TestSpectralScores:
 
     def test_validation(self, path3):
         with pytest.raises(GraphError):
-            spectral_scores(path3, "pagerank")
-        with pytest.raises(GraphError):
-            spectral_scores(path3, "modularity", index=99)
+            spectral_scores(path3, index=99)
 
 
 class TestPlantedBlockDetection:
@@ -129,5 +122,5 @@ class TestPlantedBlockDetection:
         for seed in range(10):
             net = generate_sbm(params, temporal="none", seed=seed)
             auc_loc.append(roc(localized_modularity_scores(net.graph), net.truth).auc)
-            auc_pri.append(roc(spectral_scores(net.graph, "modularity"), net.truth).auc)
+            auc_pri.append(roc(spectral_scores(net.graph), net.truth).auc)
         assert np.mean(auc_loc) > np.mean(auc_pri) + 0.2
