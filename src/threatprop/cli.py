@@ -302,7 +302,7 @@ def _experiment_config(raw: dict, **flags) -> ExperimentConfig:
 @click.option("--config", "config_path", type=click.Path(exists=True), required=True)
 @click.option("--trials", type=int, default=None, help="Override trial count.")
 @click.option("--seed", type=int, default=None)
-@click.option("--threads", type=int, default=None, help="Worker threads (results are schedule-invariant).")
+@click.option("--threads", type=int, default=None, help="Worker processes (results are schedule-invariant).")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def experiment_cmd(config_path, trials, seed, threads, out_dir):
     raw = _load_json(config_path)

@@ -6,13 +6,25 @@ and pools (score, truth) pairs across trials into one ROC per detector.
 Trials use independent counter-based substreams keyed by (seed, trial), and
 pooling is an order-independent merge, so results are identical for any
 worker count.
+
+With ``threads > 1`` the trials run in a pool of that many worker
+processes.  The pool is started with ``fork`` on first use and kept for the
+life of the process; it is rebuilt only when the worker count changes.
+Workers therefore run the library as it was when the pool started, and
+their memory does not show in the parent's ``RUSAGE_SELF``.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import threading
+# Imported with the module, not on first use: imported later, it was torn
+# down at exit before a still-open pool, whose finalizer then failed.
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,7 +59,7 @@ class ExperimentConfig:
     tol: float = 1e-8
     solve_method: str = "iterative"
     cue_value: float = 1.0
-    threads: int = 1
+    threads: int = 1  # worker processes; see run_experiment
     max_abort_fraction: float = 0.01
     aggregate: str = "pool"  # or "vertical"
 
@@ -71,6 +83,7 @@ class ExperimentConfig:
             "rate": checked_number("rate", self.rate, low=0, open_low=True),
             "tol": checked_number("tol", self.tol, low=0, open_low=True),
             "cue_value": checked_number("cue_value", self.cue_value, low=0, high=1),
+            "max_abort_fraction": checked_number("max_abort_fraction", self.max_abort_fraction, low=0, high=1),
         }
         for name, val in fixed.items():
             object.__setattr__(self, name, val)
@@ -171,7 +184,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, np.ndarray] | str:
     abort reason.
 
     Only toolkit errors abort a trial; any other exception is a programming
-    error and propagates.
+    error and propagates.  The caller logs the abort, so that a trial run in
+    a worker process is reported through the parent's handlers.
     """
     seed = _trial_seed(cfg.seed, trial)
     try:
@@ -193,24 +207,63 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> dict[str, np.ndarray] | str:
                 scores[det] = localized_modularity_scores(net.graph)
         return scores
     except ThreatPropagationError as exc:
-        logger.warning("trial %d aborted: %s", trial, exc)
         return f"{type(exc).__name__}: {exc}"
+
+
+# The worker pool and its size; one pool serves every run_experiment call.
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool of ``workers`` fork-started processes, built on first
+    use and rebuilt only when the worker count changes."""
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+            _pool_workers = workers
+        return _pool
+
+
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Forget ``pool`` if it is still the shared one, so the next call starts a new one."""
+    global _pool
+    with _pool_lock:
+        if _pool is pool:
+            _pool = None
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials and pool per-detector ROC curves.
 
+    ``cfg.threads`` counts worker processes.  With more than one, trials are
+    mapped over the shared fork-started pool (see the module docstring);
+    outcomes come back in trial order either way, so results do not depend
+    on the worker count.  Aborted trials are logged here, in trial order.
+
     Raises :class:`ExperimentError` when more than ``max_abort_fraction`` of
-    trials abort.
+    trials abort or when none completes.  A programming error in a trial
+    propagates with its own type.  If a worker dies, the pool is dropped and
+    ``BrokenProcessPool`` propagates; the next call starts a new pool.
     """
     if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(lambda t: run_trial(cfg, t), range(cfg.trials)))
+        pool = _worker_pool(cfg.threads)
+        try:
+            outcomes = list(pool.map(partial(run_trial, cfg), range(cfg.trials)))
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            raise
     else:
         outcomes = [run_trial(cfg, t) for t in range(cfg.trials)]
 
     aborted = tuple((t, out) for t, out in enumerate(outcomes) if isinstance(out, str))
-    if len(aborted) > cfg.max_abort_fraction * cfg.trials:
+    for t, why in aborted:
+        logger.warning("trial %d aborted: %s", t, why)
+    if len(aborted) > cfg.max_abort_fraction * cfg.trials or len(aborted) == cfg.trials:
         raise ExperimentError(
             f"{len(aborted)}/{cfg.trials} trials aborted; first: trial {aborted[0][0]}: {aborted[0][1]}"
         )

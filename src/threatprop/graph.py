@@ -78,8 +78,7 @@ class Graph:
     NaN in both columns of a record) and merges duplicate untimed records of
     the same pair by weight summation, in record order at the position of the
     first; repeated timestamped records are legitimate multiplicity.  All
-    matrix views are built lazily and cached; the object is safe to share
-    across worker threads once constructed.
+    matrix views are built lazily and cached.
     """
 
     n: int

@@ -37,7 +37,7 @@ def report(num, ok, detail):
 def sbm_results():
     t0 = time.perf_counter()
     out = {
-        r: run_experiment(sbm_detection_config(activity=r, trials=100, seed=7))
+        r: run_experiment(sbm_detection_config(activity=r, trials=100, seed=7, threads=2))
         for r in (2.0, 1.1)
     }
     out["elapsed"] = time.perf_counter() - t0
@@ -48,7 +48,7 @@ def sbm_results():
 def hmmb_results():
     t0 = time.perf_counter()
     out = {
-        g: run_experiment(hmmb_detection_config(gamma_fg=g, trials=100, seed=7))
+        g: run_experiment(hmmb_detection_config(gamma_fg=g, trials=100, seed=7, threads=2))
         for g in (1.0, 10.0, 24.0)
     }
     out["elapsed"] = time.perf_counter() - t0

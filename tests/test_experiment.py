@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -14,7 +20,7 @@ from threatprop.experiment import (
     _cue_rng,
     _trial_seed,
 )
-from threatprop.generators import generate_sbm
+from threatprop.generators import SbmParams, generate_sbm
 from threatprop.graph import ObservationSet
 from threatprop.spacetime import TimeGrid, assemble_spacetime, solve_spacetime
 from threatprop.spatial import solve_harmonic
@@ -25,6 +31,22 @@ def tiny_sbm_config(**kw):
     from dataclasses import replace
 
     return replace(cfg, **kw) if kw else cfg
+
+
+def isolated_foreground_config(**kw):
+    """Every trial aborts in choose_cue: the foreground block has no edges."""
+    s = np.array([[0.3, 0.05, 0.0], [0.05, 0.3, 0.0], [0.0, 0.0, 0.0]])
+    params = SbmParams(sizes=(10, 10, 4), block_probs=s, foreground=2)
+    return ExperimentConfig(kind="sbm", params=params, trials=3, seed=5, max_abort_fraction=1.0, **kw)
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter.  Forked workers run the library as
+    it was when the pool started, so a patch made in this process would not
+    reach a pool that is already running."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=180)
 
 
 class TestCuePolicy:
@@ -130,6 +152,25 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="synthetic"):
             run_experiment(tiny_sbm_config(max_abort_fraction=1.0))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_abort_warnings_logged_in_trial_order(self, caplog, threads):
+        with caplog.at_level("WARNING", logger="threatprop.experiment"), \
+                pytest.raises(ExperimentError):
+            run_experiment(isolated_foreground_config(threads=threads))
+        lines = [r.getMessage() for r in caplog.records if r.name == "threatprop.experiment"]
+        assert lines == [f"trial {t} aborted: ExperimentError: all foreground vertices are isolated"
+                         for t in range(3)]
+
+    def test_every_trial_aborting_is_an_experiment_error(self):
+        # max_abort_fraction=1.0 tolerates every abort, but there is nothing to pool.
+        with pytest.raises(ExperimentError, match="3/3 trials aborted; first: trial 0"):
+            run_experiment(isolated_foreground_config())
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5, "0.5"])
+    def test_max_abort_fraction_validated(self, bad):
+        with pytest.raises(GraphError, match="max_abort_fraction"):
+            ExperimentConfig(kind="sbm", params=None, max_abort_fraction=bad)
+
     def test_config_validation(self):
         with pytest.raises(GraphError):
             ExperimentConfig(kind="nonsense", params=None)
@@ -149,6 +190,57 @@ class TestRunExperiment:
         assert curve.pfa[0] == 0.0 and curve.pfa[-1] == 1.0
         assert 0.0 <= curve.auc <= 1.0
         assert curve.trials == 4
+
+
+class TestWorkerProcesses:
+    def test_programming_error_in_a_worker_reaches_the_caller(self):
+        proc = run_fresh("""
+            import threatprop.experiment as ex
+
+            def buggy(g):
+                raise TypeError("synthetic programming error")
+
+            ex.localized_modularity_scores = buggy
+            cfg = ex.sbm_detection_config(trials=4, seed=17, detectors=("spec",), threads=2)
+            try:
+                ex.run_experiment(cfg)
+            except TypeError as exc:
+                print("TypeError:", exc)
+        """)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        assert proc.stdout.strip() == "TypeError: synthetic programming error"
+
+    def test_killed_worker_breaks_the_pool_and_the_next_call_gets_a_new_one(self):
+        proc = run_fresh("""
+            import os
+            import signal
+            from concurrent.futures.process import BrokenProcessPool
+            from dataclasses import replace
+
+            import threatprop.experiment as ex
+
+            real = ex.localized_modularity_scores
+            kill = True
+
+            def dying(g):
+                if kill:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return real(g)
+
+            ex.localized_modularity_scores = dying
+            cfg = ex.sbm_detection_config(trials=4, seed=17, detectors=("spec",), threads=2)
+            try:
+                ex.run_experiment(cfg)
+            except BrokenProcessPool:
+                print("broken")
+            kill = False  # the next pool forks from here, so its workers see this
+            pooled = ex.run_experiment(cfg).curves["spec"]
+            serial = ex.run_experiment(replace(cfg, threads=1)).curves["spec"]
+            same = pooled.auc == serial.auc and (pooled.pd == serial.pd).all()
+            print("same" if same else "differ")
+        """)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+        assert proc.stdout.split() == ["broken", "same"]
 
 
 class TestBenchmarkConfigs:

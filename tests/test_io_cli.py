@@ -17,7 +17,6 @@ from threatprop.io import (
     read_truth,
     write_edges,
     write_roc,
-    write_scores,
     write_truth,
 )
 from threatprop.svgplot import render_roc_svg
