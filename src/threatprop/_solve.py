@@ -10,6 +10,14 @@ fixed, where ``P`` is a (sub)stochastic propagation operator.  Two methods:
   reference for validation and tests; its fill grows quickly with the order
   of space-time systems, so nothing selects it by default.
 
+The last ``hubs`` rows of ``P`` may be hub states: a row that averages other
+states and is not itself a cell of the problem (see ``spacetime``).  The
+fixed point refreshes them before every sweep (``theta_h <- P_h theta``, then
+``theta <- P theta``), so one sweep applies exactly the operator with the hubs
+eliminated and takes as many sweeps as that operator would.  A plain sweep
+over the augmented matrix would lag each hub by one step; it needs 1.2-1.6x
+the sweeps on small clique systems and, at worst, twice as many.
+
 ``tol`` bounds the interior residual ``max_i |theta_i - (P theta)_i|``, the
 harmonic equation defect.  The error against the exact solution is bounded by
 residual / (1 - rho) only when ``rho = ||P_II||_inf < 1``; at ``rho = 1``
@@ -42,8 +50,11 @@ def solve_boundary_value(
     tol: float = 1e-10,
     max_iter: int | None = None,
     method: str = "iterative",
+    hubs: int = 0,
 ) -> np.ndarray:
-    """Solve the fixed-boundary harmonic system and clamp the result to [0, 1]."""
+    """Solve the fixed-boundary harmonic system and clamp the result to [0, 1].
+
+    ``hubs`` counts the hub rows at the end of ``p`` (none by default)."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
     checked_number("tol", tol, low=0, open_low=True)
@@ -68,7 +79,7 @@ def solve_boundary_value(
         # tolerances on small or weakly absorbing systems.
         if max_iter is None:
             max_iter = max(10 * n, 4096)
-        theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter)
+        theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter, hubs)
     else:
         rows = p[interior]
         a = sp.identity(interior.size, format="csc") - rows[:, interior]
@@ -95,12 +106,20 @@ def _residual(p, theta, interior) -> float:
     return float(np.max(np.abs(r[interior]))) if interior.size else 0.0
 
 
-def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter):
+def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter, hubs):
+    # Hub rows read only cells, so a refreshed hub sweeps to its own value
+    # and adds nothing to ``diff`` or the residual.
+    hub = slice(p.shape[0] - hubs, None)
+    p_hub = p[hub]
+    if hubs:
+        theta[hub] = p_hub @ theta
     for _ in range(max_iter):
         nxt = p @ theta
         nxt[boundary] = boundary_values
         diff = float(np.max(np.abs(nxt - theta)))
         theta = nxt
+        if hubs:
+            theta[hub] = p_hub @ theta
         if diff <= 0.5 * tol and _residual(p, theta, interior) <= tol:
             return theta
     last = _residual(p, theta, interior)

@@ -16,15 +16,12 @@ their memory does not show in the parent's ``RUSAGE_SELF``.
 
 from __future__ import annotations
 
+import atexit
 import logging
-import multiprocessing
 import threading
-# Imported with the module, not on first use: imported later, it was torn
-# down at exit before a still-open pool, whose finalizer then failed.
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,6 +34,9 @@ from .priors import PRIOR_FLOOR, hop_distances
 from .spacetime import REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores, solve_spacetime
 from .spatial import solve_harmonic
 from .spectral import localized_modularity_scores
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 logger = logging.getLogger(__name__)
 
@@ -218,7 +218,14 @@ _pool_lock = threading.Lock()
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """The shared pool of ``workers`` fork-started processes, built on first
-    use and rebuilt only when the worker count changes."""
+    use and rebuilt only when the worker count changes.
+
+    The pool modules are imported here, so a run without workers does not
+    pay for them, and the pool is shut down at exit, before interpreter
+    teardown reaches those modules."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool, _pool_workers
     with _pool_lock:
         if _pool is None or _pool_workers != workers:
@@ -226,6 +233,7 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
                 _pool.shutdown()
             _pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
             _pool_workers = workers
+            atexit.register(_pool.shutdown)
         return _pool
 
 
@@ -251,6 +259,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ``BrokenProcessPool`` propagates; the next call starts a new pool.
     """
     if cfg.threads > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         pool = _worker_pool(cfg.threads)
         try:
             outcomes = list(pool.map(partial(run_trial, cfg), range(cfg.trials)))

@@ -6,8 +6,18 @@ per direction: threat received at ``v`` near the interaction's ``v``-side
 time couples to the threat at ``u`` in the bin of the interaction's
 ``u``-side time, weighted by the exponential kernel ``exp(-lam * |dt|)``.
 Untimed edges enter either as identity blocks (instantaneous contact at
-every bin) or as uniform rank-one blocks (a time clique, the zero-rate
-limit of the kernel).
+every bin) or as a time clique, the zero-rate limit of the kernel, in which
+every bin of one endpoint couples uniformly to every bin of the other.
+
+A time clique is stored through hub states rather than as its dense
+nt x nt block of ``w / nt``.  Each vertex with an untimed record gets one
+hub state, appended after the ``n * nt`` cells in sorted vertex order:
+every bin of ``u`` points at the hub of ``v`` with the record's weight, and
+the hub's row averages the bins of ``v``.  Eliminating the hubs (Meyer's
+stochastic complement) gives back the dense block exactly, so a clique
+costs ``2 * nt`` entries per record plus ``nt`` per hub instead of
+``2 * nt**2``.  The hubs carry no prior, and the solve drops them from its
+output.
 
 The coordination prior measures how temporally aligned a vertex's
 interactions are: it is the kernel mass arriving at a (vertex, bin) divided
@@ -42,9 +52,9 @@ DT_ACCURACY = 0.02
 # Lifted systems beyond this order are almost certainly a misconfigured grid.
 MAX_ORDER = 20_000_000
 
-# A solve peaks at about 80 bytes of RSS per matrix entry (0.88 GB for 10.1M
-# entries, 1.24 GB for 14.5M; 343 time cliques at 120 and 144 bins), so this
-# caps it near 1.4 GB.
+# A propagate run peaks at about 95 bytes of RSS per matrix entry (0.99 GB
+# for 10.4M entries: a 1.5k-record blockmodel draw with 343 time cliques at
+# 3,840 bins), so this caps it near 1.5 GB.
 MAX_ENTRIES = 16_000_000
 
 
@@ -140,7 +150,8 @@ def kernel_profile(lam: float, lags: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceTimeSystem:
-    """Assembled space-time operator of order ``n * nt``."""
+    """Assembled space-time operator on ``order = n * nt`` (vertex, bin)
+    cells, followed by one hub state per vertex with a time clique."""
 
     graph: Graph
     grid: TimeGrid
@@ -149,6 +160,10 @@ class SpaceTimeSystem:
     @property
     def order(self) -> int:
         return self.graph.n * self.grid.nt
+
+    @property
+    def hubs(self) -> int:
+        return self.adjacency.shape[0] - self.order
 
 
 def assemble_spacetime(
@@ -180,9 +195,10 @@ def assemble_spacetime(
     if untimed.size and mode_default == "kernel":
         i = untimed[0]
         raise GraphError(f"interaction {i} ({g.u[i]},{g.v[i]}) has no timestamps for kernel mode")
-    # Per direction and before truncation, a timed record spans nt entries,
-    # an instant block nt and a time clique nt x nt.
-    entries = 2 * nt * (timed.size + untimed.size * (1 if mode_default == "instant" else nt))
+    # The vertices with a time clique, in hub order.  Before truncation every
+    # record spans nt entries per direction, and each hub row nt more.
+    hubbed = np.unique(np.stack([g.u[untimed], g.v[untimed]])) if mode_default == "clique" else untimed[:0]
+    entries = nt * (2 * g.size + hubbed.size)
     if entries > MAX_ENTRIES:
         raise GraphError(f"space-time grid of {nt} bins needs about {entries:,} matrix entries, over "
                          f"the {MAX_ENTRIES:,} limit; coarsen it (--bins/--dt)")
@@ -201,27 +217,28 @@ def assemble_spacetime(
     kernel = ((recv[..., None] * nt + np.arange(nt))[keep],
               np.broadcast_to((send * nt + t_send)[..., None], keep.shape)[keep], profile[keep])
 
-    # An untimed record adds a (u, v) and a (v, u) block: identity for
-    # instantaneous contact, uniform rank one for a time clique.
-    if mode_default == "instant":
-        block_r = block_c = np.arange(nt)
-        value = g.w[untimed]
-    else:
-        block_r, block_c = np.divmod(np.arange(nt * nt), nt)
-        value = g.w[untimed] / nt
+    # An untimed record couples every bin of u to v and of v to u with its
+    # weight: bin to bin for instantaneous contact, to the partner's hub for
+    # a time clique.  A hub's row weighs each bin of its vertex by one.
+    cells = g.n * nt
     ends = np.stack([g.u[untimed], g.v[untimed]], axis=1)
-    rows = ends[..., None] * nt + block_r
-    cols = ends[:, ::-1, None] * nt + block_c
-    static = (rows.ravel(), cols.ravel(), np.repeat(value, 2 * block_r.size))
+    rows = ends[..., None] * nt + np.arange(nt)
+    if mode_default == "instant":
+        cols = ends[:, ::-1, None] * nt + np.arange(nt)
+    else:
+        cols = np.broadcast_to((cells + np.searchsorted(hubbed, ends[:, ::-1]))[..., None], rows.shape)
+    static = (rows.ravel(), cols.ravel(), np.repeat(g.w[untimed], 2 * nt))
+    hub = (np.repeat(cells + np.arange(hubbed.size), nt), (hubbed[:, None] * nt + np.arange(nt)).ravel(),
+           np.ones(hubbed.size * nt))
 
-    # Entries are ordered by record, as a per-record loop would emit them:
-    # the CSR conversion sums duplicates in input order, so this keeps the
-    # sums bitwise reproducible.
+    # Entries are ordered by record, as a per-record loop would emit them,
+    # and the hub rows come last: the CSR conversion sums duplicates in input
+    # order, so this keeps the sums bitwise reproducible.
     owner = np.concatenate([np.broadcast_to(timed[:, None, None], keep.shape)[keep],
-                            np.repeat(untimed, 2 * block_r.size)])
+                            np.repeat(untimed, 2 * nt), np.full(hub[0].size, g.size)])
     order = np.argsort(owner, kind="stable")
-    rows, cols, vals = (np.concatenate(pair)[order] for pair in zip(kernel, static))
-    size = g.n * nt
+    rows, cols, vals = (np.concatenate(parts)[order] for parts in zip(kernel, static, hub))
+    size = cells + hubbed.size
     a = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     return SpaceTimeSystem(graph=g, grid=grid, adjacency=a)
 
@@ -241,7 +258,7 @@ def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.n
         if on_isolated != "zero":
             raise ValueError(f"unknown on_isolated policy {on_isolated!r}")
         d[d <= 0] = 1.0  # their kernel mass is zero, so the ratio is zero
-    mass = np.asarray(sys.adjacency.sum(axis=1)).ravel().reshape(sys.graph.n, sys.grid.nt)
+    mass = np.asarray(sys.adjacency.sum(axis=1)).ravel()[:sys.order].reshape(sys.graph.n, sys.grid.nt)
     psi = mass / d[:, None]
     over = int(np.count_nonzero(psi > 1.0 + 1e-12))
     if over:
@@ -275,15 +292,15 @@ def solve_spacetime(
     p = sp.diags(winv) @ a
 
     if variant == "weighted":
-        if spatial_psi is not None:
-            p = sp.diags(np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)) @ p
+        psi = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
     else:
         psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
         if variant == "coordinated-spatial":
             if spatial_psi is None:
                 raise GraphError("coordinated-spatial variant needs a spatial prior")
             psi = psi * np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
-        p = sp.diags(psi) @ p
+    if psi is not None:  # hub rows carry no prior
+        p = sp.diags(np.concatenate([psi, np.ones(sys.hubs)])) @ p
 
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
     p = p.tocsr()
@@ -296,8 +313,8 @@ def solve_spacetime(
             "%d cue cells have no inbound coupling (vertex inactive at that bin): %s",
             inert.size, cells,
         )
-    theta = solve_boundary_value(p, boundary, values, tol=tol, method=method)
-    return theta.reshape(sys.graph.n, sys.grid.nt)
+    theta = solve_boundary_value(p, boundary, values, tol=tol, method=method, hubs=sys.hubs)
+    return theta[:sys.order].reshape(sys.graph.n, sys.grid.nt)
 
 
 def reduce_to_vertex_scores(theta_st: np.ndarray, reducer: str = "max") -> np.ndarray:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -270,8 +273,8 @@ class TestCli:
         edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,,\nb,c,1.0,2.0,2.0\n")
         obs = tmp_path / "obs.csv"
         obs.write_text("vertex,p,t\na,1.0,2.0\n")
-        # one time clique of 3,000 bins is 18M matrix entries
-        rc = main(["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs), "--bins", "3000",
+        # two records and two hubs at 2.7M bins are 16.2M matrix entries
+        rc = main(["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs), "--bins", "2700000",
                    "--lambda", "1", "--out", str(tmp_path / "x.csv")])
         captured = capsys.readouterr()
         assert rc == 1
@@ -506,6 +509,36 @@ class TestCli:
         assert main(["plot", str(path), "--out", str(svg)]) == 0
         content = svg.read_text()
         assert "demo" in content and "<polyline" in content
+
+
+class TestCliMemory:
+    def test_clique_heavy_grid_of_120_bins_stays_small(self, tmp_path):
+        # About 200 time cliques: as dense 120 x 120 blocks they would be 5.6M
+        # entries and over 500 MB; through hubs they are 68k entries.
+        rng = rng_for("cli-clique-rss")
+        n, records, untimed = 200, 600, 200
+        u = rng.integers(n, size=records)
+        v = (u + rng.integers(1, n, size=records)) % n
+        t = rng.uniform(0.0, 50.0, size=records)
+        rows = [(int(a), int(b), 1.0, *((s, s) if k >= untimed else ()))
+                for k, (a, b, s) in enumerate(zip(u, v, t))]
+        write_edges(tmp_path / "edges.csv", build_graph(rows, n=n, labels=[f"v{i}" for i in range(n)]))
+        (tmp_path / "obs.csv").write_text(f"vertex,p,t\nv{u[-1]},1.0,{float(t[-1])!r}\n")
+        cmd = [sys.executable, "-m", "threatprop.cli", "propagate", "spacetime",
+               "--graph", str(tmp_path / "edges.csv"), "--obs", str(tmp_path / "obs.csv"),
+               "--bins", "120", "--lambda", "0.7", "--variant", "coord", "--out", str(tmp_path / "theta.csv")]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        # Linux charges the address space a child execs from to its
+        # ru_maxrss, so a fresh small interpreter launches the command.
+        launch = ("import os, subprocess, sys\n"
+                  "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+                  "_, status, usage = os.wait4(proc.pid, 0)\n"
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+        proc = subprocess.run([sys.executable, "-c", launch, *cmd], env=env, capture_output=True, text=True,
+                              timeout=180)
+        rc, maxrss_kib = map(int, proc.stdout.split())
+        assert rc == 0, proc.stderr
+        assert maxrss_kib / 1024 < 200, maxrss_kib
 
 
 class TestValidateFaultInjection:

@@ -30,6 +30,9 @@ def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
     centers = grid.centers
     rows, cols, vals = [], [], []
     eye = np.arange(nt)
+    # one hub per vertex with a time clique, numbered after the cells
+    hubs = sorted({x for e in g.interactions if not e.timestamped for x in (e.u, e.v)})
+    hub_of = {x: g.n * nt + k for k, x in enumerate(hubs)} if mode_default == "clique" else {}
 
     def add_column(recv, send, t_recv, t_send, w):
         profile = w * kernel_profile(lam[recv], centers - centers[grid.bin_of(t_recv)])
@@ -52,17 +55,19 @@ def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
                 rows.append(a * nt + eye)
                 cols.append(b * nt + eye)
                 vals.append(np.full(nt, e.weight))
-        else:  # clique
-            block = np.full(nt * nt, e.weight / nt)
-            grid_r, grid_c = np.divmod(np.arange(nt * nt), nt)
+        else:  # clique: every bin of one end points at the other end's hub
             for a, b in ((e.u, e.v), (e.v, e.u)):
-                rows.append(a * nt + grid_r)
-                cols.append(b * nt + grid_c)
-                vals.append(block)
+                rows.append(a * nt + eye)
+                cols.append(np.full(nt, hub_of[b]))
+                vals.append(np.full(nt, e.weight))
+    for x, h in hub_of.items():  # a hub's row weighs each bin of its vertex by one
+        rows.append(np.full(nt, h))
+        cols.append(x * nt + eye)
+        vals.append(np.ones(nt))
 
     if not vals:  # every kernel entry fell below the truncation
         rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-    order = g.n * nt
+    order = g.n * nt + len(hub_of)
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(order, order)
     ).tocsr()

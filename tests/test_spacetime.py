@@ -76,11 +76,38 @@ class TestAssembly:
         col = sys_.adjacency.toarray()[6:12, 3]
         assert np.allclose(col, [0.125, 0.25, 0.5, 1.0, 0.5, 0.25])
 
-    def test_clique_block_uniform(self):
-        g = build_graph([(0, 1, 1.0)])
-        sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 4), mode_default="clique")
-        block = sys_.adjacency.toarray()[0:4, 4:8]
-        assert np.array_equal(block, np.full((4, 4), 0.25))
+    def test_clique_routes_through_one_hub_per_vertex(self):
+        # vertices 0 and 1 share a time clique; vertex 2 has only a timed record
+        g = build_graph([(0, 1, 2.5), (1, 2, 1.0, 0.5, 0.5)])
+        sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 4), rates=1.0, mode_default="clique")
+        a = sys_.adjacency.toarray()
+        assert sys_.order == 12 and sys_.hubs == 2 and a.shape == (14, 14)
+        hub0, hub1 = 12, 13
+        assert np.array_equal(a[0:4], np.eye(14)[[hub1] * 4] * 2.5)
+        assert np.array_equal(a[4:8, hub0], np.full(4, 2.5)) and not a[4:8, :8].any()
+        assert np.array_equal(a[hub0], np.eye(14)[0:4].sum(axis=0))
+        assert np.array_equal(a[hub1], np.eye(14)[4:8].sum(axis=0))
+        assert not a[8:12, 12:].any()
+
+    def test_eliminating_hubs_gives_the_uniform_clique_block(self):
+        # Meyer's stochastic complement: A_rr + A_rh P_hr, with P_hr the hub
+        # rows normalized to averages, is the dense w / nt clique coupling
+        # added to the timed kernel entries.
+        rng = rng_for("st-hub-elimination")
+        nt = 7
+        g = make_er(rng, 9, p=0.4)
+        times = rng.uniform(0, nt, g.size)
+        timed = rng.random(g.size) < 0.5
+        rows = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), *((t, t) if k else ()))
+                for e, t, k in zip(g.interactions, times, timed)]
+        gt = build_graph(rows, n=g.n)
+        sys_ = assemble_spacetime(gt, TimeGrid(0.0, 1.0, nt), rates=0.6, mode_default="clique")
+        a = sys_.adjacency.toarray()
+        r = sys_.order
+        hub_rows = a[r:] / a[r:].sum(axis=1, keepdims=True)
+        eliminated = a[:r, :r] + a[:r, r:] @ hub_rows[:, :r]
+        want = logical_adjacency(gt, sys_)
+        assert np.abs(eliminated - want).max() <= 1e-15
 
     def test_instant_block_identity(self):
         g = build_graph([(0, 1, 1.0)])
@@ -117,8 +144,8 @@ class TestAssembly:
         with pytest.raises(GraphError, match="no timestamps"):
             assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), mode_default="kernel")
 
-    # 2 x nt x (1 + nt) and 2 x nt x (1 + 1) entries, both over MAX_ENTRIES
-    @pytest.mark.parametrize("mode, nt", [("clique", 3_000), ("instant", 4_100_000)])
+    # nt x (2 x 2 + 2 hubs) and nt x 2 x 2 entries, both over MAX_ENTRIES
+    @pytest.mark.parametrize("mode, nt", [("clique", 2_700_000), ("instant", 4_100_000)])
     def test_oversize_grid_refused_before_allocating(self, mode, nt):
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0, 0.0, 0.0)])
         tracemalloc.start()
@@ -129,6 +156,12 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_clique_entries_grow_linearly_with_bins(self):
+        g = make_er(rng_for("st-clique-linear"), 12, p=0.5)
+        nnz = [assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), mode_default="clique").adjacency.nnz
+               for nt in (24, 48)]
+        assert nnz[1] < 2.2 * nnz[0]
 
     def test_truncation_preserves_sparsity(self):
         grid = TimeGrid(0.0, 1.0, 200)
@@ -214,14 +247,28 @@ class TestCoordinationPrior:
         assert vals[-1] == pytest.approx(1.0)
 
 
-def dense_spacetime_oracle(sys_, obs, variant="coordinated"):
-    """Direct dense solve of the space-time boundary-value system."""
-    a = sys_.adjacency.toarray()
+def logical_adjacency(g, sys_):
+    """Dense (vertex, bin) adjacency with every time clique written out as
+    its uniform ``w / nt`` block, next to the assembled timed entries."""
+    nt, r = sys_.grid.nt, sys_.order
+    a = sys_.adjacency.toarray()[:r, :r]
+    for e in g.interactions:
+        if not e.timestamped:
+            a[e.u * nt:(e.u + 1) * nt, e.v * nt:(e.v + 1) * nt] += e.weight / nt
+            a[e.v * nt:(e.v + 1) * nt, e.u * nt:(e.u + 1) * nt] += e.weight / nt
+    return a
+
+
+def dense_spacetime_oracle(sys_, obs, variant="coordinated", a=None):
+    """Direct dense solve of the space-time boundary-value system, on the
+    assembled adjacency or on a given dense one over the cells."""
+    if a is None:
+        a = sys_.adjacency.toarray()
     w = a.sum(axis=1)
     winv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
     p = np.diag(winv) @ a
     if variant == "coordinated":
-        psi = coordination_prior(sys_).ravel()
+        psi = np.clip(w / np.repeat(sys_.graph.interaction_weight, sys_.grid.nt), 0.0, 1.0)
         p = np.diag(psi) @ p
     nt = sys_.grid.nt
     order = sys_.order
@@ -301,6 +348,24 @@ class TestSolveSpacetime:
             ref = solve_spacetime(sys_, obs, variant=variant, tol=1e-12, method="direct",
                                   on_isolated="zero")
             assert np.abs(it - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("variant", ["coordinated", "weighted"])
+    def test_clique_systems_match_dense_logical_oracle(self, variant):
+        rng = rng_for("st-clique-oracle", variant)
+        for _ in range(4):
+            g = make_er(rng, 8, p=0.4)
+            times = rng.uniform(0, 6, g.size)
+            timed = rng.random(g.size) < 0.6
+            timed[0] = True  # the cue sits on the first record's time
+            rows = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), *((t, t) if k else ()))
+                    for e, t, k in zip(g.interactions, times, timed)]
+            gt = build_graph(rows, n=g.n)
+            sys_ = assemble_spacetime(gt, TimeGrid(0.0, 1.0, 6), rates=0.6, mode_default="clique")
+            assert sys_.hubs > 0
+            obs = ObservationSet.of((int(g.u[0]), 1.0, float(times[0])))
+            theta = solve_spacetime(sys_, obs, variant=variant, tol=1e-12)
+            oracle = dense_spacetime_oracle(sys_, obs, variant, a=logical_adjacency(gt, sys_))
+            assert np.abs(theta - oracle).max() <= 1e-10
 
     def test_clique_cue_constant_at_partner(self):
         g = build_graph([(0, 1, 1.0)])
