@@ -33,7 +33,7 @@ from .generators import (
     generate_hmmb,
     generate_sbm,
 )
-from .graph import Graph, Interaction, Observation, ObservationSet, build_graph, fiedler, incidence, laplacian
+from .graph import Graph, Interaction, Observation, ObservationSet, build_graph, fiedler, laplacian
 from .priors import PriorSpec, average_path_length, compute_prior, er_average_path_length
 from .spacetime import (
     SpaceTimeSystem,
@@ -42,6 +42,7 @@ from .spacetime import (
     coordination_prior,
     reduce_to_vertex_scores,
     solve_spacetime,
+    spacetime_operator,
 )
 from .spatial import (
     AbsorbingChain,
@@ -92,7 +93,6 @@ __all__ = [
     "generate_sbm",
     "hitting_threat",
     "hmmb_detection_config",
-    "incidence",
     "laplacian",
     "localized_modularity_scores",
     "modularity_matrix",
@@ -104,5 +104,6 @@ __all__ = [
     "sbm_detection_config",
     "solve_harmonic",
     "solve_spacetime",
+    "spacetime_operator",
     "spectral_scores",
 ]

@@ -43,6 +43,19 @@ CLAMP_WARN = 1e-6
 SOLVE_METHODS = ("iterative", "direct")
 
 
+def scale_rows(a: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    """``diag(scale) @ a`` for a CSR matrix without duplicate entries, stored
+    as scipy's sparse product stores it: each row's entries in reverse order
+    and the ones that come out zero dropped.  Every propagation operator is
+    built by this one rule, so its matrix-vector products sum in one order.
+    """
+    counts = np.diff(a.indptr)
+    rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)  # each row reversed
+    out = sp.csr_matrix((a.data[rev] * np.repeat(scale, counts), a.indices[rev], a.indptr.copy()), shape=a.shape)
+    out.eliminate_zeros()
+    return out
+
+
 def solve_boundary_value(
     p: sp.spmatrix,
     boundary: np.ndarray,

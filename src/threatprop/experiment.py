@@ -31,7 +31,8 @@ from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
 from .priors import PRIOR_FLOOR, hop_distances
-from .spacetime import REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores, solve_spacetime
+from .spacetime import (MAX_ORDER, REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
+                        solve_spacetime)
 from .spatial import solve_harmonic
 from .spectral import localized_modularity_scores
 
@@ -87,6 +88,9 @@ class ExperimentConfig:
         }
         for name, val in fixed.items():
             object.__setattr__(self, name, val)
+        if self.params.n * self.time_bins > MAX_ORDER:  # refused before any trial draws a network
+            raise GraphError(f"time_bins {self.time_bins} over {self.params.n} vertices exceeds the space-time "
+                             f"order limit of {MAX_ORDER:,}")
 
 
 @dataclass(frozen=True)

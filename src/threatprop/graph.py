@@ -28,7 +28,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
-from .errors import DisconnectedGraphError, EigenSolverError, GraphError, ObservationError, checked_prior
+from ._solve import scale_rows
+from .errors import DisconnectedGraphError, EigenSolverError, GraphError, ObservationError
 
 if TYPE_CHECKING:
     from .spacetime import TimeGrid
@@ -61,11 +62,6 @@ class Interaction(NamedTuple):
     @property
     def timestamped(self) -> bool:
         return self.t_u is not None
-
-
-def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
-    """One integer key per record for its unordered vertex pair."""
-    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +114,7 @@ class Graph:
                 raise GraphError(f"label table has {len(labels)} entries for n={n}")
 
         static = np.flatnonzero(np.isnan(t_u))
-        keys = _pair_keys(u[static], v[static], n)
+        keys = np.minimum(u[static], v[static]) * n + np.maximum(u[static], v[static])  # unordered pair
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         if first.size < static.size:
             dup = np.ones(static.size, dtype=bool)
@@ -225,37 +221,15 @@ def build_graph(
     return Graph(n, u, v, w, *times, labels=labels)
 
 
-def incidence(g: Graph) -> sp.csc_matrix:
-    """Oriented incidence matrix, one column per coalesced edge.
-
-    The initial vertex of each edge gets ``-sqrt(w)`` and the terminal vertex
-    ``+sqrt(w)``, so that ``B @ B.T`` reproduces the Kirchhoff matrix (stored
-    orientation is used as the arbitrary one).
-    Columns follow the first appearance of each vertex pair.
-    """
-    keys = _pair_keys(g.u, g.v, g.n)
-    keys, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    weight = np.zeros(keys.size)
-    np.add.at(weight, group, g.w)
-    col = np.empty(keys.size, dtype=np.int64)
-    col[np.argsort(first)] = np.arange(keys.size)
-    r = np.sqrt(weight)
-    rows = np.concatenate([keys // g.n, keys % g.n])
-    cols = np.concatenate([col, col])
-    return sp.csc_matrix((np.concatenate([-r, r]), (rows, cols)), shape=(g.n, keys.size))
-
-
-def laplacian(g: Graph, kind: str = "kirchhoff", psi: np.ndarray | None = None) -> sp.csr_matrix:
+def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
     """Return a Laplacian view of the graph.
 
     ``kind`` selects the Kirchhoff matrix ``Q = D - A`` or the generalized
-    ``I - D^{-1} A``.  With ``psi`` given (per-vertex diffusion
-    probabilities), the generalized kind becomes ``I - diag(psi) D^{-1} A``.
+    ``I - D^{-1} A``.  With a per-vertex prior, the generalized Laplacian is
+    ``I - spatial.propagation_operator(g, psi)``.
     """
     if kind not in LAPLACIAN_KINDS:
         raise GraphError(f"unknown laplacian kind {kind!r}")
-    if psi is not None and kind != "generalized":
-        raise GraphError("per-vertex prior applies to the generalized kind only")
     a = g.adjacency
     d = g.degrees
     if kind == "kirchhoff":
@@ -263,10 +237,7 @@ def laplacian(g: Graph, kind: str = "kirchhoff", psi: np.ndarray | None = None) 
     if np.any(d <= 0):
         isolated = int(np.argmin(d))
         raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")
-    t = sp.diags(1.0 / d) @ a
-    if psi is not None:
-        t = sp.diags(checked_prior(psi, g.n)) @ t
-    return (sp.identity(g.n, format="csr") - t).tocsr()
+    return (sp.identity(g.n, format="csr") - scale_rows(a, 1.0 / d)).tocsr()
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:

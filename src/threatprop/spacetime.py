@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._solve import solve_boundary_value
+from ._solve import scale_rows, solve_boundary_value
 from .errors import GraphError, checked_prior
 from .graph import Graph, ObservationSet
 
@@ -165,6 +166,11 @@ class SpaceTimeSystem:
     def hubs(self) -> int:
         return self.adjacency.shape[0] - self.order
 
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """Total weight of every row of the adjacency, the hubs' included."""
+        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+
 
 def assemble_spacetime(
     g: Graph,
@@ -258,12 +264,40 @@ def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.n
         if on_isolated != "zero":
             raise ValueError(f"unknown on_isolated policy {on_isolated!r}")
         d[d <= 0] = 1.0  # their kernel mass is zero, so the ratio is zero
-    mass = np.asarray(sys.adjacency.sum(axis=1)).ravel()[:sys.order].reshape(sys.graph.n, sys.grid.nt)
+    mass = sys.row_sums[:sys.order].reshape(sys.graph.n, sys.grid.nt)
     psi = mass / d[:, None]
     over = int(np.count_nonzero(psi > 1.0 + 1e-12))
     if over:
         logger.info("coordination prior clamped at %d space-time vertices (stacked interactions)", over)
     return np.clip(psi, 0.0, 1.0)
+
+
+def spacetime_operator(
+    sys: SpaceTimeSystem,
+    variant: str = "coordinated",
+    spatial_psi: np.ndarray | None = None,
+    on_isolated: str = "error",
+) -> sp.csr_matrix:
+    """Row-substochastic propagation operator over the states of ``sys``.
+
+    ``weighted`` normalizes each row by its kernel mass, damped by an optional
+    spatial prior; ``coordinated`` normalizes by spatial interaction weight,
+    which folds in the coordination prior; ``coordinated-spatial`` also damps
+    each vertex by a spatial prior.  Hub rows are averages and carry no prior.
+    """
+    if variant not in VARIANTS:
+        raise GraphError(f"unknown variant {variant!r}")
+    w = sys.row_sums
+    p = scale_rows(sys.adjacency, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+    if variant == "weighted":
+        psi = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
+    else:
+        psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
+        if variant == "coordinated-spatial":
+            if spatial_psi is None:
+                raise GraphError("coordinated-spatial variant needs a spatial prior")
+            psi = psi * np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
+    return p if psi is None else scale_rows(p, np.concatenate([psi, np.ones(sys.hubs)]))
 
 
 def solve_spacetime(
@@ -275,35 +309,11 @@ def solve_spacetime(
     method: str = "iterative",
     on_isolated: str = "error",
 ) -> np.ndarray:
-    """Threat probability over every (vertex, bin), shape ``(n, nt)``.
-
-    Variants: ``weighted`` solves against the kernel-mass normalization with
-    an optional externally supplied prior; ``coordinated`` normalizes by
-    spatial interaction count, which folds the coordination prior into the
-    operator; ``coordinated-spatial`` additionally damps each vertex by a
-    spatial-only prior.  Space-time vertices with no kernel mass (or cut off
-    from every cue) take the absorbing value zero.
-    """
-    if variant not in VARIANTS:
-        raise GraphError(f"unknown variant {variant!r}")
-    a = sys.adjacency
-    w = np.asarray(a.sum(axis=1)).ravel()
-    winv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
-    p = sp.diags(winv) @ a
-
-    if variant == "weighted":
-        psi = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
-    else:
-        psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
-        if variant == "coordinated-spatial":
-            if spatial_psi is None:
-                raise GraphError("coordinated-spatial variant needs a spatial prior")
-            psi = psi * np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
-    if psi is not None:  # hub rows carry no prior
-        p = sp.diags(np.concatenate([psi, np.ones(sys.hubs)])) @ p
-
+    """Threat probability over every (vertex, bin), shape ``(n, nt)``, under
+    :func:`spacetime_operator`.  Space-time vertices with no kernel mass (or
+    cut off from every cue) take the absorbing value zero."""
+    p = spacetime_operator(sys, variant, spatial_psi, on_isolated)
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
-    p = p.tocsr()
     inbound = np.bincount(p.indices, minlength=p.shape[1])
     inert = boundary[inbound[boundary] == 0]
     if inert.size:

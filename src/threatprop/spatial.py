@@ -1,4 +1,4 @@
-"""Spatial threat propagation.
+"""Spatial threat propagation, and the absorbing chain of any operator.
 
 Two equivalent realizations of the same Bayesian model are provided:
 
@@ -8,7 +8,9 @@ Two equivalent realizations of the same Bayesian model are provided:
   plus one augmented non-threat state, where threat is the expected value at
   the walk's terminal state.
 
-The exact hitting-probability solve and the walk-simulation estimator exist
+One :class:`AbsorbingChain` serves any operator ``P``, spatial or
+hub-augmented space-time.  Its exact hitting-probability solve and its walk
+simulation, which samples the stored rows of ``P`` in O(nnz) memory, exist
 as independent cross-checks of the harmonic path.
 """
 
@@ -21,14 +23,11 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from ._solve import solve_boundary_value
+from ._solve import scale_rows, solve_boundary_value
 from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior
 from .graph import Graph, ObservationSet
 
 logger = logging.getLogger(__name__)
-
-# Dense transition matrices for walk simulation are capped at this order.
-_WALK_DENSE_LIMIT = 5000
 
 # Walks still alive after this many steps count as absorbed to non-threat.
 MAX_WALK_STEPS = 1_000_000
@@ -46,7 +45,7 @@ def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False
         if not allow_isolated:
             raise GraphError("propagation undefined at an isolated vertex")
         d[d <= 0] = 1.0  # rows are zero anyway
-    return (sp.diags(psi / d) @ g.adjacency).tocsr()
+    return scale_rows(g.adjacency, psi / d)
 
 
 def solve_harmonic(
@@ -78,21 +77,23 @@ def solve_harmonic(
 
 @dataclass(frozen=True)
 class AbsorbingChain:
-    """Absorbing-walk realization of spatial propagation.
+    """Absorbing-walk realization of a row-substochastic operator ``p``.
 
-    State order is canonical: interior vertices first, then the observed
-    (absorbing) vertices, then the augmented non-threat state.  ``g_block``
-    and ``h_block`` are the interior-to-interior and interior-to-boundary
-    blocks of ``diag(psi) D^{-1} A`` under that permutation.
+    The ``boundary`` states absorb with their ``boundary_values``; every
+    other (interior) state moves by its row of ``p`` and sends the missing
+    mass ``1 - sum_j p_ij`` to one augmented non-threat state.  Canonical
+    state order is interior states first, then the boundary states, then the
+    non-threat state; ``g_block`` and ``h_block`` are the interior-to-interior
+    and interior-to-boundary blocks of ``p`` under that order.
     """
 
-    interior: np.ndarray
+    p: sp.csr_matrix
     boundary: np.ndarray
     boundary_values: np.ndarray
-    g_block: sp.csr_matrix
-    h_block: sp.csr_matrix
-    absorb: np.ndarray  # interior mass sent to the non-threat state, 1 - psi_i
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.p.shape[0]
 
     @property
     def n_absorbing(self) -> int:
@@ -100,19 +101,34 @@ class AbsorbingChain:
         return len(self.boundary) + 1
 
     @cached_property
+    def interior(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.n), self.boundary)
+
+    @cached_property
+    def g_block(self) -> sp.csr_matrix:
+        return self.p[self.interior][:, self.interior].tocsr()
+
+    @cached_property
+    def h_block(self) -> sp.csr_matrix:
+        return self.p[self.interior][:, self.boundary].tocsr()
+
+    @cached_property
+    def absorb(self) -> np.ndarray:
+        """Interior mass sent to the non-threat state."""
+        return 1.0 - np.asarray(self.p.sum(axis=1)).ravel()[self.interior]
+
+    @cached_property
     def transition_matrix(self) -> sp.csr_matrix:
         """Full (n+1) x (n+1) row-stochastic chain in canonical state order."""
-        ni, nb = len(self.interior), len(self.boundary)
-        top = sp.hstack([self.g_block, self.h_block, sp.csr_matrix(self.absorb[:, None])])
-        mid = sp.hstack([sp.csr_matrix((nb, ni)), sp.identity(nb, format="csr"), sp.csr_matrix((nb, 1))])
-        bot = sp.hstack([sp.csr_matrix((1, ni)), sp.csr_matrix((1, nb)), sp.identity(1, format="csr")])
-        return sp.vstack([top, mid, bot]).tocsr()
+        return sp.bmat([[self.g_block, self.h_block, sp.csr_matrix(self.absorb[:, None])],
+                        [None, sp.identity(len(self.boundary)), None],
+                        [None, None, sp.identity(1)]], format="csr")
 
     def invariant_basis(self) -> np.ndarray:
         """Nonnegative basis E of the unit-eigenvalue invariant subspace.
 
         Columns span the subspace satisfying ``T @ E == E``: the interior
-        block is ``(I - G)^{-1} R`` with ``R = [H, 1 - psi]``, padded with an
+        block is ``(I - G)^{-1} R`` with ``R = [H, absorb]``, padded with an
         identity over the absorbing states.
         """
         ni = len(self.interior)
@@ -127,21 +143,8 @@ class AbsorbingChain:
 
 
 def build_absorbing_chain(g: Graph, psi: np.ndarray, obs: ObservationSet) -> AbsorbingChain:
-    """Assemble the absorbing chain for a graph, prior, and observation set."""
-    p = propagation_operator(g, psi)
-    boundary, values = obs.boundary(g.n)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[boundary] = True
-    interior = np.flatnonzero(~mask)
-    return AbsorbingChain(
-        interior=interior,
-        boundary=boundary,
-        boundary_values=values,
-        g_block=p[interior][:, interior].tocsr(),
-        h_block=p[interior][:, boundary].tocsr(),
-        absorb=1.0 - np.asarray(psi, dtype=float)[interior],
-        n=g.n,
-    )
+    """Assemble the spatial absorbing chain for a graph, prior, and observation set."""
+    return AbsorbingChain(propagation_operator(g, psi), *obs.boundary(g.n))
 
 
 def hitting_threat(chain: AbsorbingChain) -> np.ndarray:
@@ -162,7 +165,7 @@ class MonteCarloThreat:
 
 
 def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) -> MonteCarloThreat:
-    """Estimate threat by simulating absorbing random walks from every vertex.
+    """Estimate threat by simulating absorbing random walks from every state.
 
     Randomness is counter-based: the uniform draw consumed by walk ``j`` at
     step ``s`` depends only on ``(seed, s, j)``, so results are bitwise
@@ -173,24 +176,22 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     k = checked_number("walks_per_vertex", walks_per_vertex, integer=True, low=1)
     seed = checked_number("seed", seed, integer=True, low=0, high=2**64 - 1)
     n = chain.n
-    if n > _WALK_DENSE_LIMIT:
-        raise GraphError(f"walk simulation supports up to {_WALK_DENSE_LIMIT} vertices, got {n}")
-
-    # Dense per-state transition CDFs in original vertex order; observed
-    # vertices self-absorb, state n is the non-threat sink.
-    t = np.zeros((n + 1, n + 1))
-    perm = np.concatenate([chain.interior, chain.boundary])
-    ni = len(chain.interior)
-    if ni:
-        inner = np.hstack([chain.g_block.toarray(), chain.h_block.toarray(), chain.absorb[:, None]])
-        cols = np.concatenate([perm, [n]])
-        t[np.repeat(chain.interior, n + 1), np.tile(cols, ni)] = inner.ravel()
-    t[chain.boundary, chain.boundary] = 1.0
-    t[n, n] = 1.0
-    cdf = np.minimum(np.cumsum(t, axis=1), 1.0)
+    # Transition CDFs in CSR layout: each row is the row of ``p`` in column
+    # order and then the non-threat sink (state n), whose entry closes the
+    # CDF at exactly 1 and so takes the missing mass.  Observed rows are
+    # never sampled, since walks stop there.
+    t = sp.hstack([chain.p.sorted_indices(), sp.csr_matrix(np.ones((n, 1)))], format="csr")
+    indptr, cols, flat_cdf, length = t.indptr, t.indices, t.data, np.diff(t.indptr)
+    # Cumulative sums within every row but its closing 1, one column position
+    # at a time: the additions of a cumulative sum over the dense row.
+    rows = np.arange(n)
+    for j in range(1, int(length.max()) - 1):
+        rows = rows[length[rows] > j + 1]
+        flat_cdf[indptr[rows] + j] += flat_cdf[indptr[rows] + j - 1]
+    np.minimum(flat_cdf, 1.0, out=flat_cdf)
     # Offsetting row s by s makes the flattened CDF table globally sorted, so
     # one searchsorted samples every walk's row at once.
-    flat_cdf = (cdf + np.arange(n + 1)[:, None]).ravel()
+    flat_cdf += np.repeat(np.arange(n), length)
 
     nb = len(chain.boundary)
     slot = np.full(n + 1, -1, dtype=np.int64)
@@ -204,14 +205,11 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
 
     # Terminal tallies per (start vertex, observed vertex); the non-threat
     # sink contributes nothing.
-    counts = np.zeros(n * nb, dtype=np.int64)
+    counts = np.zeros((n, nb), dtype=np.int64)
 
     def tally(walk_ids):
         hits = walk_ids[slot[state[walk_ids]] >= 0]
-        if hits.size:
-            counts[:] += np.bincount(
-                (hits // k) * nb + slot[state[hits]], minlength=n * nb
-            )
+        np.add.at(counts, (hits // k, slot[state[hits]]), 1)
 
     active = np.flatnonzero(~absorbing[state])
     tally(np.flatnonzero(absorbing[state]))
@@ -221,9 +219,11 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     while active.size and step < MAX_WALK_STEPS:
         u = _step_uniforms(seed, step, total)[active]
         cur = state[active]
-        nxt = np.searchsorted(flat_cdf, u + cur) - cur * (n + 1)
-        # Row sums are 1 up to rounding; clip the (measure ~ulp) overflow case.
-        np.clip(nxt, 0, n, out=nxt)
+        pos = np.searchsorted(flat_cdf, u + cur)
+        # A draw below ulp(cur) / 2 rounds to ``cur`` itself and ties with the
+        # previous row's closing 1; it belongs to this row's first entry.
+        np.maximum(pos, indptr[cur], out=pos)
+        nxt = cols[pos]
         state[active] = nxt
         landed = absorbing[nxt]
         if landed.any():
@@ -234,7 +234,6 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
         capped = int(active.size)
         logger.warning("%d walks hit the %d-step cap; counting them as non-threat", capped, MAX_WALK_STEPS)
 
-    counts = counts.reshape(n, nb)
     theta = counts @ chain.boundary_values / k
     # When every walk of a vertex ends at one observed vertex, the estimate
     # is that boundary value exactly (no float accumulation drift).

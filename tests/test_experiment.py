@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,6 @@ from threatprop.spatial import solve_harmonic
 
 def tiny_sbm_config(**kw):
     cfg = sbm_detection_config(activity=2.0, trials=4, seed=17)
-    from dataclasses import replace
-
     return replace(cfg, **kw) if kw else cfg
 
 
@@ -171,6 +170,11 @@ class TestRunExperiment:
         with pytest.raises(GraphError, match="max_abort_fraction"):
             ExperimentConfig(kind="sbm", params=None, max_abort_fraction=bad)
 
+    @pytest.mark.parametrize("preset", [sbm_detection_config, hmmb_detection_config])
+    def test_time_bins_over_the_order_limit_refused(self, preset):
+        with pytest.raises(GraphError, match="time_bins 100000000 over"):
+            replace(preset(), time_bins=100_000_000)
+
     def test_config_validation(self):
         with pytest.raises(GraphError):
             ExperimentConfig(kind="nonsense", params=None)
@@ -182,8 +186,6 @@ class TestRunExperiment:
             ExperimentConfig(kind="sbm", params=None, aggregate="hexagonal")
 
     def test_vertical_aggregation_mode(self):
-        from dataclasses import replace
-
         cfg = replace(tiny_sbm_config(), aggregate="vertical", detectors=("bfs",))
         res = run_experiment(cfg)
         curve = res.curves["bfs"]

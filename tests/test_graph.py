@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
-from threatprop.graph import Graph, ObservationSet, build_graph, fiedler, incidence, laplacian
+from threatprop.graph import Graph, ObservationSet, build_graph, fiedler, laplacian
+from threatprop.spatial import propagation_operator
 from threatprop.spacetime import TimeGrid
 
 from conftest import adjacency_sets, bfs_component, make_er, rng_for
@@ -90,23 +91,6 @@ class TestBuildGraph:
             build_graph([(0, 1, 1.0)], labels=["a"])
 
 
-class TestIncidence:
-    def test_single_edge_columns(self):
-        # one edge, stored orientation: initial vertex -1, terminal +1
-        g = build_graph([(0, 1, 1.0)])
-        b = incidence(g).toarray()
-        assert b.shape == (2, 1)
-        assert b[0, 0] == -1.0 and b[1, 0] == 1.0
-
-    def test_bbt_reproduces_kirchhoff(self):
-        rng = rng_for("incidence")
-        for _ in range(5):
-            g = make_er(rng, 12, 0.35, connected=False)
-            b = incidence(g).toarray()
-            q = laplacian(g, "kirchhoff").toarray()
-            assert np.allclose(b @ b.T, q, atol=1e-12)
-
-
 class TestLaplacian:
     def test_path_kirchhoff_matrix(self, path3):
         expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]], dtype=float)
@@ -130,13 +114,9 @@ class TestLaplacian:
         with pytest.raises(GraphError, match="zero degree"):
             laplacian(g, "generalized")
 
-    def test_prior_only_for_generalized(self, path3):
-        with pytest.raises(GraphError):
-            laplacian(path3, "kirchhoff", psi=np.ones(3))
-
     def test_generalized_with_prior(self, path3):
         psi = np.array([1.0, 0.5, 1.0])
-        lp = laplacian(path3, "generalized", psi=psi).toarray()
+        lp = np.eye(3) - propagation_operator(path3, psi).toarray()
         assert np.allclose(lp[1], [-0.25, 1.0, -0.25])
 
     def test_unknown_kind(self, path3):

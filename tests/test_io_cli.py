@@ -466,6 +466,16 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert "spec" in summary["detectors"]
 
+    def test_experiment_with_an_oversize_grid_exits_1_before_any_trial(self, tmp_path, capsys, caplog):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({**EXPERIMENT, "time_bins": 100_000_000}))
+        with caplog.at_level("WARNING", logger="threatprop.experiment"):
+            rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "res")])
+        assert rc == 1
+        assert "error: time_bins" in capsys.readouterr().err
+        assert not [r for r in caplog.records if "trial 0 aborted" in r.getMessage()]
+        assert not (tmp_path / "res").exists()
+
     def test_experiment_determinism_across_threads(self, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({"kind": "sbm", "activity": 2.0, "trials": 3, "seed": 9,

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse import csgraph
+from scipy.stats import norm
 
 from threatprop.errors import GraphError, ObservationError
 from threatprop.graph import ObservationSet, build_graph
@@ -14,8 +16,9 @@ from threatprop.spacetime import (
     kernel_profile,
     reduce_to_vertex_scores,
     solve_spacetime,
+    spacetime_operator,
 )
-from threatprop.spatial import solve_harmonic
+from threatprop.spatial import AbsorbingChain, hitting_threat, monte_carlo_threat, solve_harmonic
 
 from conftest import make_er, rng_for
 
@@ -431,6 +434,64 @@ class TestSolveSpacetime:
 
 # The path 0-1-2-3 with one interaction per bin of a three-bin grid.
 PATH4 = [(0, 1, 1.0, 0.5, 0.5), (1, 2, 1.0, 1.5, 1.5), (2, 3, 1.0, 2.5, 2.5)]
+
+
+def clique_system(rng, nt=6):
+    """Random connected graph with about 40% of its records untimed, so
+    with hubs, and a cue at the first (timed) record's time."""
+    g = make_er(rng, 8, p=0.4)
+    times = rng.uniform(0, nt, g.size)
+    timed = rng.random(g.size) < 0.6
+    timed[0] = True
+    rows = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), *((t, t) if k else ()))
+            for e, t, k in zip(g.interactions, times, timed)]
+    gt = build_graph(rows, n=g.n)
+    sys_ = assemble_spacetime(gt, TimeGrid(0.0, 1.0, nt), rates=0.6, mode_default="clique")
+    return gt, sys_, ObservationSet.of((int(g.u[0]), 1.0, float(times[0])))
+
+
+def spacetime_chain(sys_, obs, variant):
+    """The absorbing chain of the hub-augmented operator, checked to have
+    hubs and a pull-path from every state to the cue."""
+    chain = AbsorbingChain(spacetime_operator(sys_, variant), *obs.boundary(sys_.graph.n, sys_.grid))
+    hops = csgraph.dijkstra(chain.p.T, indices=chain.boundary, min_only=True, unweighted=True)
+    assert sys_.hubs > 0 and np.isfinite(hops).all()
+    return chain
+
+
+class TestSpacetimeChain:
+    @pytest.mark.parametrize("variant", ["coordinated", "weighted"])
+    def test_hitting_without_hubs_matches_dense_logical_oracle(self, variant):
+        # Absorption probabilities survive eliminating the hubs (Meyer's
+        # stochastic complement), so the hub chain's hitting solve equals the
+        # dense solve on the written-out w / nt clique blocks.
+        rng = rng_for("st-chain-hitting", variant)
+        for _ in range(4):
+            gt, sys_, obs = clique_system(rng)
+            theta = hitting_threat(spacetime_chain(sys_, obs, variant))
+            oracle = dense_spacetime_oracle(sys_, obs, variant, a=logical_adjacency(gt, sys_))
+            assert np.abs(theta[:sys_.order].reshape(oracle.shape) - oracle).max() <= 1e-10
+
+    @pytest.mark.parametrize("variant", [
+        pytest.param("coordinated", marks=pytest.mark.xfail(
+            strict=True, reason="walk j at step s + 1 reuses the draw of walk j + 4 at step s, so the "
+                                "walks from one state are correlated and overdispersed")),
+        "weighted",
+    ])
+    def test_walks_inside_the_family_band(self, variant):
+        # The Bonferroni band of validate's harmonic-vs-walks check, over
+        # every state of both systems, hubs included.
+        rng = rng_for("st-chain-walks", variant)
+        walks = 1000
+        chains = [spacetime_chain(*clique_system(rng)[1:], variant) for _ in range(2)]
+        zstar = float(norm.isf(0.00135 / sum(c.n for c in chains)))
+        for seed, chain in enumerate(chains):
+            exact = hitting_threat(chain)
+            mc = monte_carlo_threat(chain, walks, seed=seed)
+            sigma = np.sqrt(np.maximum(exact * (1 - exact), 0.0) / walks)
+            band = np.maximum(zstar * sigma, (zstar + 2.0) / walks)
+            assert mc.capped_walks == 0
+            assert np.all(np.abs(mc.theta - exact) <= band + 1e-12)
 
 
 class TestCueBoundary:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from threatprop._solve import solve_boundary_value
+from threatprop._solve import scale_rows, solve_boundary_value
 from threatprop.errors import ConvergenceError, DisconnectedGraphError, GraphError
-from threatprop.graph import ObservationSet, build_graph, laplacian
+from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
 from threatprop.spatial import (
     build_absorbing_chain,
@@ -18,7 +19,7 @@ from conftest import make_er, rng_for
 
 def dense_harmonic_oracle(g, psi, obs):
     """Independent dense solve of the partitioned boundary-value system."""
-    lp = laplacian(g, "generalized", psi=np.asarray(psi, dtype=float)).toarray()
+    lp = np.eye(g.n) - propagation_operator(g, psi).toarray()
     boundary = np.array(sorted({e.vertex for e in obs.entries}))
     values = {e.vertex: e.p for e in obs.entries}
     interior = np.array([v for v in range(g.n) if v not in values])
@@ -29,6 +30,12 @@ def dense_harmonic_oracle(g, psi, obs):
         lib = lp[np.ix_(interior, boundary)]
         theta[interior] = -np.linalg.solve(lii, lib @ theta[boundary])
     return theta
+
+
+def wheel(ring):
+    """Hub 0 joined to every vertex of a ring 1..ring."""
+    return build_graph([(0, i, 1.0) for i in range(1, ring + 1)]
+                       + [(i, i % ring + 1, 1.0) for i in range(1, ring + 1)])
 
 
 def random_system(rng, n=18, p=0.3):
@@ -67,7 +74,7 @@ class TestSolveHarmonic:
             g, psi, obs = random_system(rng)
             tol = 1e-10
             theta = solve_harmonic(g, psi, obs, tol=tol)
-            lp = laplacian(g, "generalized", psi=psi).toarray()
+            lp = np.eye(g.n) - propagation_operator(g, psi).toarray()
             interior = np.array([v for v in range(g.n) if v not in set(obs.vertices)])
             resid = np.abs(lp @ theta)[interior].max()
             assert resid <= tol * 1.01
@@ -144,8 +151,6 @@ class TestSolveHarmonic:
     def test_every_prior_consumer_checks_the_same_way(self, path3, psi):
         with pytest.raises(GraphError, match="prior (vector has shape|probabilities must lie)"):
             propagation_operator(path3, psi)
-        with pytest.raises(GraphError, match="prior (vector has shape|probabilities must lie)"):
-            laplacian(path3, "generalized", psi=psi)
 
 
 class TestAbsorbingChain:
@@ -267,6 +272,27 @@ class TestMonteCarlo:
         assert np.array_equal(a.theta, b.theta)
         assert not np.array_equal(a.theta, c.theta)
 
+    def test_walks_run_above_five_thousand_vertices(self):
+        # 5,000 ring vertices around one cued hub; each steps to the hub with
+        # probability psi / 3, so its threat x = psi (1 + 2x) / 3 is 0.75.
+        ring = 5000
+        chain = build_absorbing_chain(wheel(ring), np.full(ring + 1, 0.9), ObservationSet.of((0, 1.0)))
+        k = 100
+        mc = monte_carlo_threat(chain, k, seed=11)
+        assert mc.capped_walks == 0 and mc.theta[0] == 1.0
+        assert abs(mc.theta[1:].mean() - 0.75) <= 5 * np.sqrt(0.75 * 0.25 / (k * ring))
+
+    @pytest.mark.xfail(strict=True, reason="walk j at step s + 1 reuses the draw of walk j + 4 at step s "
+                                           "(_step_uniforms puts the step in Philox's block counter), so "
+                                           "the walks from one vertex are correlated")
+    def test_spread_over_equivalent_vertices_is_binomial(self):
+        # Every ring vertex of a wheel has the same threat, 0.75, so their
+        # estimates should spread like independent binomial means.
+        ring, k = 200, 100
+        chain = build_absorbing_chain(wheel(ring), np.full(ring + 1, 0.9), ObservationSet.of((0, 1.0)))
+        theta = monte_carlo_threat(chain, k, seed=11).theta[1:]
+        assert theta.std() <= 1.25 * np.sqrt(0.75 * 0.25 / k)
+
     def test_walk_count_validated(self, path3):
         psi = compute_prior(path3, PriorSpec("dwtp"))
         chain = build_absorbing_chain(path3, psi, ObservationSet.of((2, 1.0)))
@@ -293,3 +319,15 @@ class TestPropagationOperator:
             propagation_operator(g, np.ones(3))
         p = propagation_operator(g, np.ones(3), allow_isolated=True).toarray()
         assert np.array_equal(p[2], [0.0, 0.0, 0.0])
+
+    def test_row_scaling_stores_what_the_sparse_product_stores(self):
+        # Same values, same order within each row and the same dropped zeros
+        # (a zero weight, a zero scale), so every matvec sums as before.
+        rng = rng_for("scale-rows")
+        a = make_er(rng, 30, 0.3).adjacency.copy()
+        a.data = rng.uniform(0.0, 2.0, a.nnz) * (rng.random(a.nnz) > 0.1)
+        s, t = (rng.uniform(0.1, 1.0, 30) * (rng.random(30) > 0.2) for _ in range(2))
+        for got, want in ((scale_rows(a, s), sp.diags(s) @ a),
+                          (scale_rows(scale_rows(a, s), t), sp.diags(t) @ (sp.diags(s) @ a))):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
