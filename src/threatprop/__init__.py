@@ -33,7 +33,7 @@ from .generators import (
     generate_hmmb,
     generate_sbm,
 )
-from .graph import Graph, Interaction, Observation, ObservationSet, build_graph, fiedler, laplacian
+from .graph import Graph, Interaction, Observation, ObservationSet, build_graph, laplacian
 from .priors import PriorSpec, average_path_length, compute_prior, er_average_path_length
 from .spacetime import (
     SpaceTimeSystem,
@@ -51,7 +51,7 @@ from .spatial import (
     monte_carlo_threat,
     solve_harmonic,
 )
-from .spectral import localized_modularity_scores, modularity_matrix, spectral_scores
+from .spectral import fiedler, localized_modularity_scores, modularity_matrix, spectral_scores
 
 __version__ = "0.1.0"
 

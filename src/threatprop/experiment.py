@@ -30,7 +30,7 @@ from .errors import ExperimentError, GraphError, ThreatPropagationError, checked
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
-from .priors import PRIOR_FLOOR, hop_distances
+from .priors import hop_distances, hop_prior
 from .spacetime import (MAX_ORDER, REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
                         solve_spacetime)
 from .spatial import solve_harmonic
@@ -158,12 +158,7 @@ def bfs_detector_scores(g: Graph, cue: int, cue_value: float, tol: float, method
     Vertices unreachable from the cue receive the floor prior and end at
     exactly zero threat, which is their value under the absorbing-walk model.
     """
-    dist = hop_distances(g, [cue])
-    psi = np.full(g.n, PRIOR_FLOOR)
-    finite = np.isfinite(dist)
-    psi[finite & (dist >= 1)] = 1.0 / np.maximum(dist[finite & (dist >= 1)], 1.0)
-    psi[dist == 0] = 1.0
-    psi = np.clip(psi, PRIOR_FLOOR, 1.0)
+    psi = hop_prior(hop_distances(g, [cue]))
     obs = ObservationSet.of((cue, cue_value))
     return solve_harmonic(g, psi, obs, tol=tol, method=method, on_unreachable="zero")
 
@@ -171,10 +166,7 @@ def bfs_detector_scores(g: Graph, cue: int, cue_value: float, tol: float, method
 def sttp_detector_scores(
     net: GeneratedNetwork, cue: int, cue_time: float | None, cfg: ExperimentConfig
 ) -> np.ndarray:
-    horizon = getattr(net.params, "horizon", None)
-    if horizon is None:
-        raise ExperimentError("space-time detector needs a generator horizon")
-    grid = TimeGrid(t0=0.0, dt=horizon / cfg.time_bins, nt=cfg.time_bins)
+    grid = TimeGrid(t0=0.0, dt=net.params.horizon / cfg.time_bins, nt=cfg.time_bins)
     sys_ = assemble_spacetime(net.graph, grid, cfg.rate, mode_default="clique")
     obs = ObservationSet.of((cue, cfg.cue_value, cue_time) if cue_time is not None else (cue, cfg.cue_value))
     theta = solve_spacetime(

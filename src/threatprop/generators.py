@@ -98,12 +98,10 @@ class SbmParams:
 
 @dataclass(frozen=True)
 class GeneratedNetwork:
-    """A simulated network with ground truth and provenance."""
+    """A simulated network with its ground truth, parameters and generator metadata."""
 
     graph: Graph
     truth: np.ndarray
-    seed: int
-    kind: str
     params: object
     meta: dict = field(default_factory=dict)
 
@@ -147,8 +145,6 @@ def generate_sbm(params: SbmParams, temporal: str = "coordinated", seed: int = 0
     return GeneratedNetwork(
         graph=graph,
         truth=truth,
-        seed=seed,
-        kind="sbm",
         params=params,
         meta={"temporal": temporal, "labels": labels},
     )
@@ -283,8 +279,6 @@ def generate_hmmb(params: HmmbParams, seed: int = 0) -> GeneratedNetwork:
     return GeneratedNetwork(
         graph=graph,
         truth=truth,
-        seed=seed,
-        kind="hmmb",
         params=params,
         meta={
             "lifestyles": lifestyle,

@@ -25,23 +25,15 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 from ._solve import scale_rows
-from .errors import DisconnectedGraphError, EigenSolverError, GraphError, ObservationError
+from .errors import GraphError, ObservationError
 
 if TYPE_CHECKING:
     from .spacetime import TimeGrid
 
 logger = logging.getLogger(__name__)
-
-# Dense eigensolvers below this order: deterministic and fast at test scale.
-DENSE_EIG_LIMIT = 256
-
-# Largest accepted eigenpair residual |M x - mu x|, relative to max(1, |mu|)
-# for the Fiedler pair and to max(1, |x|) for a modularity eigenvector.
-RESIDUAL_TOL = 1e-8
 
 LAPLACIAN_KINDS = ("kirchhoff", "generalized")
 
@@ -238,46 +230,6 @@ def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
         isolated = int(np.argmin(d))
         raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")
     return (sp.identity(g.n, format="csr") - scale_rows(a, 1.0 / d)).tocsr()
-
-
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Resolve eigenvector sign: make the maximum-magnitude entry positive."""
-    i = int(np.argmax(np.abs(vec)))
-    return vec if vec[i] > 0 else -vec
-
-
-def fiedler(g: Graph) -> tuple[float, np.ndarray]:
-    """Second-smallest eigenpair of the Kirchhoff matrix.
-
-    Raises :class:`DisconnectedGraphError` ("not connected") when the value
-    degenerates to zero, and :class:`EigenSolverError` when the eigenpair
-    fails its residual bound.
-    """
-    if not g.is_connected():
-        raise DisconnectedGraphError("not connected: algebraic connectivity is zero")
-    q = laplacian(g, "kirchhoff")
-    if g.n < DENSE_EIG_LIMIT:
-        w, v = np.linalg.eigh(q.toarray())
-        value, vec = float(w[1]), v[:, 1]
-    else:
-        # Deflate the constant kernel vector by shifting it above the spectrum,
-        # then take the two smallest of the shifted operator.
-        shift = float(q.diagonal().max()) * 2.0 + 1.0
-        ones = np.full(g.n, 1.0 / np.sqrt(g.n))
-
-        def matvec(x):
-            return q @ x + shift * ones * (ones @ x)
-
-        op = spla.LinearOperator((g.n, g.n), matvec=matvec, dtype=float)
-        v0 = np.cos(np.arange(g.n, dtype=float))  # fixed start for determinism
-        w, v = spla.eigsh(op, k=1, which="SA", v0=v0, tol=1e-12)
-        value, vec = float(w[0]), v[:, 0]
-        vec = vec - ones * (ones @ vec)
-        vec /= np.linalg.norm(vec)
-    res = np.linalg.norm(q @ vec - value * vec)
-    if res > RESIDUAL_TOL * max(1.0, abs(value)):
-        raise EigenSolverError(f"fiedler residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return value, _fix_sign(vec)
 
 
 class Observation(NamedTuple):

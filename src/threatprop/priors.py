@@ -59,6 +59,12 @@ def hop_distances(g: Graph, sources) -> np.ndarray:
     return d
 
 
+def hop_prior(dist: np.ndarray) -> np.ndarray:
+    """The ``bfs`` prior ``1 / d`` at hop distance ``d >= 1``, one on the
+    sources and ``PRIOR_FLOOR`` where unreachable (``d = inf``)."""
+    return np.clip(1.0 / np.maximum(dist, 1.0), PRIOR_FLOOR, 1.0)
+
+
 def average_path_length(g: Graph) -> float:
     """Mean shortest-path hop distance over all unordered vertex pairs."""
     if g.n < 2:
@@ -114,7 +120,5 @@ def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) 
         if np.isinf(dist).any():
             bad = int(np.flatnonzero(np.isinf(dist))[0])
             raise DisconnectedGraphError(f"vertex {bad} disconnected from cue")
-        psi = np.ones(g.n)
-        far = dist >= 1
-        psi[far] = 1.0 / dist[far]
+        psi = hop_prior(dist)
     return np.clip(psi, PRIOR_FLOOR, 1.0)

@@ -243,6 +243,10 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
 
 
 def _step_uniforms(seed: int, step: int, count: int) -> np.ndarray:
-    """Uniforms for all walks at one step from a counter-based stream."""
-    bits = np.random.Philox(key=np.uint64(seed), counter=[np.uint64(step), 0, 0, 0])
+    """Uniforms for all walks at one step from a counter-based stream.
+
+    The step sits in the counter's second word: Philox advances the first
+    word once per four draws, so a step there would reuse the next step's
+    draws for walks four places on."""
+    bits = np.random.Philox(key=np.uint64(seed), counter=[0, step, 0, 0])
     return np.random.Generator(bits).random(count)

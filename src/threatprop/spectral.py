@@ -1,9 +1,13 @@
-"""Uncued spectral detection baselines.
+"""Eigenpairs of graph operators and the uncued spectral baselines.
 
-Scores are entries of an eigenvector of the modularity matrix
-``M = A - d d^T / V`` (connectivity relative to a degree-matched random
-background).  The rank-one term of ``M`` is applied implicitly so the
-operator stays sparse at scale.
+Every eigenpair comes from one routine, :func:`_eigenpairs`: a dense
+eigensolve below ``DENSE_EIG_LIMIT`` and ARPACK from a fixed start above
+it, with one sign rule and one residual bound.  The connectivity (Fiedler)
+pair is the smallest of the Kirchhoff matrix with its constant kernel
+shifted away.  Detection scores are entries of an eigenvector of the
+modularity matrix ``M = A - d d^T / V`` (connectivity relative to a
+degree-matched random background).  The rank-one term of ``M`` is applied
+implicitly so the operator stays sparse at scale.
 """
 
 from __future__ import annotations
@@ -11,11 +15,71 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .errors import EigenSolverError, GraphError
-from .graph import DENSE_EIG_LIMIT, RESIDUAL_TOL, Graph, _fix_sign
+from .errors import DisconnectedGraphError, EigenSolverError, GraphError
+from .graph import Graph, laplacian
+
+# Dense eigensolvers below this order: deterministic and fast at test scale.
+DENSE_EIG_LIMIT = 256
+
+# ARPACK convergence tolerance.
+ARPACK_TOL = 1e-10
+
+# Largest accepted eigenpair residual |op x - mu x| for a unit vector x.
+RESIDUAL_TOL = 1e-8
 
 # Top modularity eigenvectors among which the localized scores pick one.
 LOCALIZED_CANDIDATES = 5
+
+
+def _eigenpairs(op: spla.LinearOperator, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` most extreme eigenpairs of a symmetric operator, most extreme first.
+
+    ``which`` is ``"LA"`` (largest algebraic) or ``"SA"`` (smallest).  Below
+    ``DENSE_EIG_LIMIT`` the operator is written out column by column and
+    solved densely; above it ARPACK starts from a fixed vector, so the result
+    is deterministic.  Each unit eigenvector has its maximum-magnitude entry
+    made positive.  Raises :class:`EigenSolverError` when ARPACK does not
+    converge or a pair's residual exceeds ``RESIDUAL_TOL``.
+    """
+    n = op.shape[0]
+    if n < DENSE_EIG_LIMIT:
+        w, v = np.linalg.eigh(np.column_stack([op @ e for e in np.eye(n)]))
+    else:
+        try:
+            w, v = spla.eigsh(op, k=k, which=which, v0=np.cos(np.arange(n, dtype=float)), tol=ARPACK_TOL)
+        except spla.ArpackNoConvergence as exc:
+            raise EigenSolverError(f"eigensolver failed: {exc}") from exc
+    order = np.argsort(w, kind="stable")
+    pick = (order if which == "SA" else order[::-1])[:k]
+    w, v = w[pick], v[:, pick]
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(k)]
+    v = v * np.where(peak > 0, 1.0, -1.0)
+    res = max(float(np.linalg.norm(op @ x - mu * x)) for mu, x in zip(w, v.T))
+    if res > RESIDUAL_TOL:
+        raise EigenSolverError(f"eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    return w, v
+
+
+def fiedler(g: Graph) -> tuple[float, np.ndarray]:
+    """Second-smallest eigenpair of the Kirchhoff matrix.
+
+    Raises :class:`DisconnectedGraphError` ("not connected") when the value
+    degenerates to zero, and :class:`EigenSolverError` when the eigensolver
+    fails.
+    """
+    if not g.is_connected():
+        raise DisconnectedGraphError("not connected: algebraic connectivity is zero")
+    q = laplacian(g, "kirchhoff")
+    # Deflate the constant kernel vector by shifting it above the spectrum;
+    # the smallest pair of the shifted operator is then the Fiedler pair.
+    shift = float(q.diagonal().max()) * 2.0 + 1.0
+    ones = np.full(g.n, 1.0 / np.sqrt(g.n))
+
+    def matvec(x):
+        return q @ x + shift * ones * (ones @ x)
+
+    w, v = _eigenpairs(spla.LinearOperator((g.n, g.n), matvec=matvec, dtype=float), 1, "SA")
+    return float(w[0]), v[:, 0]
 
 
 def modularity_operator(g: Graph) -> spla.LinearOperator:
@@ -42,32 +106,12 @@ def spectral_scores(g: Graph, index: int = 0) -> np.ndarray:
     """Per-vertex detection scores from a modularity eigenvector.
 
     Returns the eigenvector of the ``index``-th largest modularity
-    eigenvalue (principal by default).  The sign is fixed so the
-    maximum-magnitude entry is positive, and the eigenpair must satisfy
-    ``|M x - mu x| <= RESIDUAL_TOL |x|``.
+    eigenvalue (principal by default), signed and checked by
+    :func:`_eigenpairs`.
     """
     if index < 0 or index >= g.n:
         raise GraphError(f"eigenvector index {index} out of range")
-
-    if g.n < DENSE_EIG_LIMIT:
-        m = modularity_matrix(g)
-        w, v = np.linalg.eigh(m)
-        value, vec = float(w[-1 - index]), v[:, -1 - index]
-    else:
-        op = modularity_operator(g)
-        v0 = np.cos(np.arange(g.n, dtype=float))  # fixed start for determinism
-        try:
-            w, v = spla.eigsh(op, k=index + 1, which="LA", v0=v0, tol=1e-12)
-        except spla.ArpackNoConvergence as exc:
-            raise EigenSolverError(f"modularity eigensolver failed: {exc}") from exc
-        order = np.argsort(w)[::-1]
-        value, vec = float(w[order[index]]), v[:, order[index]]
-
-    m_op = modularity_operator(g)
-    res = float(np.linalg.norm(m_op @ vec - value * vec))
-    if res > RESIDUAL_TOL * max(1.0, float(np.linalg.norm(vec))):
-        raise EigenSolverError(f"modularity eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return _fix_sign(vec)
+    return _eigenpairs(modularity_operator(g), index + 1, "LA")[1][:, index]
 
 
 def localized_modularity_scores(g: Graph) -> np.ndarray:
@@ -79,17 +123,5 @@ def localized_modularity_scores(g: Graph) -> np.ndarray:
     localized eigenvector, whereas global bisection structure spreads over
     everything; thresholding the principal vector alone keys on the latter.
     """
-    k = min(LOCALIZED_CANDIDATES, g.n - 1)
-    if g.n < DENSE_EIG_LIMIT:
-        m = modularity_matrix(g)
-        _, v = np.linalg.eigh(m)
-        vecs = v[:, -k:]
-    else:
-        op = modularity_operator(g)
-        v0 = np.cos(np.arange(g.n, dtype=float))
-        try:
-            _, vecs = spla.eigsh(op, k=k, which="LA", v0=v0, tol=1e-10)
-        except spla.ArpackNoConvergence as exc:
-            raise EigenSolverError(f"modularity eigensolver failed: {exc}") from exc
-    l1 = np.abs(vecs).sum(axis=0)
-    return _fix_sign(vecs[:, int(np.argmin(l1))])
+    _, vecs = _eigenpairs(modularity_operator(g), min(LOCALIZED_CANDIDATES, g.n - 1), "LA")
+    return vecs[:, int(np.argmin(np.abs(vecs).sum(axis=0)))]

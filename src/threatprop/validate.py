@@ -19,10 +19,11 @@ from . import spatial
 from .errors import ValidationFailure
 from .evaluation import roc
 from .generators import SbmParams, generate_sbm
-from .graph import Graph, ObservationSet, fiedler, laplacian
+from .graph import Graph, ObservationSet, laplacian
 from .priors import PriorSpec, compute_prior
 from .spacetime import TimeGrid, assemble_spacetime, coordination_prior, kernel_profile, solve_spacetime
 from .spatial import build_absorbing_chain, hitting_threat, monte_carlo_threat
+from .spectral import fiedler
 
 # Routed through module scope so fault-injection tests can swap the solver.
 _harmonic = spatial.solve_harmonic

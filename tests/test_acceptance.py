@@ -14,7 +14,7 @@ from scipy.special import zeta
 from threatprop.evaluation import convexity_defect, roc
 from threatprop.experiment import hmmb_detection_config, run_experiment, sbm_detection_config
 from threatprop.generators import HmmbParams, generate_hmmb
-from threatprop.graph import ObservationSet, build_graph, fiedler
+from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
 from threatprop.spacetime import TimeGrid, assemble_spacetime, solve_spacetime
 from threatprop.spatial import (
@@ -23,6 +23,7 @@ from threatprop.spatial import (
     monte_carlo_threat,
     solve_harmonic,
 )
+from threatprop.spectral import fiedler
 
 from conftest import adjacency_sets, bfs_component, make_er, rng_for
 

@@ -77,8 +77,7 @@ class TestCuePolicy:
     def test_no_foreground_raises(self):
         cfg = tiny_sbm_config()
         net = generate_sbm(cfg.params, seed=1)
-        bare = type(net)(graph=net.graph, truth=np.zeros(net.graph.n, np.int8),
-                         seed=1, kind="sbm", params=net.params)
+        bare = type(net)(graph=net.graph, truth=np.zeros(net.graph.n, np.int8), params=net.params)
         with pytest.raises(ExperimentError, match="foreground"):
             choose_cue(bare, _cue_rng(0, 0))
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
-from threatprop.graph import Graph, ObservationSet, build_graph, fiedler, laplacian
+from threatprop.graph import Graph, ObservationSet, build_graph, laplacian
 from threatprop.spatial import propagation_operator
 from threatprop.spacetime import TimeGrid
+from threatprop.spectral import fiedler
 
 from conftest import adjacency_sets, bfs_component, make_er, rng_for
 

@@ -8,11 +8,13 @@ from threatprop.errors import DisconnectedGraphError, GraphError, ObservationErr
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import (
     EULER_GAMMA,
+    PRIOR_FLOOR,
     PriorSpec,
     average_path_length,
     compute_prior,
     er_average_path_length,
     hop_distances,
+    hop_prior,
 )
 
 from conftest import make_er, rng_for
@@ -129,6 +131,8 @@ class TestComputePrior:
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraphError, match="disconnected from cue"):
             compute_prior(g, PriorSpec("bfs"), ObservationSet.of((0, 1.0)))
+        # The detectors' rule takes unreachable vertices to the floor instead.
+        assert np.array_equal(hop_prior(hop_distances(g, [0])), [1.0, 1.0, PRIOR_FLOOR, PRIOR_FLOOR])
 
     def test_uniform_prior(self, path3):
         assert np.allclose(compute_prior(path3, PriorSpec("uniform", psi0=0.7)), 0.7)

@@ -472,12 +472,7 @@ class TestSpacetimeChain:
             oracle = dense_spacetime_oracle(sys_, obs, variant, a=logical_adjacency(gt, sys_))
             assert np.abs(theta[:sys_.order].reshape(oracle.shape) - oracle).max() <= 1e-10
 
-    @pytest.mark.parametrize("variant", [
-        pytest.param("coordinated", marks=pytest.mark.xfail(
-            strict=True, reason="walk j at step s + 1 reuses the draw of walk j + 4 at step s, so the "
-                                "walks from one state are correlated and overdispersed")),
-        "weighted",
-    ])
+    @pytest.mark.parametrize("variant", ["coordinated", "weighted"])
     def test_walks_inside_the_family_band(self, variant):
         # The Bonferroni band of validate's harmonic-vs-walks check, over
         # every state of both systems, hubs included.

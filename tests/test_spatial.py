@@ -7,6 +7,7 @@ from threatprop.errors import ConvergenceError, DisconnectedGraphError, GraphErr
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
 from threatprop.spatial import (
+    _step_uniforms,
     build_absorbing_chain,
     hitting_threat,
     monte_carlo_threat,
@@ -282,9 +283,11 @@ class TestMonteCarlo:
         assert mc.capped_walks == 0 and mc.theta[0] == 1.0
         assert abs(mc.theta[1:].mean() - 0.75) <= 5 * np.sqrt(0.75 * 0.25 / (k * ring))
 
-    @pytest.mark.xfail(strict=True, reason="walk j at step s + 1 reuses the draw of walk j + 4 at step s "
-                                           "(_step_uniforms puts the step in Philox's block counter), so "
-                                           "the walks from one vertex are correlated")
+    def test_consecutive_steps_share_no_draws(self):
+        # Philox advances its first counter word once per four draws, so a
+        # step kept in that word would hand walk j + 4's draws to walk j next step.
+        assert not np.isin(_step_uniforms(11, 1, 8), _step_uniforms(11, 0, 1000)).any()
+
     def test_spread_over_equivalent_vertices_is_binomial(self):
         # Every ring vertex of a wheel has the same threat, 0.75, so their
         # estimates should spread like independent binomial means.

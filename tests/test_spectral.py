@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from threatprop.errors import GraphError
+from threatprop.errors import EigenSolverError, GraphError
 from threatprop.evaluation import roc
 from threatprop.experiment import sbm_detection_config
 from threatprop.generators import generate_sbm
 from threatprop.graph import build_graph
 from threatprop.spectral import (
+    DENSE_EIG_LIMIT,
+    fiedler,
     localized_modularity_scores,
     modularity_matrix,
     modularity_operator,
@@ -101,6 +104,34 @@ class TestSpectralScores:
     def test_validation(self, path3):
         with pytest.raises(GraphError):
             spectral_scores(path3, index=99)
+
+
+class TestEigensolverFailures:
+    # Above the dense cutoff every eigenpair comes from ARPACK.
+    @pytest.fixture
+    def big(self):
+        return make_er(rng_for("eigfail"), DENSE_EIG_LIMIT + 44, 0.04)
+
+    @pytest.mark.parametrize("solve", [fiedler, spectral_scores, localized_modularity_scores])
+    def test_arpack_failure_is_an_eigensolver_error(self, big, solve, monkeypatch):
+        def stalled(a, k, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        with pytest.raises(EigenSolverError, match="eigensolver failed"):
+            solve(big)
+
+    def test_perturbed_eigenvector_fails_the_residual_bound(self, big, monkeypatch):
+        real = spla.eigsh
+
+        def perturbed(*args, **kwargs):
+            w, v = real(*args, **kwargs)
+            v[0, -1] += 1e-6
+            return w, v
+
+        monkeypatch.setattr(spla, "eigsh", perturbed)
+        with pytest.raises(EigenSolverError, match="residual"):
+            localized_modularity_scores(big)
 
 
 class TestPlantedBlockDetection:
