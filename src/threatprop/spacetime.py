@@ -53,9 +53,10 @@ DT_ACCURACY = 0.02
 # Lifted systems beyond this order are almost certainly a misconfigured grid.
 MAX_ORDER = 20_000_000
 
-# A propagate run peaks at about 95 bytes of RSS per matrix entry (0.99 GB
-# for 10.4M entries: a 1.5k-record blockmodel draw with 343 time cliques at
-# 3,840 bins), so this caps it near 1.5 GB.
+# A propagate run peaks at about 60 bytes of RSS per matrix entry (594 MiB
+# for 10.4M entries: a 1.5k-record blockmodel draw with 231 hubs at 3,840
+# bins; 71 bytes at 1,920 bins, where the interpreter's own share weighs
+# more), so this caps it near 1 GB.
 MAX_ENTRIES = 16_000_000
 
 
@@ -197,7 +198,7 @@ def assemble_spacetime(
             f"space-time order {g.n * grid.nt} exceeds {MAX_ORDER}; coarsen the grid (dt/bins)"
         )
     nt = grid.nt
-    timed, untimed = np.flatnonzero(g.timed), np.flatnonzero(~g.timed)
+    untimed = np.flatnonzero(~g.timed)
     if untimed.size and mode_default == "kernel":
         i = untimed[0]
         raise GraphError(f"interaction {i} ({g.u[i]},{g.v[i]}) has no timestamps for kernel mode")
@@ -209,41 +210,36 @@ def assemble_spacetime(
         raise GraphError(f"space-time grid of {nt} bins needs about {entries:,} matrix entries, over "
                          f"the {MAX_ENTRIES:,} limit; coarsen it (--bins/--dt)")
 
-    # A timed record couples both ways: receiver v from sender u, then u from
-    # v.  The receiver's kernel column is centred on its own bin and lands in
-    # the sender's bin; entries below the truncation are dropped.
-    recv = np.stack([g.v[timed], g.u[timed]], axis=1)
-    t_recv = grid.bin_of(np.stack([g.t_v[timed], g.t_u[timed]], axis=1))
-    send, t_send = recv[:, ::-1], t_recv[:, ::-1]
+    # One entry rule over (records, 2 directions, nt bins): every record
+    # couples receiver v from sender u, then u from v, at each bin of the
+    # receiver.  The entry is the record's weight times the receiver's kernel
+    # centred on its own bin, kept above the truncation, in the column of the
+    # sender's bin.  An untimed record takes the kernel's zero-rate limit,
+    # exactly its weight at every bin and always kept, in the column of the
+    # sender's hub for a time clique or of the sender's same bin for instant
+    # contact.
+    cells, bins, timed = g.n * nt, np.arange(nt), g.timed[:, None]
+    recv = np.stack([g.v, g.u], axis=1)
+    send = recv[:, ::-1]
+    t_recv = grid.bin_of(np.where(timed, np.stack([g.t_v, g.t_u], axis=1), grid.t0))
     centers = grid.centers
-    profile = g.w[timed][:, None, None] * kernel_profile(
-        lam[recv][..., None], centers - centers[t_recv][..., None]
-    )
-    keep = profile >= truncation
-    kernel = ((recv[..., None] * nt + np.arange(nt))[keep],
-              np.broadcast_to((send * nt + t_send)[..., None], keep.shape)[keep], profile[keep])
-
-    # An untimed record couples every bin of u to v and of v to u with its
-    # weight: bin to bin for instantaneous contact, to the partner's hub for
-    # a time clique.  A hub's row weighs each bin of its vertex by one.
-    cells = g.n * nt
-    ends = np.stack([g.u[untimed], g.v[untimed]], axis=1)
-    rows = ends[..., None] * nt + np.arange(nt)
+    vals = g.w[:, None, None] * kernel_profile(np.where(timed, lam[recv], 0.0)[..., None],
+                                               centers - centers[t_recv][..., None])
+    keep = (vals >= truncation) | ~timed[..., None]
+    col = send * nt + t_recv[:, ::-1]
+    if mode_default == "clique":
+        col = np.where(timed, col, cells + np.searchsorted(hubbed, send))
+    cols = np.broadcast_to(col[..., None], keep.shape)
     if mode_default == "instant":
-        cols = ends[:, ::-1, None] * nt + np.arange(nt)
-    else:
-        cols = np.broadcast_to((cells + np.searchsorted(hubbed, ends[:, ::-1]))[..., None], rows.shape)
-    static = (rows.ravel(), cols.ravel(), np.repeat(g.w[untimed], 2 * nt))
-    hub = (np.repeat(cells + np.arange(hubbed.size), nt), (hubbed[:, None] * nt + np.arange(nt)).ravel(),
-           np.ones(hubbed.size * nt))
-
-    # Entries are ordered by record, as a per-record loop would emit them,
-    # and the hub rows come last: the CSR conversion sums duplicates in input
-    # order, so this keeps the sums bitwise reproducible.
-    owner = np.concatenate([np.broadcast_to(timed[:, None, None], keep.shape)[keep],
-                            np.repeat(untimed, 2 * nt), np.full(hub[0].size, g.size)])
-    order = np.argsort(owner, kind="stable")
-    rows, cols, vals = (np.concatenate(parts)[order] for parts in zip(kernel, static, hub))
+        cols = cols + ~timed[..., None] * bins
+    # Reading the kept entries in C order emits them record by record, as a
+    # per-record loop would, and the hub rows come last: the CSR conversion
+    # sums duplicates in input order, so this keeps the sums bitwise
+    # reproducible.  A hub's row weighs each bin of its vertex by one.
+    hubs = cells + np.arange(hubbed.size)
+    rows = np.concatenate([(recv[..., None] * nt + bins)[keep], np.repeat(hubs, nt)])
+    cols = np.concatenate([cols[keep], (hubbed[:, None] * nt + bins).ravel()])
+    vals = np.concatenate([vals[keep], np.ones(hubbed.size * nt)])
     size = cells + hubbed.size
     a = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
     return SpaceTimeSystem(graph=g, grid=grid, adjacency=a)

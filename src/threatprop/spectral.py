@@ -1,13 +1,13 @@
 """Eigenpairs of graph operators and the uncued spectral baselines.
 
 Every eigenpair comes from one routine, :func:`_eigenpairs`: a dense
-eigensolve below ``DENSE_EIG_LIMIT`` and ARPACK from a fixed start above
-it, with one sign rule and one residual bound.  The connectivity (Fiedler)
-pair is the smallest of the Kirchhoff matrix with its constant kernel
-shifted away.  Detection scores are entries of an eigenvector of the
-modularity matrix ``M = A - d d^T / V`` (connectivity relative to a
-degree-matched random background).  The rank-one term of ``M`` is applied
-implicitly so the operator stays sparse at scale.
+eigensolve below ``DENSE_EIG_LIMIT`` or for every pair, and ARPACK from a
+fixed start otherwise, with one sign rule and one residual bound.  The
+connectivity (Fiedler) pair is the smallest of the Kirchhoff matrix with its
+constant kernel shifted away.  Detection scores are entries of an
+eigenvector of the modularity matrix ``M = A - d d^T / V`` (connectivity
+relative to a degree-matched random background).  The rank-one term of
+``M`` is applied implicitly so the operator stays sparse at scale.
 """
 
 from __future__ import annotations
@@ -24,25 +24,28 @@ DENSE_EIG_LIMIT = 256
 # ARPACK convergence tolerance.
 ARPACK_TOL = 1e-10
 
-# Largest accepted eigenpair residual |op x - mu x| for a unit vector x.
+# Largest accepted eigenpair residual |op x - mu x| for a unit vector x, per
+# unit of the graph's largest edge weight once that exceeds one.
 RESIDUAL_TOL = 1e-8
 
 # Top modularity eigenvectors among which the localized scores pick one.
 LOCALIZED_CANDIDATES = 5
 
 
-def _eigenpairs(op: spla.LinearOperator, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
-    """The ``k`` most extreme eigenpairs of a symmetric operator, most extreme first.
+def _eigenpairs(g: Graph, op: spla.LinearOperator, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` most extreme eigenpairs of a symmetric operator on ``g``,
+    most extreme first.
 
     ``which`` is ``"LA"`` (largest algebraic) or ``"SA"`` (smallest).  Below
-    ``DENSE_EIG_LIMIT`` the operator is written out column by column and
-    solved densely; above it ARPACK starts from a fixed vector, so the result
-    is deterministic.  Each unit eigenvector has its maximum-magnitude entry
-    made positive.  Raises :class:`EigenSolverError` when ARPACK does not
-    converge or a pair's residual exceeds ``RESIDUAL_TOL``.
+    ``DENSE_EIG_LIMIT``, or when all ``n`` pairs are asked for, the operator
+    is written out column by column and solved densely; otherwise ARPACK
+    starts from a fixed vector, so the result is deterministic.  Each unit
+    eigenvector has its maximum-magnitude entry made positive.  Raises
+    :class:`EigenSolverError` when ARPACK does not converge or a pair's
+    residual exceeds ``RESIDUAL_TOL * max(1, largest edge weight)``.
     """
     n = op.shape[0]
-    if n < DENSE_EIG_LIMIT:
+    if n < DENSE_EIG_LIMIT or k >= n:
         w, v = np.linalg.eigh(np.column_stack([op @ e for e in np.eye(n)]))
     else:
         try:
@@ -55,8 +58,9 @@ def _eigenpairs(op: spla.LinearOperator, k: int, which: str) -> tuple[np.ndarray
     peak = v[np.argmax(np.abs(v), axis=0), np.arange(k)]
     v = v * np.where(peak > 0, 1.0, -1.0)
     res = max(float(np.linalg.norm(op @ x - mu * x)) for mu, x in zip(w, v.T))
-    if res > RESIDUAL_TOL:
-        raise EigenSolverError(f"eigenpair residual {res:.3e} exceeds {RESIDUAL_TOL:.1e}")
+    bound = RESIDUAL_TOL * max(1.0, float(g.adjacency.max()))
+    if res > bound:
+        raise EigenSolverError(f"eigenpair residual {res:.3e} exceeds {bound:.1e}")
     return w, v
 
 
@@ -78,7 +82,7 @@ def fiedler(g: Graph) -> tuple[float, np.ndarray]:
     def matvec(x):
         return q @ x + shift * ones * (ones @ x)
 
-    w, v = _eigenpairs(spla.LinearOperator((g.n, g.n), matvec=matvec, dtype=float), 1, "SA")
+    w, v = _eigenpairs(g, spla.LinearOperator((g.n, g.n), matvec=matvec, dtype=float), 1, "SA")
     return float(w[0]), v[:, 0]
 
 
@@ -111,7 +115,7 @@ def spectral_scores(g: Graph, index: int = 0) -> np.ndarray:
     """
     if index < 0 or index >= g.n:
         raise GraphError(f"eigenvector index {index} out of range")
-    return _eigenpairs(modularity_operator(g), index + 1, "LA")[1][:, index]
+    return _eigenpairs(g, modularity_operator(g), index + 1, "LA")[1][:, index]
 
 
 def localized_modularity_scores(g: Graph) -> np.ndarray:
@@ -123,5 +127,5 @@ def localized_modularity_scores(g: Graph) -> np.ndarray:
     localized eigenvector, whereas global bisection structure spreads over
     everything; thresholding the principal vector alone keys on the latter.
     """
-    _, vecs = _eigenpairs(modularity_operator(g), min(LOCALIZED_CANDIDATES, g.n - 1), "LA")
+    _, vecs = _eigenpairs(g, modularity_operator(g), min(LOCALIZED_CANDIDATES, g.n - 1), "LA")
     return vecs[:, int(np.argmin(np.abs(vecs).sum(axis=0)))]

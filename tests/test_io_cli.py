@@ -174,6 +174,15 @@ class TestCli:
                      "--eigenvector", "localized", "--out", str(scores)]) == 0
         assert scores.read_text().startswith("vertex,score")
 
+    def test_detect_spec_last_eigenvector(self, tmp_path):
+        # The 256th of 256 modularity eigenvectors: every pair is asked for.
+        out = tmp_path / "net"
+        main(["generate", "sbm", "--activity", "2", "--seed", "5", "--out", str(out)])
+        scores = tmp_path / "spec.csv"
+        assert main(["detect", "spec", "--graph", str(out / "edges.csv"),
+                     "--eigenvector", "255", "--out", str(scores)]) == 0
+        assert len(scores.read_text().splitlines()) == 257
+
     def test_propagate_mc_needs_seed_or_derives(self, tmp_path, capsys):
         out = tmp_path / "net"
         main(["generate", "sbm", "--activity", "2", "--seed", "5", "--out", str(out)])

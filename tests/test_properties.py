@@ -7,7 +7,7 @@ import csv
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from threatprop._solve import _reaches_boundary
@@ -74,11 +74,14 @@ def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
 
 
 @st.composite
-def timed_graphs(draw, labelled=False):
-    """Edge rows on a few vertices: some timed, some untimed, some repeated."""
+def timed_graphs(draw, labelled=False, self_loops=False):
+    """Edge rows on a few vertices: some timed, some untimed, some repeated,
+    and with ``self_loops`` some from a vertex to itself."""
     n = draw(st.integers(2, 6))
     nt = draw(st.integers(1, 5))
-    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    if not self_loops:
+        pair = pair.filter(lambda p: p[0] != p[1])
     weight = st.floats(0.0, 1e6, allow_nan=False)
     time = st.floats(0.0, float(nt), allow_nan=False)
     static = st.tuples(pair, weight).map(lambda r: (*r[0], r[1]))
@@ -89,17 +92,33 @@ def timed_graphs(draw, labelled=False):
     if labelled:
         name = st.text("abcxyz019_-", min_size=1, max_size=4)
         labels = draw(st.lists(name, min_size=n, max_size=n, unique=True))
-    return build_graph(rows, n=n, labels=labels), TimeGrid(0.0, 1.0, nt)
+    return build_graph(rows, n=n, labels=labels, allow_self_loops=self_loops), TimeGrid(0.0, 1.0, nt)
+
+
+def long_row_graph():
+    """Every row of vertex 1 holds 21 entries, past the 16 up to which
+    scipy sorts a row by insertion.  Six of them are one cell with unequal
+    weights, entered from both directions of the records between 0 and 1;
+    under instant contact the untimed record shares a cell with three
+    timed ones."""
+    weights = [0.1, 0.7, 1e3, 0.3, 5.5, 1e-3]
+    rows = [(1, 2, 0.7)]
+    rows += [(a, b, w, 0.5, 0.5) for (a, b), w in zip([(0, 1), (1, 0)] * 3, weights)]
+    rows += [(2, 1, 1 / (3 + k), t, t) for k, t in enumerate([0.5, 1.5, 2.5, 3.5] * 3)]
+    rows += [(1, 1, 0.9, 1.5, 2.5)]
+    return build_graph(rows, n=3, allow_self_loops=True), TimeGrid(0.0, 1.0, 4)
 
 
 @PROPERTY
 @given(
-    case=timed_graphs(),
+    case=timed_graphs(self_loops=True),
     mode=st.sampled_from(MODES),
     rate=st.floats(0.05, 5.0),
     per_vertex=st.booleans(),
     data=st.data(),
 )
+@example(case=long_row_graph(), mode="clique", rate=0.05, per_vertex=False, data=None)
+@example(case=long_row_graph(), mode="instant", rate=0.05, per_vertex=False, data=None)
 def test_columnar_assembly_matches_record_loop(case, mode, rate, per_vertex, data):
     g, grid = case
     rates = rate

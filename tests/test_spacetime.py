@@ -6,7 +6,9 @@ from scipy.sparse import csgraph
 from scipy.stats import norm
 
 from threatprop.errors import GraphError, ObservationError
-from threatprop.graph import ObservationSet, build_graph
+from threatprop.experiment import sbm_detection_config
+from threatprop.generators import generate_sbm
+from threatprop.graph import Graph, ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
 from threatprop.spacetime import (
     TimeGrid,
@@ -165,6 +167,22 @@ class TestAssembly:
         nnz = [assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), mode_default="clique").adjacency.nnz
                for nt in (24, 48)]
         assert nnz[1] < 2.2 * nnz[0]
+
+    def test_assembly_peak_stays_near_the_csr(self):
+        # A blockmodel draw with every fourth record untimed, so both timed
+        # records and time cliques fill the 480-bin grid.
+        net = generate_sbm(sbm_detection_config(2.0).params, seed=0)
+        g = net.graph
+        untimed = np.arange(g.size) % 4 == 0
+        g = Graph(g.n, g.u, g.v, g.w, np.where(untimed, np.nan, g.t_u), np.where(untimed, np.nan, g.t_v))
+        grid = TimeGrid(0.0, net.params.horizon / 480, 480)
+        tracemalloc.start()
+        try:
+            a = assemble_spacetime(g, grid, 0.7).adjacency
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
 
     def test_truncation_preserves_sparsity(self):
         grid = TimeGrid(0.0, 1.0, 200)

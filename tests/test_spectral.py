@@ -6,7 +6,7 @@ from threatprop.errors import EigenSolverError, GraphError
 from threatprop.evaluation import roc
 from threatprop.experiment import sbm_detection_config
 from threatprop.generators import generate_sbm
-from threatprop.graph import build_graph
+from threatprop.graph import Graph, build_graph
 from threatprop.spectral import (
     DENSE_EIG_LIMIT,
     fiedler,
@@ -132,6 +132,24 @@ class TestEigensolverFailures:
         monkeypatch.setattr(spla, "eigsh", perturbed)
         with pytest.raises(EigenSolverError, match="residual"):
             localized_modularity_scores(big)
+
+
+class TestEigenpairScale:
+    def test_last_eigenvector_above_the_dense_limit(self):
+        # index n - 1 asks for all n pairs, which ARPACK cannot give
+        g = make_er(rng_for("eiglast"), DENSE_EIG_LIMIT + 44, 0.04)
+        _, v = np.linalg.eigh(modularity_matrix(g))
+        ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
+        assert np.abs(spectral_scores(g, index=g.n - 1) - ref).max() <= 1e-8
+
+    def test_residual_bound_scales_with_the_weights(self):
+        g = make_er(rng_for("eigscale"), 40)
+        heavy = Graph(g.n, g.u, g.v, g.w * 1e8)
+        value, vec = fiedler(g)
+        heavy_value, heavy_vec = fiedler(heavy)
+        assert heavy_value == pytest.approx(1e8 * value, rel=1e-9)
+        assert np.abs(heavy_vec - vec).max() <= 1e-9
+        assert np.abs(spectral_scores(heavy) - spectral_scores(g)).max() <= 1e-9
 
 
 class TestPlantedBlockDetection:
