@@ -30,8 +30,6 @@ import logging
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 from .errors import ConvergenceError, checked_number
 
@@ -94,6 +92,8 @@ def solve_boundary_value(
             max_iter = max(10 * n, 4096)
         theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter, hubs)
     else:
+        import scipy.sparse.linalg as spla
+
         rows = p[interior]
         a = sp.identity(interior.size, format="csc") - rows[:, interior]
         theta[interior] = spla.spsolve(a, rows[:, boundary] @ boundary_values)
@@ -109,9 +109,20 @@ def solve_boundary_value(
 
 def _reaches_boundary(p: sp.csr_matrix, boundary: np.ndarray) -> np.ndarray:
     """Vertices with a pull-path (following stored entries of P row->column)
-    to the boundary set: one traversal of P^T from every boundary vertex."""
-    hops = csgraph.dijkstra(p.T, indices=boundary, min_only=True, unweighted=True)
-    return np.isfinite(hops)
+    to the boundary set: a level-synchronous traversal of P^T from every
+    boundary vertex, one vectorised step over the stored entries per level."""
+    pt = p.tocsc()
+    counts = np.diff(pt.indptr)
+    reach = np.zeros(p.shape[0], dtype=bool)
+    reach[boundary] = True
+    front = reach
+    while True:
+        hit = np.zeros_like(reach)
+        hit[pt.indices[np.repeat(front, counts)]] = True  # rows with an entry in a frontier column
+        front = hit & ~reach
+        if not front.any():
+            return reach
+        reach |= front
 
 
 def _residual(p, theta, interior) -> float:

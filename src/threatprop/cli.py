@@ -8,27 +8,22 @@ codes: 0 success, 1 usage error, 2 numerical failure, 3 validation failure.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import secrets
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
 from . import __version__
 from .errors import ConvergenceError, EigenSolverError, ThreatPropagationError, ValidationFailure
-from .evaluation import RocCurve
-from .experiment import (
-    ExperimentConfig,
-    hmmb_detection_config,
-    run_experiment,
-    sbm_detection_config,
-)
-from .generators import HmmbParams, SbmParams, default_hmmb_params, generate_hmmb, generate_sbm
 from .io import (
+    ROC_HEADER,
     read_edges,
     read_observations,
     write_edges,
@@ -41,10 +36,12 @@ from .io import (
 from .priors import PRIOR_KINDS, PriorSpec, compute_prior
 from .spacetime import (MODES, REDUCERS, TimeGrid, assemble_spacetime, default_rate, reduce_to_vertex_scores,
                         solve_spacetime)
-from .spatial import build_absorbing_chain, monte_carlo_threat, solve_harmonic
-from .spectral import localized_modularity_scores, spectral_scores
-from .svgplot import plot_roc
-from .validate import run_suite
+
+if TYPE_CHECKING:
+    from .experiment import ExperimentConfig
+
+# Modules that only some commands use are imported inside those commands, so
+# that a command's start-up loads only what it runs.
 
 logger = logging.getLogger("threatprop")
 
@@ -138,6 +135,9 @@ def _emit_network(net, out_dir: Path, config: dict, seed: int):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def generate_sbm_cmd(config_path, activity, temporal, seed, out_dir):
+    from .experiment import sbm_detection_config
+    from .generators import SbmParams, generate_sbm
+
     if config_path:
         params = _from_config(SbmParams, _load_json(config_path))
     else:
@@ -155,6 +155,8 @@ def generate_sbm_cmd(config_path, activity, temporal, seed, out_dir):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def generate_hmmb_cmd(config_path, gamma_fg, seed, out_dir):
+    from .generators import HmmbParams, default_hmmb_params, generate_hmmb
+
     if config_path:
         params = _from_config(HmmbParams, _load_json(config_path))
     else:
@@ -185,6 +187,8 @@ def propagate():
 @click.option("--seed", type=int, default=None, help="Required for --method mc.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def propagate_spatial(graph_path, obs_path, prior, psi0, tol, method, walks, seed, out_path):
+    from .spatial import build_absorbing_chain, monte_carlo_threat, solve_harmonic
+
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     psi = compute_prior(g, PriorSpec(prior, psi0=psi0), obs)
@@ -261,6 +265,8 @@ def detect():
               help="principal | localized | integer index of the modularity eigenvector")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def detect_spec(graph_path, eigenvector, out_path):
+    from .spectral import localized_modularity_scores, spectral_scores
+
     g = read_edges(graph_path)
     if eigenvector == "principal":
         scores = spectral_scores(g)
@@ -279,18 +285,20 @@ def detect_spec(graph_path, eigenvector, out_path):
     click.echo(f"wrote {out_path}")
 
 
-# Each experiment kind's preset and the one config key that tunes it.
-_PRESETS = {"sbm": (sbm_detection_config, "activity"), "hmmb": (hmmb_detection_config, "gamma_fg")}
 # ExperimentConfig fields an experiment config file may set over the preset.
 _RUN_KEYS = ("detectors", "trials", "seed", "time_bins", "rate", "variant", "reducer", "tol", "cue_value",
              "aggregate")
 
 
 def _experiment_config(raw: dict, **flags) -> ExperimentConfig:
+    from .experiment import hmmb_detection_config, sbm_detection_config
+
+    # Each experiment kind's preset and the one config key that tunes it.
+    presets = {"sbm": (sbm_detection_config, "activity"), "hmmb": (hmmb_detection_config, "gamma_fg")}
     kind = raw.get("kind", "sbm")
-    if not isinstance(kind, str) or kind not in _PRESETS:
+    if not isinstance(kind, str) or kind not in presets:
         raise click.UsageError(f"unknown experiment kind {kind!r}")
-    preset, knob = _PRESETS[kind]
+    preset, knob = presets[kind]
     _check_keys(raw, ("kind", knob, *_RUN_KEYS))
     cfg = preset(**({knob: raw[knob]} if knob in raw else {}))
     changes = {k: raw[k] for k in _RUN_KEYS if k in raw}
@@ -305,6 +313,9 @@ def _experiment_config(raw: dict, **flags) -> ExperimentConfig:
 @click.option("--threads", type=int, default=None, help="Worker processes (results are schedule-invariant).")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def experiment_cmd(config_path, trials, seed, threads, out_dir):
+    from .experiment import run_experiment
+    from .svgplot import plot_roc
+
     raw = _load_json(config_path)
     if seed is None and "seed" not in raw:
         seed = _resolve_seed(None)
@@ -328,6 +339,8 @@ def experiment_cmd(config_path, trials, seed, threads, out_dir):
 @click.option("--level", default="fast", show_default=True, type=click.Choice(["fast", "full"]))
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def validate_cmd(level, out_path):
+    from .validate import run_suite
+
     report = run_suite(level)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
@@ -338,19 +351,39 @@ def validate_cmd(level, out_path):
         raise ValidationFailure(f"checks failed: {', '.join(failed)}")
 
 
+def _read_curve(path) -> np.ndarray:
+    """The rows of a ROC CSV as ``write_roc`` writes it: the header
+    ``threshold,pfa,pd,se``, then four numbers a row.  A threshold may be
+    infinite or NaN (``write_roc`` writes both); the other fields must be
+    finite."""
+    expected = f"{path}: expected a {','.join(ROC_HEADER)} header and rows"
+    try:
+        with open(path, newline="") as fh:
+            lines = list(csv.reader(fh))
+        rows = np.array(lines[1:], dtype=float)
+    except (ValueError, csv.Error) as exc:  # a non-number, a ragged row or undecodable bytes
+        raise click.UsageError(f"{expected} ({exc})") from None
+    if lines[:1] != [ROC_HEADER] or rows.ndim != 2 or rows.shape[1] != 4:
+        raise click.UsageError(expected)
+    if not np.isfinite(rows[:, 1:]).all():
+        raise click.UsageError(f"{path}: non-finite pfa, pd or se")
+    return rows
+
+
 @cli.command("plot")
 @click.argument("curves", nargs=-1, type=click.Path(exists=True), required=True)
 @click.option("--labels", default=None, help="Comma-separated labels, one per curve file.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def plot_cmd(curves, labels, out_path):
+    from .evaluation import RocCurve
+    from .svgplot import plot_roc
+
     names = labels.split(",") if labels else [Path(c).stem.removeprefix("roc_") for c in curves]
     if len(names) != len(curves):
         raise click.UsageError("label count does not match curve count")
     loaded = []
     for name, path in zip(names, curves):
-        rows = np.genfromtxt(path, delimiter=",", skip_header=1)
-        if rows.ndim != 2 or rows.shape[1] < 4:
-            raise click.UsageError(f"{path}: expected threshold,pfa,pd,se rows")
+        rows = _read_curve(path)
         curve = RocCurve(
             thresholds=rows[:, 0], pfa=rows[:, 1], pd=rows[:, 2], se_pd=rows[:, 3],
             auc=float(np.trapezoid(rows[:, 2], rows[:, 1])),

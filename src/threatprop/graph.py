@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from ._solve import scale_rows
 from .errors import GraphError, ObservationError
@@ -171,6 +170,8 @@ class Graph:
 
     def component_of(self, vertices: Sequence[int]) -> np.ndarray:
         """Boolean mask of vertices reachable from any of ``vertices``."""
+        from scipy.sparse import csgraph
+
         _, comp = csgraph.connected_components(self.adjacency, directed=False)
         hit = np.unique(comp[np.asarray(vertices, dtype=int)])
         return np.isin(comp, hit)

@@ -21,6 +21,7 @@ from .errors import GraphError, ObservationError
 from .graph import Graph, Observation, ObservationSet, build_graph
 
 EDGE_HEADER = ["src", "dst", "weight", "t_src", "t_dst"]
+ROC_HEADER = ["threshold", "pfa", "pd", "se"]
 
 
 def _write_csv(path, header, *columns) -> None:
@@ -137,7 +138,7 @@ def read_truth(path, g: Graph) -> np.ndarray:
 
 
 def write_roc(path, curve) -> None:
-    _write_csv(path, ["threshold", "pfa", "pd", "se"],
+    _write_csv(path, ROC_HEADER,
                curve.thresholds.tolist(), curve.pfa.tolist(), curve.pd.tolist(), curve.se_pd.tolist())
 
 

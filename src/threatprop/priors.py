@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .errors import DisconnectedGraphError, GraphError, ObservationError
 from .graph import Graph, ObservationSet
@@ -53,6 +52,8 @@ class PriorSpec:
 
 def hop_distances(g: Graph, sources) -> np.ndarray:
     """Minimum hop count from any source vertex, ``inf`` where unreachable."""
+    from scipy.sparse import csgraph
+
     d = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, directed=False, indices=sources)
     if d.ndim == 2:
         d = d.min(axis=0)
@@ -69,6 +70,8 @@ def average_path_length(g: Graph) -> float:
     """Mean shortest-path hop distance over all unordered vertex pairs."""
     if g.n < 2:
         raise GraphError("average path length needs at least two vertices")
+    from scipy.sparse import csgraph
+
     d = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, directed=False)
     iu = np.triu_indices(g.n, k=1)
     vals = d[iu]

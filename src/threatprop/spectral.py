@@ -12,11 +12,15 @@ relative to a degree-matched random background).  The rank-one term of
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import DisconnectedGraphError, EigenSolverError, GraphError
 from .graph import Graph, laplacian
+
+if TYPE_CHECKING:
+    from scipy.sparse.linalg import LinearOperator
 
 # Dense eigensolvers below this order: deterministic and fast at test scale.
 DENSE_EIG_LIMIT = 256
@@ -32,7 +36,7 @@ RESIDUAL_TOL = 1e-8
 LOCALIZED_CANDIDATES = 5
 
 
-def _eigenpairs(g: Graph, op: spla.LinearOperator, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
+def _eigenpairs(g: Graph, op: LinearOperator, k: int, which: str) -> tuple[np.ndarray, np.ndarray]:
     """The ``k`` most extreme eigenpairs of a symmetric operator on ``g``,
     most extreme first.
 
@@ -48,6 +52,8 @@ def _eigenpairs(g: Graph, op: spla.LinearOperator, k: int, which: str) -> tuple[
     if n < DENSE_EIG_LIMIT or k >= n:
         w, v = np.linalg.eigh(np.column_stack([op @ e for e in np.eye(n)]))
     else:
+        import scipy.sparse.linalg as spla
+
         try:
             w, v = spla.eigsh(op, k=k, which=which, v0=np.cos(np.arange(n, dtype=float)), tol=ARPACK_TOL)
         except spla.ArpackNoConvergence as exc:
@@ -71,6 +77,8 @@ def fiedler(g: Graph) -> tuple[float, np.ndarray]:
     degenerates to zero, and :class:`EigenSolverError` when the eigensolver
     fails.
     """
+    import scipy.sparse.linalg as spla
+
     if not g.is_connected():
         raise DisconnectedGraphError("not connected: algebraic connectivity is zero")
     q = laplacian(g, "kirchhoff")
@@ -86,8 +94,10 @@ def fiedler(g: Graph) -> tuple[float, np.ndarray]:
     return float(w[0]), v[:, 0]
 
 
-def modularity_operator(g: Graph) -> spla.LinearOperator:
+def modularity_operator(g: Graph) -> LinearOperator:
     """Implicit symmetric operator for the modularity matrix."""
+    import scipy.sparse.linalg as spla
+
     a = g.adjacency
     d = g.degrees
     vol = float(d.sum())

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,33 @@ class TestCli:
         assert main(["plot", str(path), "--out", str(svg)]) == 0
         content = svg.read_text()
         assert "demo" in content and "<polyline" in content
+
+    @pytest.mark.parametrize("text", [
+        "threshold,pfa,pd,se\ninf,0,0,0\nx,y,z,w\n-inf,1,1,0\n",  # a numeric loader reads NaN and plots nan,nan
+        "",
+        "threshold,pfa,pd,se\n",
+        "0.9,0.2,0.7,0.1\n0.5,0.5,0.8,0.1\n-inf,1,1,0\n",  # no header: the first point would be lost
+        "threshold,pfa,pd,se\ninf,0,0,0\n0.5,0.5\n",
+        "threshold,pfa,pd,se\ninf,0,0,0\n0.5,0.5,0.6,0.1,7\n",
+        "threshold,pfa,pd,se\ninf,0,0,0\n0.5,nan,0.6,0.1\n",
+    ], ids=["non-number", "empty", "header-only", "no-header", "short-row", "long-row", "nan-pfa"])
+    def test_plot_rejects_malformed_curves(self, tmp_path, capsys, text):
+        path = tmp_path / "roc_bad.csv"
+        path.write_text(text)
+        svg = tmp_path / "out.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["plot", str(path), "--out", str(svg)]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not svg.exists()
+
+    def test_plot_takes_nan_thresholds(self, tmp_path):
+        # A vertical average has no thresholds, and write_roc writes them as nan.
+        path = tmp_path / "roc_avg.csv"
+        path.write_text("threshold,pfa,pd,se\nnan,0.0,0.0,0.0\nnan,0.5,0.8,0.1\nnan,1.0,1.0,0.0\n")
+        svg = tmp_path / "out.svg"
+        assert main(["plot", str(path), "--out", str(svg)]) == 0
+        assert "nan" not in svg.read_text()
 
 
 class TestCliMemory:

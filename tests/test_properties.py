@@ -10,12 +10,13 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from threatprop._solve import _reaches_boundary
+from threatprop._solve import _reaches_boundary, scale_rows
 from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import RocCurve, roc
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.io import read_edges, write_edges, write_roc, write_scores, write_spacetime_scores
-from threatprop.spacetime import MODES, TimeGrid, assemble_spacetime, kernel_profile, solve_spacetime
+from threatprop.spacetime import (MODES, TimeGrid, assemble_spacetime, kernel_profile, solve_spacetime,
+                                  spacetime_operator)
 from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -180,6 +181,43 @@ def sparse_operators(draw):
 def test_reach_mask_matches_frontier_loop(case):
     p, boundary = case
     assert np.array_equal(_reaches_boundary(p, boundary), reference_reach(p, boundary))
+
+
+@st.composite
+def substochastic_operators(draw):
+    """A row-normalised random P damped by a prior with zeros, so some rows
+    are empty and some are zeroed by psi = 0, and a boundary that may repeat
+    a vertex."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    entries = draw(st.lists(st.tuples(vertex, vertex, st.floats(0.1, 10.0)), max_size=3 * n))
+    rows, cols, vals = np.array(entries, dtype=float).reshape(-1, 3).T
+    a = sp.csr_matrix((vals, (rows.astype(int), cols.astype(int))), shape=(n, n))
+    w = np.asarray(a.sum(axis=1)).ravel()
+    psi = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
+    p = scale_rows(a, np.divide(psi, w, out=np.zeros(n), where=w > 0))
+    return p, np.array(draw(st.lists(vertex, min_size=1, max_size=2 * n)), dtype=np.int64)
+
+
+@st.composite
+def hub_operators(draw):
+    """The hub-augmented space-time operator of a graph with at least one
+    time clique, cued at cells that may repeat."""
+    g, grid = draw(timed_graphs().filter(lambda case: not case[0].timed.all()))
+    sys_ = assemble_spacetime(g, grid, rates=draw(st.floats(0.05, 5.0)), mode_default="clique")
+    p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])), on_isolated="zero")
+    cells = st.integers(0, g.n * grid.nt - 1)
+    return p, np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.int64)
+
+
+@PROPERTY
+@given(case=st.one_of(substochastic_operators(), hub_operators()))
+def test_reach_mask_matches_dijkstra(case):
+    from scipy.sparse import csgraph
+
+    p, boundary = case
+    hops = csgraph.dijkstra(p.T, indices=boundary, min_only=True, unweighted=True)
+    assert np.array_equal(_reaches_boundary(p, boundary), np.isfinite(hops))
 
 
 @st.composite
