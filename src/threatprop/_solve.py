@@ -41,15 +41,26 @@ CLAMP_WARN = 1e-6
 SOLVE_METHODS = ("iterative", "direct")
 
 
-def scale_rows(a: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
-    """``diag(scale) @ a`` for a CSR matrix without duplicate entries, stored
-    as scipy's sparse product stores it: each row's entries in reverse order
-    and the ones that come out zero dropped.  Every propagation operator is
-    built by this one rule, so its matrix-vector products sum in one order.
+def scale_rows(a: sp.csr_matrix, scale: np.ndarray, *then: np.ndarray) -> sp.csr_matrix:
+    """``diag(then[-1]) @ ... @ diag(scale) @ a`` for a CSR matrix without
+    duplicate entries, in one pass, stored as scipy's nested sparse products
+    store it.  Each product reverses every row and drops the entries that
+    come out zero, so a row ends reversed after an odd count of factors and
+    in stored order after an even one; with finite factors one final drop
+    removes the same entries.  The factors multiply the data one after
+    another, never fused, so every value rounds as the nested products round
+    it.  Every propagation operator is built by this one rule, so its
+    matrix-vector products sum in one order.
     """
     counts = np.diff(a.indptr)
-    rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)  # each row reversed
-    out = sp.csr_matrix((a.data[rev] * np.repeat(scale, counts), a.indices[rev], a.indptr.copy()), shape=a.shape)
+    if len(then) % 2 == 0:
+        rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)  # each row reversed
+        data, indices = a.data[rev], a.indices[rev]
+    else:
+        data, indices = a.data, a.indices.copy()
+    for s in (scale, *then):
+        data = data * np.repeat(s, counts)
+    out = sp.csr_matrix((data, indices, a.indptr.copy()), shape=a.shape)
     out.eliminate_zeros()
     return out
 
@@ -133,9 +144,9 @@ def _residual(p, theta, interior) -> float:
 def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter, hubs):
     # Hub rows read only cells, so a refreshed hub sweeps to its own value
     # and adds nothing to ``diff`` or the residual.
-    hub = slice(p.shape[0] - hubs, None)
-    p_hub = p[hub]
     if hubs:
+        hub = slice(p.shape[0] - hubs, None)
+        p_hub = p[hub]
         theta[hub] = p_hub @ theta
     for _ in range(max_iter):
         nxt = p @ theta

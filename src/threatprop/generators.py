@@ -228,6 +228,13 @@ def generate_hmmb(params: HmmbParams, seed: int = 0) -> GeneratedNetwork:
     its role community's event pool; pool sizes are Poisson(``gamma``)
     per community (redrawn to be nonempty) and pool times uniform over the
     horizon.
+
+    Every pair's three uniforms (the ``i->j`` role, the ``j->i`` role, then
+    support) are drawn in that fixed order, but roles and rates are computed
+    on the supported pairs only, since an unsupported pair's rate is zero.
+    The output keeps its bits: the subset keeps pair order, the support
+    factor is exactly one on it, and a Poisson draw at rate zero returns 0
+    without consuming the stream, so skipping those draws changes no other.
     """
     struct, clock = _streams(seed)
     n, k = params.n, params.communities
@@ -240,11 +247,13 @@ def generate_hmmb(params: HmmbParams, seed: int = 0) -> GeneratedNetwork:
     home = params.home_communities[lifestyle]
 
     iu, ju = np.triu_indices(n, k=1)
+    u_ij, u_ji = struct.random(iu.size), struct.random(iu.size)
+    supported = np.flatnonzero(struct.random(iu.size) < params.block_support[home[iu], home[ju]])
+    iu, ju, u_ij, u_ji = iu[supported], ju[supported], u_ij[supported], u_ji[supported]
     cum = np.cumsum(membership, axis=1)
-    role_ij = np.minimum((cum[iu] < struct.random(iu.size)[:, None]).sum(axis=1), k - 1)
-    role_ji = np.minimum((cum[ju] < struct.random(ju.size)[:, None]).sum(axis=1), k - 1)
-    support = struct.random(iu.size) < params.block_support[home[iu], home[ju]]
-    rate = support * lam[iu] * lam[ju] / lam.sum() * params.block_strength[role_ij, role_ji]
+    role_ij = np.minimum((cum[iu] < u_ij[:, None]).sum(axis=1), k - 1)
+    role_ji = np.minimum((cum[ju] < u_ji[:, None]).sum(axis=1), k - 1)
+    rate = lam[iu] * lam[ju] / lam.sum() * params.block_strength[role_ij, role_ji]
     counts = struct.poisson(rate)
 
     keep = counts > 0

@@ -284,7 +284,7 @@ def spacetime_operator(
     if variant not in VARIANTS:
         raise GraphError(f"unknown variant {variant!r}")
     w = sys.row_sums
-    p = scale_rows(sys.adjacency, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+    scales = [np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)]
     if variant == "weighted":
         psi = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
     else:
@@ -293,7 +293,9 @@ def spacetime_operator(
             if spatial_psi is None:
                 raise GraphError("coordinated-spatial variant needs a spatial prior")
             psi = psi * np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
-    return p if psi is None else scale_rows(p, np.concatenate([psi, np.ones(sys.hubs)]))
+    if psi is not None:
+        scales.append(np.concatenate([psi, np.ones(sys.hubs)]))
+    return scale_rows(sys.adjacency, *scales)
 
 
 def solve_spacetime(

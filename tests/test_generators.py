@@ -8,6 +8,7 @@ from threatprop.errors import GraphError
 from threatprop.generators import (
     HmmbParams,
     SbmParams,
+    _streams,
     activity_density,
     default_hmmb_params,
     generate_hmmb,
@@ -136,21 +137,102 @@ class TestPareto:
         assert alpha_hat == pytest.approx(alpha, abs=0.05)
 
 
+def chung_lu_params(n=60):
+    """One community, all-ones strength and full support."""
+    return HmmbParams(
+        n=n, communities=1, lifestyles=1,
+        phi=np.array([1.0]),
+        concentration=np.array([[5.0]]),
+        block_support=np.array([[1.0]]),
+        block_strength=np.array([[1.0]]),
+        gamma=np.array([10.0]),
+        alpha=3.0,
+    )
+
+
+def reference_hmmb(params, seed):
+    """The hybrid blockmodel drawn with roles and rates on every vertex pair:
+    ``(u, v, t_u, t_v, truth, membership, expected degrees, event pools)``."""
+    struct, clock = _streams(seed)
+    n, k = params.n, params.communities
+    lifestyle = struct.choice(params.lifestyles, size=n, p=params.phi)
+    gam = struct.standard_gamma(params.concentration[lifestyle])
+    membership = gam / gam.sum(axis=1, keepdims=True)
+    lam = pareto_draw(struct, params.alpha, params.lam_min, n)
+    home = params.home_communities[lifestyle]
+
+    iu, ju = np.triu_indices(n, k=1)
+    cum = np.cumsum(membership, axis=1)
+    role_ij = np.minimum((cum[iu] < struct.random(iu.size)[:, None]).sum(axis=1), k - 1)
+    role_ji = np.minimum((cum[ju] < struct.random(ju.size)[:, None]).sum(axis=1), k - 1)
+    support = struct.random(iu.size) < params.block_support[home[iu], home[ju]]
+    rate = support * lam[iu] * lam[ju] / lam.sum() * params.block_strength[role_ij, role_ji]
+    counts = struct.poisson(rate)
+    keep = counts > 0
+    rep = counts[keep]
+
+    pools = []
+    for c in range(k):
+        m = int(clock.poisson(params.gamma[c]))
+        while m == 0:
+            m = int(clock.poisson(params.gamma[c]))
+        pools.append(clock.uniform(0.0, params.horizon, size=m))
+
+    sizes = np.array([pool.size for pool in pools])
+    flat, offsets = np.concatenate(pools), np.cumsum(sizes) - sizes
+
+    def stamp(roles):
+        return flat[offsets[roles] + np.floor(clock.random(roles.size) * sizes[roles]).astype(np.int64)]
+
+    t_u = stamp(np.repeat(role_ij[keep], rep))
+    t_v = stamp(np.repeat(role_ji[keep], rep))
+    truth = np.isin(lifestyle, params.foreground_lifestyles).astype(np.int8)
+    return (np.repeat(iu[keep], rep), np.repeat(ju[keep], rep), t_u, t_v, truth, membership, lam, *pools)
+
+
+def full_support_params():
+    """The reference configuration with every pair supported."""
+    d = default_hmmb_params()
+    return HmmbParams(n=d.n, communities=d.communities, lifestyles=d.lifestyles, phi=d.phi,
+                      concentration=d.concentration, block_support=np.ones_like(d.block_support),
+                      block_strength=d.block_strength, gamma=d.gamma, foreground_lifestyles=(9, 10))
+
+
 class TestHmmb:
+    @pytest.mark.parametrize("params", [
+        default_hmmb_params(gamma_fg=1.0), default_hmmb_params(gamma_fg=24.0), default_hmmb_params(n=64),
+        chung_lu_params(), full_support_params(),
+    ], ids=["gamma1", "gamma24", "n64", "chung-lu", "full-support"])
+    def test_matches_all_pairs_draw(self, params):
+        # Roles and rates drawn on supported pairs only give the same network,
+        # bit for bit, as the draw on every pair.
+        for seed in range(20):
+            net = generate_hmmb(params, seed=seed)
+            g, meta = net.graph, net.meta
+            got = (g.u, g.v, g.t_u, g.t_v, net.truth, meta["membership"], meta["expected_degrees"],
+                   *meta["event_pools"])
+            want = reference_hmmb(params, seed)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), seed
+
+    def test_poisson_skips_zero_rates(self):
+        # A zero rate draws 0 and consumes nothing, so dropping those rates
+        # leaves every other draw, and the stream after them, unchanged.
+        rate = np.array([0.0, 3.0, 0.0, 0.0, 12.0, 0.5, 0.0, 40.0, 0.0])
+        for seed in range(20):
+            full, part = rng_for("poisson", seed), rng_for("poisson", seed)
+            drawn = full.poisson(rate)
+            assert np.array_equal(drawn[rate > 0], part.poisson(rate[rate > 0]))
+            assert not drawn[rate == 0].any()
+            assert full.random() == part.random()
+
     def test_chung_lu_reduction(self):
         # single community, all-ones strength, full support: rates reduce to
         # deg_i * deg_j / sum(deg); check total interactions against a
         # Poisson bound on the exact total rate
         n = 60
-        params = HmmbParams(
-            n=n, communities=1, lifestyles=1,
-            phi=np.array([1.0]),
-            concentration=np.array([[5.0]]),
-            block_support=np.array([[1.0]]),
-            block_strength=np.array([[1.0]]),
-            gamma=np.array([10.0]),
-            alpha=3.0,
-        )
+        params = chung_lu_params(n)
         totals = []
         expected = []
         for seed in range(30):

@@ -15,8 +15,8 @@ from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import RocCurve, roc
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.io import read_edges, write_edges, write_roc, write_scores, write_spacetime_scores
-from threatprop.spacetime import (MODES, TimeGrid, assemble_spacetime, kernel_profile, solve_spacetime,
-                                  spacetime_operator)
+from threatprop.spacetime import (MODES, VARIANTS, TimeGrid, assemble_spacetime, coordination_prior,
+                                  kernel_profile, solve_spacetime, spacetime_operator)
 from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
@@ -132,6 +132,55 @@ def test_columnar_assembly_matches_record_loop(case, mode, rate, per_vertex, dat
             assemble_spacetime(g, grid, rates, mode_default=mode)
         return
     got = assemble_spacetime(g, grid, rates, mode_default=mode).adjacency
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def reference_operator(sys_, variant, spatial_psi):
+    """``diag(psi) @ (diag(1/w) @ A)`` by scipy's sparse products, with the
+    hub rows' prior one; ``diag(1/w) @ A`` alone for ``weighted`` without a
+    spatial prior."""
+    a = sys_.adjacency
+    w = np.asarray(a.sum(axis=1)).ravel()
+    p = sp.diags(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)) @ a
+    psi = None if spatial_psi is None else np.repeat(spatial_psi, sys_.grid.nt)
+    if variant != "weighted":
+        coord = coordination_prior(sys_, on_isolated="zero").ravel()
+        psi = coord if variant == "coordinated" else coord * psi
+    return p if psi is None else sp.diags(np.concatenate([psi, np.ones(sys_.hubs)])) @ p
+
+
+def zero_prior_graph():
+    """Vertex 0's timed record reaches only bins 0 and 1 at rate 5, and its
+    zero-weight untimed record stores entries in every row of vertex 0, so
+    bins 2 and 3 hold stored entries with row sum and prior zero; the time
+    clique adds hubs."""
+    return build_graph([(0, 1, 2.0, 0.5, 0.5), (0, 2, 0.0), (1, 2, 0.3), (2, 1, 4.0, 3.5, 1.5)], n=3), \
+        TimeGrid(0.0, 1.0, 4)
+
+
+@PROPERTY
+@given(
+    case=timed_graphs(self_loops=True),
+    mode=st.sampled_from(["clique", "instant"]),
+    variant=st.sampled_from(VARIANTS),
+    rate=st.floats(0.05, 5.0),
+    spatial=st.booleans(),
+    data=st.data(),
+)
+@example(case=zero_prior_graph(), mode="clique", variant="coordinated", rate=5.0, spatial=False, data=None)
+@example(case=zero_prior_graph(), mode="instant", variant="coordinated-spatial", rate=5.0, spatial=True, data=None)
+@example(case=long_row_graph(), mode="clique", variant="weighted", rate=0.05, spatial=True, data=None)
+def test_operator_matches_nested_products(case, mode, variant, rate, spatial, data):
+    g, grid = case
+    sys_ = assemble_spacetime(g, grid, rate, mode_default=mode)
+    spatial_psi = None
+    if spatial or variant == "coordinated-spatial":
+        spatial_psi = np.linspace(1.0, 0.05, g.n) if data is None else \
+            np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n, max_size=g.n)))
+    got = spacetime_operator(sys_, variant, spatial_psi, on_isolated="zero")
+    want = reference_operator(sys_, variant, spatial_psi)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

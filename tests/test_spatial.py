@@ -325,12 +325,14 @@ class TestPropagationOperator:
 
     def test_row_scaling_stores_what_the_sparse_product_stores(self):
         # Same values, same order within each row and the same dropped zeros
-        # (a zero weight, a zero scale), so every matvec sums as before.
+        # (a zero weight, a zero scale), so every matvec sums as before; two
+        # factors in one pass store what the two nested products store.
         rng = rng_for("scale-rows")
         a = make_er(rng, 30, 0.3).adjacency.copy()
         a.data = rng.uniform(0.0, 2.0, a.nnz) * (rng.random(a.nnz) > 0.1)
         s, t = (rng.uniform(0.1, 1.0, 30) * (rng.random(30) > 0.2) for _ in range(2))
-        for got, want in ((scale_rows(a, s), sp.diags(s) @ a),
-                          (scale_rows(scale_rows(a, s), t), sp.diags(t) @ (sp.diags(s) @ a))):
+        twice = sp.diags(t) @ (sp.diags(s) @ a)
+        for got, want in ((scale_rows(a, s), sp.diags(s) @ a), (scale_rows(scale_rows(a, s), t), twice),
+                          (scale_rows(a, s, t), twice)):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, part), getattr(want, part))
