@@ -5,18 +5,14 @@ fixed, where ``P`` is a (sub)stochastic propagation operator.  Two methods:
 
 * ``'iterative'`` (the default) sweeps ``theta <- P theta`` with the boundary
   re-imposed until the interior residual is below ``tol``; it needs only
-  matrix-vector products.
-* ``'direct'`` factorizes ``I - P_II`` with SuperLU.  It is the exact
-  reference for validation and tests; its fill grows quickly with the order
-  of space-time systems, so nothing selects it by default.
-
-The last ``hubs`` rows of ``P`` may be hub states: a row that averages other
-states and is not itself a cell of the problem (see ``spacetime``).  The
-fixed point refreshes them before every sweep (``theta_h <- P_h theta``, then
-``theta <- P theta``), so one sweep applies exactly the operator with the hubs
-eliminated and takes as many sweeps as that operator would.  A plain sweep
-over the augmented matrix would lag each hub by one step; it needs 1.2-1.6x
-the sweeps on small clique systems and, at worst, twice as many.
+  matrix-vector products, so ``P`` may be a sparse matrix or an operator
+  that is never written out (the space-time system's factors, see
+  ``spacetime``): any object with ``shape``, ``P @ x`` and ``P.pull(front)``,
+  the mask of states with a nonzero entry in a column of ``front``.
+* ``'direct'`` factorizes ``I - P_II`` with SuperLU and needs ``P`` as a
+  sparse matrix.  It is the exact reference for validation and tests; its
+  fill grows quickly with the order of space-time systems, so nothing
+  selects it by default.
 
 ``tol`` bounds the interior residual ``max_i |theta_i - (P theta)_i|``, the
 harmonic equation defect.  The error against the exact solution is bounded by
@@ -72,11 +68,8 @@ def solve_boundary_value(
     tol: float = 1e-10,
     max_iter: int | None = None,
     method: str = "iterative",
-    hubs: int = 0,
 ) -> np.ndarray:
-    """Solve the fixed-boundary harmonic system and clamp the result to [0, 1].
-
-    ``hubs`` counts the hub rows at the end of ``p`` (none by default)."""
+    """Solve the fixed-boundary harmonic system and clamp the result to [0, 1]."""
     if method not in SOLVE_METHODS:
         raise ValueError(f"unknown solve method {method!r}")
     checked_number("tol", tol, low=0, open_low=True)
@@ -85,7 +78,10 @@ def solve_boundary_value(
     theta = np.zeros(n)
     theta[boundary] = boundary_values
 
-    p = p.tocsr()
+    if sp.issparse(p):
+        p = p.tocsr()
+    elif method == "direct":
+        raise ValueError("the direct method needs P as a sparse matrix")
     # A vertex with no pull-path to the boundary has exactly zero threat;
     # solving only on the reaching set also keeps the interior system
     # nonsingular (a detached stochastic component would make I - P_ii
@@ -101,7 +97,7 @@ def solve_boundary_value(
         # tolerances on small or weakly absorbing systems.
         if max_iter is None:
             max_iter = max(10 * n, 4096)
-        theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter, hubs)
+        theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter)
     else:
         import scipy.sparse.linalg as spla
 
@@ -118,19 +114,26 @@ def solve_boundary_value(
     return np.clip(theta, 0.0, 1.0)
 
 
-def _reaches_boundary(p: sp.csr_matrix, boundary: np.ndarray) -> np.ndarray:
-    """Vertices with a pull-path (following stored entries of P row->column)
-    to the boundary set: a level-synchronous traversal of P^T from every
-    boundary vertex, one vectorised step over the stored entries per level."""
-    pt = p.tocsc()
-    counts = np.diff(pt.indptr)
+def _reaches_boundary(p, boundary: np.ndarray) -> np.ndarray:
+    """Vertices with a pull-path (following entries of P row->column) to the
+    boundary set: a level-synchronous traversal from every boundary vertex.
+    On a sparse matrix each level is one vectorised step over the stored
+    entries of P^T; an operator supplies its own step, ``p.pull``."""
+    if sp.issparse(p):
+        pt = p.tocsc()
+        counts = np.diff(pt.indptr)
+
+        def pull(front):
+            hit = np.zeros_like(front)
+            hit[pt.indices[np.repeat(front, counts)]] = True  # rows with an entry in a frontier column
+            return hit
+    else:
+        pull = p.pull
     reach = np.zeros(p.shape[0], dtype=bool)
     reach[boundary] = True
     front = reach
     while True:
-        hit = np.zeros_like(reach)
-        hit[pt.indices[np.repeat(front, counts)]] = True  # rows with an entry in a frontier column
-        front = hit & ~reach
+        front = pull(front) & ~reach
         if not front.any():
             return reach
         reach |= front
@@ -141,20 +144,12 @@ def _residual(p, theta, interior) -> float:
     return float(np.max(np.abs(r[interior]))) if interior.size else 0.0
 
 
-def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter, hubs):
-    # Hub rows read only cells, so a refreshed hub sweeps to its own value
-    # and adds nothing to ``diff`` or the residual.
-    if hubs:
-        hub = slice(p.shape[0] - hubs, None)
-        p_hub = p[hub]
-        theta[hub] = p_hub @ theta
+def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter):
     for _ in range(max_iter):
         nxt = p @ theta
         nxt[boundary] = boundary_values
         diff = float(np.max(np.abs(nxt - theta)))
         theta = nxt
-        if hubs:
-            theta[hub] = p_hub @ theta
         if diff <= 0.5 * tol and _residual(p, theta, interior) <= tol:
             return theta
     last = _residual(p, theta, interior)

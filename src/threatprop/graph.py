@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solve import scale_rows
-from .errors import GraphError, ObservationError
+from .errors import GraphError, ObservationError, checked_sums
 
 if TYPE_CHECKING:
     from .spacetime import TimeGrid
@@ -227,6 +227,7 @@ def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
     d = g.degrees
     if kind == "kirchhoff":
         return (sp.diags(d) - a).tocsr()
+    checked_sums(d, g.labels)
     if np.any(d <= 0):
         isolated = int(np.argmin(d))
         raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")

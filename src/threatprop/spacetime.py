@@ -1,23 +1,41 @@
 """Space-time threat propagation.
 
-The timestamped graph is lifted to a graph on (vertex, time-bin) pairs.  Each
+The timestamped graph is lifted to a graph on (vertex, time-bin) cells.  Each
 timestamped interaction between ``u`` and ``v`` contributes one sparse column
 per direction: threat received at ``v`` near the interaction's ``v``-side
 time couples to the threat at ``u`` in the bin of the interaction's
-``u``-side time, weighted by the exponential kernel ``exp(-lam * |dt|)``.
-Untimed edges enter either as identity blocks (instantaneous contact at
-every bin) or as a time clique, the zero-rate limit of the kernel, in which
-every bin of one endpoint couples uniformly to every bin of the other.
+``u``-side time, weighted by the exponential kernel ``exp(-lam * |dt|)``
+where the kernel reaches the truncation.  Untimed edges enter either as
+identity blocks (instantaneous contact at every bin) or as a time clique,
+the zero-rate limit of the kernel, in which every bin of one endpoint
+couples uniformly, ``w / nt``, to every bin of the other.
 
-A time clique is stored through hub states rather than as its dense
-nt x nt block of ``w / nt``.  Each vertex with an untimed record gets one
-hub state, appended after the ``n * nt`` cells in sorted vertex order:
-every bin of ``u`` points at the hub of ``v`` with the record's weight, and
-the hub's row averages the bins of ``v``.  Eliminating the hubs (Meyer's
-stochastic complement) gives back the dense block exactly, so a clique
-costs ``2 * nt`` entries per record plus ``nt`` per hub instead of
-``2 * nt**2``.  The hubs carry no prior, and the solve drops them from its
-output.
+Every timed entry is a record's weight times one table ``K`` of the
+truncated kernel between bin centres, so the lifted adjacency factors as
+``A = (I_n kron K) B + U``.  ``B`` holds one entry per record end: the weight,
+from the sender's cell at its bin to the receiver's cell at its bin.  ``U``
+is the untimed part: ``C kron I`` for instant contact and
+``C kron (1/nt) 11^T`` for time cliques, with ``C`` the n x n matrix of
+untimed weights.  A product ``A @ x`` is therefore ``vec(mat(B x) K)`` plus
+``C @ X``, or ``C`` times the bin mean of ``X`` broadcast over the bins.
+``assemble_spacetime`` builds only these factors.  The propagation operator
+``P = diag(s) A`` scales that product by its row factors ``s`` (one over the
+row sum, then the prior, both read off the product on ones), so the
+iterative solve never writes ``A`` out, and its reachability traversal and
+inert-cue check run on the factors' pattern.  Where the dense ``nt x nt``
+product would cost more than the kernel entries themselves (a fine grid, or
+a kernel that keeps only a few bins around each record), the timed part is
+written out instead, as a CSR over the cells with one window of kernel
+entries per record end; the untimed part stays factored in both forms.
+
+``SpaceTimeSystem.adjacency`` writes the system out on demand, for the
+direct method, the absorbing chain and the tests.  There a time clique is
+stored through hub states rather than as its dense nt x nt block: each
+vertex with an untimed record gets one hub state, appended after the
+``n * nt`` cells in sorted vertex order; every bin of ``u`` points at the
+hub of ``v`` with the record's weight, and the hub's row averages the bins
+of ``v``.  Eliminating the hubs (Meyer's stochastic complement) gives back
+the dense block, which is ``U``; the hubs carry no prior.
 
 The coordination prior measures how temporally aligned a vertex's
 interactions are: it is the kernel mass arriving at a (vertex, bin) divided
@@ -35,7 +53,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solve import scale_rows, solve_boundary_value
-from .errors import GraphError, checked_prior
+from .errors import GraphError, checked_prior, checked_sums
 from .graph import Graph, ObservationSet
 
 logger = logging.getLogger(__name__)
@@ -53,10 +71,23 @@ DT_ACCURACY = 0.02
 # Lifted systems beyond this order are almost certainly a misconfigured grid.
 MAX_ORDER = 20_000_000
 
-# A propagate run peaks at about 60 bytes of RSS per matrix entry (594 MiB
-# for 10.4M entries: a 1.5k-record blockmodel draw with 231 hubs at 3,840
-# bins; 71 bytes at 1,920 bins, where the interpreter's own share weighs
-# more), so this caps it near 1 GB.
+# One multiply-add of the dense kernel product (through BLAS) costs about
+# this fraction of one entry of the written-out kernel CSR, its build
+# included (see _dense_kernel_pays).  Assembly plus solve on blockmodel
+# draws (256 vertices, a quarter of background records untimed, 2 cores, one
+# BLAS thread), over grids of 24 to 480 bins with kernels keeping +-1 bin to
+# every bin, tie where the rule's break-even is 1/51 to 1/55; the dense form
+# takes 9-55% less time at 1/38 and below, the written-out one 20-63% less
+# at 1/69 and above.
+DENSE_KERNEL_COST = 1 / 50
+
+# A grid is refused when the explicit adjacency could exceed this many
+# entries (2 per record and bin, 1 per hub and bin), since the direct method
+# and the absorbing chain build a CSR of that size, and the written-out
+# kernel builds at most its timed part.  Building the explicit operator
+# peaks at about 60 bytes of RSS per entry (619 MiB for 10.4M entries: a
+# 1.5k-record blockmodel draw with 231 hubs at 3,840 bins), so this caps it
+# near 1 GB; the iterative CLI run on that grid peaks at 444 MiB.
 MAX_ENTRIES = 16_000_000
 
 
@@ -152,12 +183,23 @@ def kernel_profile(lam: float, lags: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpaceTimeSystem:
-    """Assembled space-time operator on ``order = n * nt`` (vertex, bin)
-    cells, followed by one hub state per vertex with a time clique."""
+    """The space-time system on ``order = n * nt`` (vertex, bin) cells, held
+    as the factors of its adjacency (see the module docstring): ``ends`` is
+    ``B``, ``kernel`` the table ``K`` and ``spatial`` the matrix ``C``,
+    applied as instant contact or as time cliques by ``mode``.  Where the
+    dense table does not pay (:func:`_dense_kernel_pays`) ``kernel`` is
+    None, and products use ``(I_n kron K) B`` written out over the cells,
+    built on first use.  ``rate`` and ``truncation`` define ``K`` there and
+    in the explicit adjacency."""
 
     graph: Graph
     grid: TimeGrid
-    adjacency: sp.csr_matrix
+    rate: float
+    mode: str
+    truncation: float
+    ends: sp.csr_matrix
+    kernel: np.ndarray | None
+    spatial: sp.csr_matrix
 
     @property
     def order(self) -> int:
@@ -165,72 +207,173 @@ class SpaceTimeSystem:
 
     @property
     def hubs(self) -> int:
-        return self.adjacency.shape[0] - self.order
+        """Hub states of the explicit adjacency, one per vertex with a time clique."""
+        return int(np.count_nonzero(_clique_vertices(self.spatial, self.mode)))
+
+    @cached_property
+    def factors(self) -> tuple:
+        """``(B, K, C)``, or ``((I_n kron K) B, None, C)`` where the dense table does not pay."""
+        if self.kernel is not None:
+            return self.ends, self.kernel, self.spatial
+        # Every record end (receiver cell at bin b, sender cell s, weight w)
+        # spreads to w * K[b, t] at each bin t of its receiver, in column s.
+        # Only a window of bins around b can keep its entry: one lag beyond
+        # the last kept one, for roundoff in the bin centres, and no wider
+        # than the grid, shifted to lie inside it.
+        nt, centers, ends = self.grid.nt, self.grid.centers, self.ends.tocoo()
+        half = int(_kernel_lags(self.grid, self.rate, self.truncation).max(initial=-1)) + 1
+        width = min(nt, 2 * half + 1)
+        recv, b = np.divmod(ends.row, nt)
+        t = np.clip(b - width // 2, 0, nt - width)[:, None] + np.arange(width)
+        vals = kernel_profile(self.rate, centers[t] - centers[b][:, None])
+        keep = vals >= self.truncation
+        rows = (recv[:, None] * nt + t)[keep]
+        cols = np.broadcast_to(ends.col[:, None], keep.shape)[keep]
+        written = sp.csr_matrix(((ends.data[:, None] * vals)[keep], (rows, cols)), shape=ends.shape)
+        return written, None, self.spatial
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """The factors with every positive entry one and every other zero, so
+        the product of a 0/1 vector through them is positive exactly where
+        ``A`` has a positive entry into the ones."""
+        def ones(m):
+            return sp.csr_matrix(((m.data > 0).astype(float), m.indices, m.indptr), shape=m.shape)
+
+        timed, kernel, spatial = self.factors
+        return ones(timed), None if kernel is None else (kernel > 0).astype(float), ones(spatial)
+
+    def product(self, x: np.ndarray, transpose: bool = False, pattern: bool = False) -> np.ndarray:
+        """``A @ x``, or ``A.T @ x``, over the cells, with every time clique's
+        hub eliminated; through :attr:`pattern` with ``pattern``.  ``K`` and
+        ``C`` are symmetric, and so is the untimed part."""
+        n, nt = self.graph.n, self.grid.nt
+        timed, kernel, spatial = self.pattern if pattern else self.factors
+        if kernel is None:
+            y = (timed.T if transpose else timed) @ x
+        elif transpose:
+            y = timed.T @ (x.reshape(n, nt) @ kernel).ravel()
+        else:
+            y = ((timed @ x).reshape(n, nt) @ kernel).ravel()
+        if spatial.nnz:
+            x, cells = x.reshape(n, nt), y.reshape(n, nt)
+            cells += spatial @ (x if self.mode == "instant" else x.mean(axis=1, keepdims=True))
+        return y
 
     @cached_property
     def row_sums(self) -> np.ndarray:
-        """Total weight of every row of the adjacency, the hubs' included."""
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        """Total weight of every cell's row, ``A @ 1``, held to the weight-range
+        rule of :func:`checked_sums`."""
+        return checked_sums(self.product(np.ones(self.order)), self.graph.labels, self.grid.nt)
+
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """The explicit adjacency, built on demand: the cells, then one hub
+        state per vertex with a time clique."""
+        return _explicit_adjacency(self.graph, self.grid, self.rate, self.mode, self.truncation)
 
 
 def assemble_spacetime(
     g: Graph,
     grid: TimeGrid,
-    rates: float | np.ndarray = 1.0,
+    rates: float = 1.0,
     mode_default: str = "clique",
     truncation: float = KERNEL_TRUNCATION,
 ) -> SpaceTimeSystem:
-    """Build the weighted space-time adjacency from the graph's edge columns.
+    """Build the factors of the space-time adjacency from the graph's edge columns.
 
     Timestamped records use the kernel mode; untimed ones fall back to
-    ``mode_default``.  Kernel rates may be global or per-vertex and must be
-    positive.
+    ``mode_default``.  The kernel rate is one positive number for every
+    vertex.
     """
     if mode_default not in MODES:
         raise GraphError(f"unknown mode {mode_default!r}")
-    lam = np.asarray(rates, dtype=float)
-    if lam.ndim == 0:
-        lam = np.full(g.n, float(lam))
-    if lam.shape != (g.n,) or not np.all(np.isfinite(lam) & (lam > 0)):
-        raise GraphError("kernel rates must be positive and finite, one global or one per vertex")
+    if np.ndim(rates) != 0 or not (np.isfinite(rates) and rates > 0):
+        raise GraphError(f"the kernel rate must be one positive and finite number, got {rates!r}")
+    lam = float(rates)
     if g.n * grid.nt > MAX_ORDER:
         raise GraphError(
             f"space-time order {g.n * grid.nt} exceeds {MAX_ORDER}; coarsen the grid (dt/bins)"
         )
-    nt = grid.nt
-    untimed = np.flatnonzero(~g.timed)
-    if untimed.size and mode_default == "kernel":
-        i = untimed[0]
+    nt, cells, timed = grid.nt, g.n * grid.nt, g.timed
+    untimed = ~timed
+    if untimed.any() and mode_default == "kernel":
+        i = int(np.argmax(untimed))
         raise GraphError(f"interaction {i} ({g.u[i]},{g.v[i]}) has no timestamps for kernel mode")
-    # The vertices with a time clique, in hub order.  Before truncation every
-    # record spans nt entries per direction, and each hub row nt more.
-    hubbed = np.unique(np.stack([g.u[untimed], g.v[untimed]])) if mode_default == "clique" else untimed[:0]
-    entries = nt * (2 * g.size + hubbed.size)
+    # The untimed weights in both directions, twice on a self-loop.
+    su, sv, sw = g.u[untimed], g.v[untimed], g.w[untimed]
+    spatial = sp.csr_matrix((np.concatenate([sw, sw]), (np.concatenate([su, sv]), np.concatenate([sv, su]))),
+                            shape=(g.n, g.n)) if sw.size else sp.csr_matrix((g.n, g.n))
+    entries = nt * (2 * g.size + np.count_nonzero(_clique_vertices(spatial, mode_default)))
     if entries > MAX_ENTRIES:
         raise GraphError(f"space-time grid of {nt} bins needs about {entries:,} matrix entries, over "
                          f"the {MAX_ENTRIES:,} limit; coarsen it (--bins/--dt)")
+    # One entry per record end: v's cell at v's bin takes the weight from
+    # u's cell at u's bin, then u's from v's.
+    w = g.w[timed]
+    cell = np.concatenate([g.u[timed], g.v[timed]]) * nt + grid.bin_of(np.concatenate([g.t_u[timed], g.t_v[timed]]))
+    ends = sp.csr_matrix((np.concatenate([w, w]), (np.roll(cell, w.size), cell)), shape=(cells, cells))
+    kernel = None
+    if _dense_kernel_pays(g.n, ends.nnz, grid, lam, truncation):
+        centers = grid.centers
+        kernel = kernel_profile(lam, centers - centers[:, None])
+        kernel[kernel < truncation] = 0.0
+    return SpaceTimeSystem(g, grid, lam, mode_default, truncation, ends, kernel, spatial)
 
+
+def _clique_vertices(spatial: sp.csr_matrix, mode: str) -> np.ndarray:
+    """Mask of the vertices with a time clique, each of which has one hub
+    state in the explicit adjacency: those with an untimed record in clique
+    mode."""
+    return np.diff(spatial.indptr) > 0 if mode == "clique" else np.zeros(spatial.shape[0], dtype=bool)
+
+
+def _kernel_lags(grid: TimeGrid, lam: float, truncation: float) -> np.ndarray:
+    """The bin lags at which the truncated kernel keeps its entry."""
+    return np.flatnonzero(kernel_profile(lam, np.arange(grid.nt) * grid.dt) >= truncation)
+
+
+def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float, truncation: float) -> bool:
+    """Whether a product applies the kernel as the dense ``nt x nt`` table.
+
+    One dense product is ``n * nt**2`` multiply-adds, each costing
+    ``DENSE_KERNEL_COST`` of an entry of the written-out kernel, which has
+    about ``ends * kept / nt`` entries for the table's ``kept`` nonzeros.
+    The table is used where it costs less per product and holds no more
+    entries than the written-out form, so it is never the larger of the two.
+    """
+    nt = grid.nt
+    lags = _kernel_lags(grid, lam, truncation)
+    written = ends * float(((nt - lags) * np.where(lags > 0, 2, 1)).sum()) / nt
+    return nt * nt * max(1.0, n * DENSE_KERNEL_COST) <= written
+
+
+def _explicit_adjacency(g: Graph, grid: TimeGrid, lam: float, mode: str, truncation: float) -> sp.csr_matrix:
+    """The space-time adjacency written out, with hub states for time cliques."""
     # One entry rule over (records, 2 directions, nt bins): every record
     # couples receiver v from sender u, then u from v, at each bin of the
-    # receiver.  The entry is the record's weight times the receiver's kernel
-    # centred on its own bin, kept above the truncation, in the column of the
-    # sender's bin.  An untimed record takes the kernel's zero-rate limit,
-    # exactly its weight at every bin and always kept, in the column of the
-    # sender's hub for a time clique or of the sender's same bin for instant
-    # contact.
+    # receiver.  The entry is the record's weight times the kernel centred on
+    # the receiver's own bin, kept where the kernel reaches the truncation,
+    # in the column of the sender's bin.  An untimed record takes the
+    # kernel's zero-rate limit, exactly its weight at every bin and always
+    # kept, in the column of the sender's hub for a time clique or of the
+    # sender's same bin for instant contact.
+    nt = grid.nt
+    untimed = np.flatnonzero(~g.timed)
+    hubbed = np.unique(np.stack([g.u[untimed], g.v[untimed]])) if mode == "clique" else untimed[:0]
     cells, bins, timed = g.n * nt, np.arange(nt), g.timed[:, None]
     recv = np.stack([g.v, g.u], axis=1)
     send = recv[:, ::-1]
     t_recv = grid.bin_of(np.where(timed, np.stack([g.t_v, g.t_u], axis=1), grid.t0))
     centers = grid.centers
-    vals = g.w[:, None, None] * kernel_profile(np.where(timed, lam[recv], 0.0)[..., None],
-                                               centers - centers[t_recv][..., None])
+    vals = kernel_profile(np.where(timed, lam, 0.0)[..., None], centers - centers[t_recv][..., None])
     keep = (vals >= truncation) | ~timed[..., None]
+    vals *= g.w[:, None, None]
     col = send * nt + t_recv[:, ::-1]
-    if mode_default == "clique":
+    if mode == "clique":
         col = np.where(timed, col, cells + np.searchsorted(hubbed, send))
     cols = np.broadcast_to(col[..., None], keep.shape)
-    if mode_default == "instant":
+    if mode == "instant":
         cols = cols + ~timed[..., None] * bins
     # Reading the kept entries in C order emits them record by record, as a
     # per-record loop would, and the hub rows come last: the CSR conversion
@@ -241,8 +384,7 @@ def assemble_spacetime(
     cols = np.concatenate([cols[keep], (hubbed[:, None] * nt + bins).ravel()])
     vals = np.concatenate([vals[keep], np.ones(hubbed.size * nt)])
     size = cells + hubbed.size
-    a = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    return SpaceTimeSystem(graph=g, grid=grid, adjacency=a)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
 def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.ndarray:
@@ -253,19 +395,35 @@ def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.n
     clamped and reported.  An isolated spatial vertex is an error by
     default; ``on_isolated='zero'`` assigns it the absorbing prior instead.
     """
-    d = sys.graph.interaction_weight.copy()
+    d = checked_sums(sys.graph.interaction_weight, sys.graph.labels).copy()
     if np.any(d <= 0):
         if on_isolated == "error":
             raise GraphError(f"isolated spatial vertex {int(np.argmin(d))} has no interactions")
         if on_isolated != "zero":
             raise ValueError(f"unknown on_isolated policy {on_isolated!r}")
         d[d <= 0] = 1.0  # their kernel mass is zero, so the ratio is zero
-    mass = sys.row_sums[:sys.order].reshape(sys.graph.n, sys.grid.nt)
+    mass = sys.row_sums.reshape(sys.graph.n, sys.grid.nt)
     psi = mass / d[:, None]
     over = int(np.count_nonzero(psi > 1.0 + 1e-12))
     if over:
         logger.info("coordination prior clamped at %d space-time vertices (stacked interactions)", over)
     return np.clip(psi, 0.0, 1.0)
+
+
+def _cell_prior(sys, variant, spatial_psi, on_isolated) -> np.ndarray | None:
+    """The prior that scales each cell's row after ``1/w``; None for
+    ``weighted`` without a spatial prior."""
+    if variant not in VARIANTS:
+        raise GraphError(f"unknown variant {variant!r}")
+    spatial = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
+    if variant == "weighted":
+        return spatial
+    psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
+    if variant == "coordinated-spatial":
+        if spatial is None:
+            raise GraphError("coordinated-spatial variant needs a spatial prior")
+        psi = psi * spatial
+    return psi
 
 
 def spacetime_operator(
@@ -274,28 +432,64 @@ def spacetime_operator(
     spatial_psi: np.ndarray | None = None,
     on_isolated: str = "error",
 ) -> sp.csr_matrix:
-    """Row-substochastic propagation operator over the states of ``sys``.
+    """Row-substochastic propagation operator over the states of the explicit
+    adjacency, hubs included, for the direct method and the absorbing chain.
 
     ``weighted`` normalizes each row by its kernel mass, damped by an optional
     spatial prior; ``coordinated`` normalizes by spatial interaction weight,
     which folds in the coordination prior; ``coordinated-spatial`` also damps
     each vertex by a spatial prior.  Hub rows are averages and carry no prior.
     """
-    if variant not in VARIANTS:
-        raise GraphError(f"unknown variant {variant!r}")
-    w = sys.row_sums
+    psi = _cell_prior(sys, variant, spatial_psi, on_isolated)
+    a = sys.adjacency
+    w = checked_sums(np.asarray(a.sum(axis=1)).ravel(), sys.graph.labels, sys.grid.nt)
     scales = [np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)]
-    if variant == "weighted":
-        psi = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
-    else:
-        psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
-        if variant == "coordinated-spatial":
-            if spatial_psi is None:
-                raise GraphError("coordinated-spatial variant needs a spatial prior")
-            psi = psi * np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
     if psi is not None:
         scales.append(np.concatenate([psi, np.ones(sys.hubs)]))
-    return scale_rows(sys.adjacency, *scales)
+    return scale_rows(a, *scales)
+
+
+@dataclass(frozen=True)
+class FactoredOperator:
+    """``P = diag(scale) A`` over the cells of ``system``, applied through its
+    factors and never written out: the operator form that ``_solve`` takes."""
+
+    system: SpaceTimeSystem
+    scale: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.system.order, self.system.order
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.scale * self.system.product(x)
+
+    def pull(self, front: np.ndarray) -> np.ndarray:
+        """Cells with a nonzero entry of ``P`` in a column of ``front``."""
+        return (self.system.product(front.astype(float), pattern=True) > 0) & (self.scale != 0)
+
+    def inbound(self) -> np.ndarray:
+        """Cells with a nonzero entry of ``P`` in their column, and every bin
+        of a vertex with a time clique, which its hub's row reaches in the
+        explicit adjacency."""
+        sys = self.system
+        hit = sys.product((self.scale != 0).astype(float), transpose=True, pattern=True) > 0
+        return hit | np.repeat(_clique_vertices(sys.spatial, sys.mode), sys.grid.nt)
+
+
+def factored_operator(
+    sys: SpaceTimeSystem,
+    variant: str = "coordinated",
+    spatial_psi: np.ndarray | None = None,
+    on_isolated: str = "error",
+) -> FactoredOperator:
+    """:func:`spacetime_operator` over the cells, with the hubs eliminated,
+    applied through the factors of ``sys``; its row factor is ``1/w`` times
+    the prior, with ``w`` the factored :attr:`SpaceTimeSystem.row_sums`."""
+    psi = _cell_prior(sys, variant, spatial_psi, on_isolated)
+    w = sys.row_sums
+    scale = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
+    return FactoredOperator(sys, scale if psi is None else scale * psi)
 
 
 def solve_spacetime(
@@ -308,21 +502,23 @@ def solve_spacetime(
     on_isolated: str = "error",
 ) -> np.ndarray:
     """Threat probability over every (vertex, bin), shape ``(n, nt)``, under
-    :func:`spacetime_operator`.  Space-time vertices with no kernel mass (or
-    cut off from every cue) take the absorbing value zero."""
-    p = spacetime_operator(sys, variant, spatial_psi, on_isolated)
+    :func:`spacetime_operator`: the iterative method applies it through the
+    factors (:func:`factored_operator`), and ``direct`` writes it out.
+    Space-time vertices with no kernel mass (or cut off from every cue) take
+    the absorbing value zero."""
+    op = factored_operator(sys, variant, spatial_psi, on_isolated)
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
-    inbound = np.bincount(p.indices, minlength=p.shape[1])
-    inert = boundary[inbound[boundary] == 0]
+    nt = sys.grid.nt
+    inert = boundary[~op.inbound()[boundary]]
     if inert.size:
-        nt = sys.grid.nt
         cells = [(int(i) // nt, int(i) % nt) for i in inert[:5]]
         logger.warning(
             "%d cue cells have no inbound coupling (vertex inactive at that bin): %s",
             inert.size, cells,
         )
-    theta = solve_boundary_value(p, boundary, values, tol=tol, method=method, hubs=sys.hubs)
-    return theta[:sys.order].reshape(sys.graph.n, sys.grid.nt)
+    p = spacetime_operator(sys, variant, spatial_psi, on_isolated) if method == "direct" else op
+    theta = solve_boundary_value(p, boundary, values, tol=tol, method=method)
+    return theta[:sys.order].reshape(sys.graph.n, nt)
 
 
 def reduce_to_vertex_scores(theta_st: np.ndarray, reducer: str = "max") -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._solve import scale_rows, solve_boundary_value
-from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior
+from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior, checked_sums
 from .graph import Graph, ObservationSet
 
 logger = logging.getLogger(__name__)
@@ -40,7 +40,7 @@ def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False
     are zero (a walk there is absorbed to non-threat immediately).
     """
     psi = checked_prior(psi, g.n)
-    d = g.degrees.copy()
+    d = checked_sums(g.degrees, g.labels).copy()
     if np.any(d <= 0):
         if not allow_isolated:
             raise GraphError("propagation undefined at an isolated vertex")

@@ -223,6 +223,29 @@ class TestCli:
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("command, rows, obs_text", [
+        # 1/w of a subnormal total weight overflows to inf
+        pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\nd,c,1e-310,,", "vertex,p,t\na,1.0,1.0",
+                     id="spacetime-subnormal-untimed"),
+        pytest.param("spatial", "a,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\nd,c,1e-310,,", "vertex,p\na,1.0",
+                     id="spatial-subnormal-untimed"),
+        # b's total weight overflows to inf, so 1/w = 0 would empty its rows
+        pytest.param("spacetime", "a,b,1e308,1.0,1.0\nb,c,1e308,1.0,1.0", "vertex,p,t\na,1.0,1.0",
+                     id="spacetime-overflowing-timed"),
+    ])
+    def test_weight_sums_out_of_range_exit_1(self, tmp_path, capsys, command, rows, obs_text):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"src,dst,weight,t_src,t_dst\n{rows}\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(obs_text + "\n")
+        variant = ["--variant", "weighted"] if command == "spacetime" else []
+        rc = main(["propagate", command, "--graph", str(edges), "--obs", str(obs), *variant,
+                   "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: weights at vertex " in err and "finite reciprocal" in err
+        assert list(tmp_path.glob("x.*")) == []
+
     @pytest.mark.parametrize("command, flags, obs_text, config", [
         pytest.param("spacetime", ["--dt", "0"], "a,1.0,1.0", None, id="dt-zero"),
         pytest.param("spacetime", ["--lambda", "0"], "a,1.0,1.0", None, id="lambda-zero"),

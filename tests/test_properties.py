@@ -3,30 +3,31 @@ random cue sets, random sparse propagation operators and random detector
 scores."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
+from threatprop import spacetime
 from threatprop._solve import _reaches_boundary, scale_rows
 from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import RocCurve, roc
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.io import read_edges, write_edges, write_roc, write_scores, write_spacetime_scores
 from threatprop.spacetime import (MODES, VARIANTS, TimeGrid, assemble_spacetime, coordination_prior,
-                                  kernel_profile, solve_spacetime, spacetime_operator)
-from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
+                                  factored_operator, kernel_profile, solve_spacetime, spacetime_operator)
+from threatprop.spatial import build_absorbing_chain, hitting_threat, propagation_operator, solve_harmonic
 
 PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
 
-def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
-    """Space-time adjacency built one interaction record at a time."""
-    lam = np.asarray(rates, dtype=float)
-    if lam.ndim == 0:
-        lam = np.full(g.n, float(lam))
+def reference_assembly(g, grid, rate, mode_default, truncation=1e-4):
+    """Space-time adjacency built one interaction record at a time, keeping a
+    timed entry where the kernel reaches the truncation."""
     nt = grid.nt
     centers = grid.centers
     rows, cols, vals = [], [], []
@@ -36,13 +37,13 @@ def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
     hub_of = {x: g.n * nt + k for k, x in enumerate(hubs)} if mode_default == "clique" else {}
 
     def add_column(recv, send, t_recv, t_send, w):
-        profile = w * kernel_profile(lam[recv], centers - centers[grid.bin_of(t_recv)])
-        keep = np.flatnonzero(profile >= truncation)
+        kernel = kernel_profile(rate, centers - centers[grid.bin_of(t_recv)])
+        keep = np.flatnonzero(kernel >= truncation)
         if keep.size == 0:
             return
         rows.append(recv * nt + keep)
         cols.append(np.full(keep.size, send * nt + grid.bin_of(t_send)))
-        vals.append(profile[keep])
+        vals.append(w * kernel[keep])
 
     for i, e in enumerate(g.interactions):
         mode = "kernel" if e.timestamped else mode_default
@@ -75,7 +76,7 @@ def reference_assembly(g, grid, rates, mode_default, truncation=1e-4):
 
 
 @st.composite
-def timed_graphs(draw, labelled=False, self_loops=False):
+def timed_graphs(draw, labelled=False, self_loops=False, weight=st.floats(0.0, 1e6, allow_nan=False)):
     """Edge rows on a few vertices: some timed, some untimed, some repeated,
     and with ``self_loops`` some from a vertex to itself."""
     n = draw(st.integers(2, 6))
@@ -83,7 +84,6 @@ def timed_graphs(draw, labelled=False, self_loops=False):
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     if not self_loops:
         pair = pair.filter(lambda p: p[0] != p[1])
-    weight = st.floats(0.0, 1e6, allow_nan=False)
     time = st.floats(0.0, float(nt), allow_nan=False)
     static = st.tuples(pair, weight).map(lambda r: (*r[0], r[1]))
     timed = st.tuples(pair, weight, time, time).map(lambda r: (*r[0], *r[1:]))
@@ -115,23 +115,18 @@ def long_row_graph():
     case=timed_graphs(self_loops=True),
     mode=st.sampled_from(MODES),
     rate=st.floats(0.05, 5.0),
-    per_vertex=st.booleans(),
-    data=st.data(),
 )
-@example(case=long_row_graph(), mode="clique", rate=0.05, per_vertex=False, data=None)
-@example(case=long_row_graph(), mode="instant", rate=0.05, per_vertex=False, data=None)
-def test_columnar_assembly_matches_record_loop(case, mode, rate, per_vertex, data):
+@example(case=long_row_graph(), mode="clique", rate=0.05)
+@example(case=long_row_graph(), mode="instant", rate=0.05)
+def test_columnar_assembly_matches_record_loop(case, mode, rate):
     g, grid = case
-    rates = rate
-    if per_vertex:
-        rates = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=g.n, max_size=g.n)))
     try:
-        want = reference_assembly(g, grid, rates, mode)
+        want = reference_assembly(g, grid, rate, mode)
     except GraphError:
         with pytest.raises(GraphError, match="no timestamps"):
-            assemble_spacetime(g, grid, rates, mode_default=mode)
+            assemble_spacetime(g, grid, rate, mode_default=mode)
         return
-    got = assemble_spacetime(g, grid, rates, mode_default=mode).adjacency
+    got = assemble_spacetime(g, grid, rate, mode_default=mode).adjacency
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -179,11 +174,131 @@ def test_operator_matches_nested_products(case, mode, variant, rate, spatial, da
     if spatial or variant == "coordinated-spatial":
         spatial_psi = np.linspace(1.0, 0.05, g.n) if data is None else \
             np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n, max_size=g.n)))
-    got = spacetime_operator(sys_, variant, spatial_psi, on_isolated="zero")
+    try:
+        got = spacetime_operator(sys_, variant, spatial_psi, on_isolated="zero")
+    except GraphError as exc:
+        # The weight-range rule refuses a row sum whose reciprocal overflows,
+        # which takes a positive weight far below any kernel entry's reach.
+        assert "finite reciprocal" in str(exc)
+        assert np.any((g.w > 0) & (g.w < 1e-290))
+        return
     want = reference_operator(sys_, variant, spatial_psi)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def eliminated_hubs(p, order):
+    """The cells' block of a hub-augmented operator with its hubs eliminated
+    (Meyer's stochastic complement): a hub row averages cells only, so
+    ``P_cc + P_ch P_hc``."""
+    p = p.toarray()
+    return p[:order, :order] + p[:order, order:] @ p[order:, :order]
+
+
+def written_out(op):
+    """A factored operator's matrix, one product per column."""
+    return np.column_stack([op @ e for e in np.eye(op.shape[0])])
+
+
+# Far below any entry of an accepted operator whose weights lie in [0, 1e6],
+# except where a subnormal weight's entry has lost its relative precision.
+SUBNORMAL_FLOOR = 1e-300
+
+
+@PROPERTY
+@given(
+    case=timed_graphs(self_loops=True),
+    mode=st.sampled_from(MODES),
+    variant=st.sampled_from(VARIANTS),
+    rate=st.floats(0.05, 5.0),
+    dense=st.booleans(),
+    data=st.data(),
+)
+@example(case=zero_prior_graph(), mode="clique", variant="coordinated", rate=5.0, dense=True, data=None)
+@example(case=zero_prior_graph(), mode="instant", variant="weighted", rate=5.0, dense=False, data=None)
+@example(case=(zero_prior_graph()[0], TimeGrid(0.0, 4.0, 1)), mode="clique", variant="coordinated-spatial",
+         rate=1.0, dense=True, data=None)
+@example(case=long_row_graph(), mode="instant", variant="coordinated", rate=0.05, dense=True, data=None)
+# Vertex 1's bins 3 and 4 carry mass, but the kernel from its record with the
+# cued vertex 0 is truncated there, so they do not reach the cue at bin 0.
+@example(case=(build_graph([(1, 0, 1.0, 0.5, 0.5), (1, 2, 1.0, 4.5, 4.5)]), TimeGrid(0.0, 1.0, 5)),
+         mode="kernel", variant="weighted", rate=5.0, dense=True, data=None)
+# Vertex 1's bin 0 has mass 1e-300 of a total weight 1e300, so its prior
+# underflows to zero: its row is empty in P though its adjacency row is not.
+@example(case=(build_graph([(1, 0, 1e-300, 0.5, 0.5), (1, 2, 1e300, 4.5, 4.5)]), TimeGrid(0.0, 1.0, 5)),
+         mode="kernel", variant="coordinated", rate=5.0, dense=False, data=None)
+def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, dense, data):
+    """Both product forms against the explicit CSR with its hubs eliminated:
+    the operator to rtol 1e-14, the reach set and the inert cue cells
+    exactly, and the iterative solve to within its tolerance of ``direct``."""
+    g, grid = case
+    psi = np.linspace(0.95, 0.05, g.n) if data is None else \
+        np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
+    with mock.patch.object(spacetime, "_dense_kernel_pays", lambda *args: dense):
+        try:
+            sys_ = assemble_spacetime(g, grid, rate, mode_default=mode)
+        except GraphError as exc:
+            assert mode == "kernel" and "no timestamps" in str(exc)
+            return
+        assert (sys_.kernel is None) != dense
+        try:
+            op = factored_operator(sys_, variant, psi, on_isolated="zero")
+            hub = spacetime_operator(sys_, variant, psi, on_isolated="zero")
+        except GraphError as exc:
+            assert "finite reciprocal" in str(exc) and np.any((g.w > 0) & (g.w < 1e-290))
+            return
+        order = sys_.order
+        np.testing.assert_allclose(written_out(op), eliminated_hubs(hub, order), rtol=1e-14, atol=SUBNORMAL_FLOOR)
+
+        cells = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4)) if data else [0]
+        cells = np.unique(cells)
+        reach = csgraph.dijkstra(hub.T, indices=cells, min_only=True, unweighted=True)[:order]
+        assert np.array_equal(_reaches_boundary(op, cells), np.isfinite(reach))
+        assert np.array_equal(op.inbound(), np.bincount(hub.indices, minlength=hub.shape[1])[:order] > 0)
+
+        # The spatial prior keeps every row sum of P at most 0.95, so a
+        # residual of 0.05 tol bounds the iterative error by tol.
+        tol = 1e-10
+        nt = grid.nt
+        obs = ObservationSet.of(*((int(c) // nt, 1.0, float(grid.centers[c % nt])) for c in cells))
+        solve = {m: solve_spacetime(sys_, obs, "coordinated-spatial", psi, tol=0.05 * tol, method=m,
+                                    on_isolated="zero") for m in ("iterative", "direct")}
+        assert np.abs(solve["iterative"] - solve["direct"]).max() <= tol
+
+
+# Every magnitude a float weight can take, the subnormal and overflowing sums
+# that the weight-range rule refuses included.
+WIDE_WEIGHTS = st.one_of(st.floats(0.0, np.finfo(float).max), st.sampled_from([5e-324, 1e-310, 1e-306, 1e308]))
+
+
+# Sums of such weights overflow on their way to the refusal.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@PROPERTY
+@given(case=timed_graphs(self_loops=True, weight=WIDE_WEIGHTS), mode=st.sampled_from(["clique", "instant"]),
+       variant=st.sampled_from(VARIANTS))
+@example(case=(build_graph([(0, 1, 1.0, 1.0, 1.0), (1, 2, 1.0, 2.0, 2.0), (3, 2, 1e-310)]), TimeGrid(0.0, 1.0, 3)),
+         mode="clique", variant="weighted")
+@example(case=(build_graph([(0, 1, 1e308, 1.0, 1.0), (1, 2, 1e308, 1.0, 1.0)]), TimeGrid(0.0, 1.0, 3)),
+         mode="clique", variant="weighted")
+@example(case=(build_graph([(0, 1, 1e-306, 0.5, 0.5)]), TimeGrid(0.0, 20.0, 5)), mode="clique", variant="weighted")
+def test_accepted_graphs_give_finite_operators(case, mode, variant):
+    g, grid = case
+    psi = np.linspace(1.0, 0.05, g.n)
+    sys_ = assemble_spacetime(g, grid, 1.0, mode_default=mode)
+    operators = {
+        "spatial": lambda: propagation_operator(g, psi, allow_isolated=True).data,
+        "explicit": lambda: spacetime_operator(sys_, variant, psi, on_isolated="zero").data,
+        "factored": lambda: factored_operator(sys_, variant, psi, on_isolated="zero") @ np.ones(sys_.order),
+    }
+    for name, entries in operators.items():
+        try:
+            values = entries()
+        except GraphError as exc:
+            assert "finite reciprocal" in str(exc), name
+            continue
+        assert np.all(np.isfinite(values)), name
 
 
 @PROPERTY
@@ -254,7 +369,10 @@ def hub_operators(draw):
     time clique, cued at cells that may repeat."""
     g, grid = draw(timed_graphs().filter(lambda case: not case[0].timed.all()))
     sys_ = assemble_spacetime(g, grid, rates=draw(st.floats(0.05, 5.0)), mode_default="clique")
-    p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])), on_isolated="zero")
+    try:
+        p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])), on_isolated="zero")
+    except GraphError:  # the weight-range rule refused the graph, so it has no operator
+        reject()
     cells = st.integers(0, g.n * grid.nt - 1)
     return p, np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.int64)
 

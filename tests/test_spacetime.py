@@ -5,12 +5,14 @@ import pytest
 from scipy.sparse import csgraph
 from scipy.stats import norm
 
+from threatprop import spacetime
 from threatprop.errors import GraphError, ObservationError
 from threatprop.experiment import sbm_detection_config
 from threatprop.generators import generate_sbm
 from threatprop.graph import Graph, ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
 from threatprop.spacetime import (
+    DENSE_KERNEL_COST,
     TimeGrid,
     assemble_spacetime,
     coordination_prior,
@@ -139,8 +141,8 @@ class TestAssembly:
         g = build_graph([(0, 1, 1.0, 0.5, 0.5)])
         with pytest.raises(GraphError, match="positive"):
             assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=0.0)
-        with pytest.raises(GraphError, match="positive"):
-            assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=np.array([1.0, -1.0]))
+        with pytest.raises(GraphError, match="one positive and finite number"):
+            assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=np.array([1.0, 2.0]))
         with pytest.raises(GraphError, match="finite"):
             assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=np.nan)
 
@@ -202,16 +204,55 @@ class TestAssembly:
         # per-endpoint gaps pooled: both vertices see gaps (2, 4) -> median 3
         assert default_rate(g) == pytest.approx(np.log(2.0) / 3.0)
 
-    def test_per_vertex_rates_use_the_receiver(self):
-        grid = TimeGrid(0.0, 1.0, 5)
-        t2 = grid.centers[2]
-        g = build_graph([(0, 1, 1.0, t2, t2)])
-        lam = np.array([2.0, 0.25])
-        sys_ = assemble_spacetime(g, grid, rates=lam, truncation=0.0)
-        a = sys_.adjacency.toarray()
-        # block row 0 receives with rate lam[0], block row 1 with lam[1]
-        assert a[0 * 5 + 1, 1 * 5 + 2] == pytest.approx(np.exp(-2.0))
-        assert a[1 * 5 + 1, 0 * 5 + 2] == pytest.approx(np.exp(-0.25))
+
+class TestProductForms:
+    @staticmethod
+    def timed_graph(rng, mode):
+        g = make_er(rng, 12, p=0.4)
+        times = rng.uniform(0.0, 10.0, g.size)
+        timed = rng.random(g.size) < 0.7
+        timed[0] = True
+        rows = [(e.u, e.v, float(rng.uniform(0.2, 3.0)), *((t, t) if k else ()))
+                for e, t, k in zip(g.interactions, times, timed)]
+        return build_graph(rows, n=g.n), ObservationSet.of((int(g.u[0]), 1.0, float(times[0])))
+
+    def test_cost_rule_picks_the_form(self):
+        # 24 bins of a kernel keeping every bin: the dense table.  The same
+        # 24 bins with a kernel keeping +-1 bin, or 256 bins of the wide
+        # kernel on this small graph: the written-out kernel, which holds
+        # fewer entries than the table.
+        g, _ = self.timed_graph(rng_for("st-cost-rule"), "clique")
+        wide, fine = TimeGrid(0.0, 10.0 / 24, 24), TimeGrid(0.0, 10.0 / 256, 256)
+        assert assemble_spacetime(g, wide, 0.05).kernel is not None
+        assert assemble_spacetime(g, wide, 12.0).kernel is None
+        assert assemble_spacetime(g, fine, 0.05).kernel is None
+        # With more vertices per record end, the dense product's n * nt**2
+        # multiply-adds outweigh the written-out entries at the same grid.
+        ends = assemble_spacetime(g, wide, 0.05).ends.nnz
+        pays = [spacetime._dense_kernel_pays(n, ends, wide, 0.05, spacetime.KERNEL_TRUNCATION)
+                for n in (g.n, round(ends / DENSE_KERNEL_COST))]
+        assert pays == [True, False]
+
+    @pytest.mark.parametrize("rate", [0.05, 12.0])
+    @pytest.mark.parametrize("mode", ["clique", "instant"])
+    def test_dense_and_written_kernel_agree(self, monkeypatch, rate, mode):
+        # The cost rule picks the dense kernel for the wide kernel and the
+        # written-out kernel CSR for the narrow one.  Forcing the other form
+        # must not move a product, a row sum or the solution.
+        rng = rng_for("st-product-forms", mode)
+        gt, obs = self.timed_graph(rng, mode)
+        grid = TimeGrid(0.0, 10.0 / 24, 24)
+        chosen = assemble_spacetime(gt, grid, rate, mode_default=mode)
+        assert (chosen.kernel is None) == (rate > 1.0)
+        monkeypatch.setattr(spacetime, "_dense_kernel_pays", lambda *args: chosen.kernel is None)
+        forced = assemble_spacetime(gt, grid, rate, mode_default=mode)
+        assert (forced.kernel is None) != (chosen.kernel is None)
+        x = rng.random(chosen.order)
+        for transpose in (False, True):
+            np.testing.assert_allclose(chosen.product(x, transpose), forced.product(x, transpose), rtol=1e-14)
+        np.testing.assert_allclose(chosen.row_sums, forced.row_sums, rtol=1e-14)
+        theta = [solve_spacetime(s, obs, tol=1e-12) for s in (chosen, forced)]
+        assert np.abs(theta[0] - theta[1]).max() <= 1e-12
 
 
 class TestCoordinationPrior:
