@@ -28,7 +28,7 @@ _EXPORTS = {
     "spacetime": ("SpaceTimeSystem", "TimeGrid", "assemble_spacetime", "coordination_prior",
                   "reduce_to_vertex_scores", "solve_spacetime", "spacetime_operator"),
     "spatial": ("AbsorbingChain", "build_absorbing_chain", "hitting_threat", "monte_carlo_threat", "solve_harmonic"),
-    "spectral": ("fiedler", "localized_modularity_scores", "modularity_matrix", "spectral_scores"),
+    "spectral": ("fiedler", "localized_modularity_scores", "spectral_scores"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,10 +8,12 @@ fixed, where ``P`` is a (sub)stochastic propagation operator.  Two methods:
   matrix-vector products, so ``P`` may be a sparse matrix or an operator
   that is never written out (the space-time system's factors, see
   ``spacetime``): any object with ``shape``, ``P @ x`` and ``P.pull(front)``,
-  the mask of states with a nonzero entry in a column of ``front``.
+  the mask of states with a nonzero entry in a column of ``front``.  Its
+  ``pull`` is what tells an operator from a matrix, so an operator's solve
+  never imports scipy.
 * ``'direct'`` factorizes ``I - P_II`` with SuperLU and needs ``P`` as a
-  sparse matrix.  It is the exact reference for validation and tests; its
-  fill grows quickly with the order of space-time systems, so nothing
+  scipy sparse matrix.  It is the exact reference for validation and tests;
+  its fill grows quickly with the order of space-time systems, so nothing
   selects it by default.
 
 ``tol`` bounds the interior residual ``max_i |theta_i - (P theta)_i|``, the
@@ -23,11 +25,14 @@ residual / (1 - rho) only when ``rho = ||P_II||_inf < 1``; at ``rho = 1``
 from __future__ import annotations
 
 import logging
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, checked_number
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +53,8 @@ def scale_rows(a: sp.csr_matrix, scale: np.ndarray, *then: np.ndarray) -> sp.csr
     it.  Every propagation operator is built by this one rule, so its
     matrix-vector products sum in one order.
     """
+    import scipy.sparse as sp
+
     counts = np.diff(a.indptr)
     if len(then) % 2 == 0:
         rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)  # each row reversed
@@ -78,10 +85,11 @@ def solve_boundary_value(
     theta = np.zeros(n)
     theta[boundary] = boundary_values
 
-    if sp.issparse(p):
+    if hasattr(p, "pull"):
+        if method == "direct":
+            raise ValueError("the direct method needs P as a sparse matrix")
+    else:
         p = p.tocsr()
-    elif method == "direct":
-        raise ValueError("the direct method needs P as a sparse matrix")
     # A vertex with no pull-path to the boundary has exactly zero threat;
     # solving only on the reaching set also keeps the interior system
     # nonsingular (a detached stochastic component would make I - P_ii
@@ -99,6 +107,7 @@ def solve_boundary_value(
             max_iter = max(10 * n, 4096)
         theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter)
     else:
+        import scipy.sparse as sp
         import scipy.sparse.linalg as spla
 
         rows = p[interior]
@@ -119,7 +128,8 @@ def _reaches_boundary(p, boundary: np.ndarray) -> np.ndarray:
     boundary set: a level-synchronous traversal from every boundary vertex.
     On a sparse matrix each level is one vectorised step over the stored
     entries of P^T; an operator supplies its own step, ``p.pull``."""
-    if sp.issparse(p):
+    pull = getattr(p, "pull", None)
+    if pull is None:
         pt = p.tocsc()
         counts = np.diff(pt.indptr)
 
@@ -127,8 +137,6 @@ def _reaches_boundary(p, boundary: np.ndarray) -> np.ndarray:
             hit = np.zeros_like(front)
             hit[pt.indices[np.repeat(front, counts)]] = True  # rows with an entry in a frontier column
             return hit
-    else:
-        pull = p.pull
     reach = np.zeros(p.shape[0], dtype=bool)
     reach[boundary] = True
     front = reach

@@ -24,12 +24,13 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._solve import scale_rows
 from .errors import GraphError, ObservationError, checked_sums
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .spacetime import TimeGrid
 
 logger = logging.getLogger(__name__)
@@ -64,8 +65,8 @@ class Graph:
     columns (endpoints in range, finite nonnegative weights, times finite or
     NaN in both columns of a record) and merges duplicate untimed records of
     the same pair by weight summation, in record order at the position of the
-    first; repeated timestamped records are legitimate multiplicity.  All
-    matrix views are built lazily and cached.
+    first, refusing a sum that overflows; repeated timestamped records are
+    legitimate multiplicity.  All matrix views are built lazily and cached.
     """
 
     n: int
@@ -111,7 +112,13 @@ class Graph:
             dup = np.ones(static.size, dtype=bool)
             dup[first] = False
             total = w[static[first]]
-            np.add.at(total, group[dup], w[static[dup]])
+            with np.errstate(over="ignore"):
+                np.add.at(total, group[dup], w[static[dup]])
+            bad = np.flatnonzero(~np.isfinite(total))
+            if bad.size:
+                i = static[first[bad[0]]]
+                raise GraphError(f"untimed records of edge {(int(u[i]), int(v[i]))} sum to the non-finite "
+                                 f"weight {total[bad[0]]}")
             w[static[first]] = total
             keep = np.ones(u.size, dtype=bool)
             keep[static[dup]] = False
@@ -136,6 +143,8 @@ class Graph:
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """Coalesced symmetric weighted adjacency."""
+        import scipy.sparse as sp
+
         rows = np.concatenate([self.u, self.v])
         cols = np.concatenate([self.v, self.u])
         vals = np.concatenate([self.w, self.w])
@@ -223,6 +232,8 @@ def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
     """
     if kind not in LAPLACIAN_KINDS:
         raise GraphError(f"unknown laplacian kind {kind!r}")
+    import scipy.sparse as sp
+
     a = g.adjacency
     d = g.degrees
     if kind == "kirchhoff":

@@ -18,7 +18,9 @@ is the untimed part: ``C kron I`` for instant contact and
 ``C kron (1/nt) 11^T`` for time cliques, with ``C`` the n x n matrix of
 untimed weights.  A product ``A @ x`` is therefore ``vec(mat(B x) K)`` plus
 ``C @ X``, or ``C`` times the bin mean of ``X`` broadcast over the bins.
-``assemble_spacetime`` builds only these factors.  The propagation operator
+``assemble_spacetime`` builds only these factors, and holds ``B`` and ``C``
+as numpy columns (:class:`Entries`), so a product through them is one
+``np.bincount`` scatter each and needs no scipy.  The propagation operator
 ``P = diag(s) A`` scales that product by its row factors ``s`` (one over the
 row sum, then the prior, both read off the product on ones), so the
 iterative solve never writes ``A`` out, and its reachability traversal and
@@ -27,6 +29,8 @@ product would cost more than the kernel entries themselves (a fine grid, or
 a kernel that keeps only a few bins around each record), the timed part is
 written out instead, as a CSR over the cells with one window of kernel
 entries per record end; the untimed part stays factored in both forms.
+That form and the explicit adjacency below are scipy CSRs, and scipy is
+imported where they are built.
 
 ``SpaceTimeSystem.adjacency`` writes the system out on demand, for the
 direct method, the absorbing chain and the tests.  There a time clique is
@@ -48,13 +52,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._solve import scale_rows, solve_boundary_value
 from .errors import GraphError, checked_prior, checked_sums
 from .graph import Graph, ObservationSet
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -181,6 +188,38 @@ def kernel_profile(lam: float, lags: np.ndarray) -> np.ndarray:
     return np.exp(-lam * np.abs(lags))
 
 
+class Entries(NamedTuple):
+    """A sparse matrix held as numpy columns: entry ``k`` adds ``vals[k]`` at
+    ``(rows[k], cols[k])``, and repeated positions add.  A product is one
+    ``np.bincount`` scatter over the entries, in entry order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries, repeated positions counted each time."""
+        return self.vals.size
+
+    def positive(self) -> "Entries":
+        """The entries with every positive value one and every other zero."""
+        return self._replace(vals=(self.vals > 0).astype(float))
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """``M @ x`` for a vector, or for a matrix of ``k`` columns through
+        one scatter over the flattened cells ``rows * k + column``."""
+        # astype: bincount over no entries at all returns integers.
+        if x.ndim == 1:
+            y = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
+            return y.astype(float, copy=False)
+        k = x.shape[1]
+        cells = (self.rows[:, None] * k + np.arange(k)).ravel()
+        y = np.bincount(cells, weights=(self.vals[:, None] * x[self.cols]).ravel(), minlength=self.shape[0] * k)
+        return y.astype(float, copy=False).reshape(-1, k)
+
+
 @dataclass(frozen=True)
 class SpaceTimeSystem:
     """The space-time system on ``order = n * nt`` (vertex, bin) cells, held
@@ -189,17 +228,19 @@ class SpaceTimeSystem:
     applied as instant contact or as time cliques by ``mode``.  Where the
     dense table does not pay (:func:`_dense_kernel_pays`) ``kernel`` is
     None, and products use ``(I_n kron K) B`` written out over the cells,
-    built on first use.  ``rate`` and ``truncation`` define ``K`` there and
-    in the explicit adjacency."""
+    built on first use as a scipy CSR.  ``B`` and ``C`` are :class:`Entries`,
+    numpy columns with one entry per record end and per direction of an
+    untimed record, unmerged.  ``rate`` and ``truncation`` define ``K``
+    where it is written out and in the explicit adjacency."""
 
     graph: Graph
     grid: TimeGrid
     rate: float
     mode: str
     truncation: float
-    ends: sp.csr_matrix
+    ends: Entries
     kernel: np.ndarray | None
-    spatial: sp.csr_matrix
+    spatial: Entries
 
     @property
     def order(self) -> int:
@@ -220,16 +261,18 @@ class SpaceTimeSystem:
         # Only a window of bins around b can keep its entry: one lag beyond
         # the last kept one, for roundoff in the bin centres, and no wider
         # than the grid, shifted to lie inside it.
-        nt, centers, ends = self.grid.nt, self.grid.centers, self.ends.tocoo()
+        import scipy.sparse as sp
+
+        nt, centers, ends = self.grid.nt, self.grid.centers, self.ends
         half = int(_kernel_lags(self.grid, self.rate, self.truncation).max(initial=-1)) + 1
         width = min(nt, 2 * half + 1)
-        recv, b = np.divmod(ends.row, nt)
+        recv, b = np.divmod(ends.rows, nt)
         t = np.clip(b - width // 2, 0, nt - width)[:, None] + np.arange(width)
         vals = kernel_profile(self.rate, centers[t] - centers[b][:, None])
         keep = vals >= self.truncation
         rows = (recv[:, None] * nt + t)[keep]
-        cols = np.broadcast_to(ends.col[:, None], keep.shape)[keep]
-        written = sp.csr_matrix(((ends.data[:, None] * vals)[keep], (rows, cols)), shape=ends.shape)
+        cols = np.broadcast_to(ends.cols[:, None], keep.shape)[keep]
+        written = sp.csr_matrix(((ends.vals[:, None] * vals)[keep], (rows, cols)), shape=ends.shape)
         return written, None, self.spatial
 
     @cached_property
@@ -237,27 +280,30 @@ class SpaceTimeSystem:
         """The factors with every positive entry one and every other zero, so
         the product of a 0/1 vector through them is positive exactly where
         ``A`` has a positive entry into the ones."""
-        def ones(m):
-            return sp.csr_matrix(((m.data > 0).astype(float), m.indices, m.indptr), shape=m.shape)
-
         timed, kernel, spatial = self.factors
-        return ones(timed), None if kernel is None else (kernel > 0).astype(float), ones(spatial)
+        if kernel is None:  # the written-out kernel's CSR
+            timed = timed.copy()
+            timed.data = (timed.data > 0).astype(float)
+        else:
+            timed, kernel = timed.positive(), (kernel > 0).astype(float)
+        return timed, kernel, spatial.positive()
 
     def product(self, x: np.ndarray, transpose: bool = False, pattern: bool = False) -> np.ndarray:
         """``A @ x``, or ``A.T @ x``, over the cells, with every time clique's
         hub eliminated; through :attr:`pattern` with ``pattern``.  ``K`` and
-        ``C`` are symmetric, and so is the untimed part."""
+        ``C`` are symmetric, and so is the untimed part; so is ``B``, which
+        holds both ends of every record with one weight."""
         n, nt = self.graph.n, self.grid.nt
         timed, kernel, spatial = self.pattern if pattern else self.factors
         if kernel is None:
             y = (timed.T if transpose else timed) @ x
         elif transpose:
-            y = timed.T @ (x.reshape(n, nt) @ kernel).ravel()
+            y = timed @ (x.reshape(n, nt) @ kernel).ravel()
         else:
             y = ((timed @ x).reshape(n, nt) @ kernel).ravel()
         if spatial.nnz:
             x, cells = x.reshape(n, nt), y.reshape(n, nt)
-            cells += spatial @ (x if self.mode == "instant" else x.mean(axis=1, keepdims=True))
+            cells += spatial @ x if self.mode == "instant" else (spatial @ x.mean(axis=1))[:, None]
         return y
 
     @cached_property
@@ -302,8 +348,7 @@ def assemble_spacetime(
         raise GraphError(f"interaction {i} ({g.u[i]},{g.v[i]}) has no timestamps for kernel mode")
     # The untimed weights in both directions, twice on a self-loop.
     su, sv, sw = g.u[untimed], g.v[untimed], g.w[untimed]
-    spatial = sp.csr_matrix((np.concatenate([sw, sw]), (np.concatenate([su, sv]), np.concatenate([sv, su]))),
-                            shape=(g.n, g.n)) if sw.size else sp.csr_matrix((g.n, g.n))
+    spatial = Entries(np.concatenate([su, sv]), np.concatenate([sv, su]), np.concatenate([sw, sw]), (g.n, g.n))
     entries = nt * (2 * g.size + np.count_nonzero(_clique_vertices(spatial, mode_default)))
     if entries > MAX_ENTRIES:
         raise GraphError(f"space-time grid of {nt} bins needs about {entries:,} matrix entries, over "
@@ -312,20 +357,25 @@ def assemble_spacetime(
     # u's cell at u's bin, then u's from v's.
     w = g.w[timed]
     cell = np.concatenate([g.u[timed], g.v[timed]]) * nt + grid.bin_of(np.concatenate([g.t_u[timed], g.t_v[timed]]))
-    ends = sp.csr_matrix((np.concatenate([w, w]), (np.roll(cell, w.size), cell)), shape=(cells, cells))
+    ends = Entries(np.roll(cell, w.size), cell, np.concatenate([w, w]), (cells, cells))
+    # The cost rule counts the written-out kernel's entries, which a
+    # position shared by several record ends holds once.
+    keys = np.sort(ends.rows * cells + ends.cols)
+    positions = keys.size - np.count_nonzero(keys[1:] == keys[:-1])
     kernel = None
-    if _dense_kernel_pays(g.n, ends.nnz, grid, lam, truncation):
+    if _dense_kernel_pays(g.n, positions, grid, lam, truncation):
         centers = grid.centers
         kernel = kernel_profile(lam, centers - centers[:, None])
         kernel[kernel < truncation] = 0.0
     return SpaceTimeSystem(g, grid, lam, mode_default, truncation, ends, kernel, spatial)
 
 
-def _clique_vertices(spatial: sp.csr_matrix, mode: str) -> np.ndarray:
+def _clique_vertices(spatial: Entries, mode: str) -> np.ndarray:
     """Mask of the vertices with a time clique, each of which has one hub
     state in the explicit adjacency: those with an untimed record in clique
     mode."""
-    return np.diff(spatial.indptr) > 0 if mode == "clique" else np.zeros(spatial.shape[0], dtype=bool)
+    n = spatial.shape[0]
+    return np.bincount(spatial.rows, minlength=n) > 0 if mode == "clique" else np.zeros(n, dtype=bool)
 
 
 def _kernel_lags(grid: TimeGrid, lam: float, truncation: float) -> np.ndarray:
@@ -338,9 +388,10 @@ def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float, truncation
 
     One dense product is ``n * nt**2`` multiply-adds, each costing
     ``DENSE_KERNEL_COST`` of an entry of the written-out kernel, which has
-    about ``ends * kept / nt`` entries for the table's ``kept`` nonzeros.
-    The table is used where it costs less per product and holds no more
-    entries than the written-out form, so it is never the larger of the two.
+    about ``ends * kept / nt`` entries for the table's ``kept`` nonzeros and
+    the ``ends`` distinct positions of ``B``.  The table is used where it
+    costs less per product and holds no more entries than the written-out
+    form, so it is never the larger of the two.
     """
     nt = grid.nt
     lags = _kernel_lags(grid, lam, truncation)
@@ -350,6 +401,8 @@ def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float, truncation
 
 def _explicit_adjacency(g: Graph, grid: TimeGrid, lam: float, mode: str, truncation: float) -> sp.csr_matrix:
     """The space-time adjacency written out, with hub states for time cliques."""
+    import scipy.sparse as sp
+
     # One entry rule over (records, 2 directions, nt bins): every record
     # couples receiver v from sender u, then u from v, at each bin of the
     # receiver.  The entry is the record's weight times the kernel centred on

@@ -110,12 +110,6 @@ def modularity_operator(g: Graph) -> LinearOperator:
     return spla.LinearOperator((g.n, g.n), matvec=matvec, rmatvec=matvec, dtype=float)
 
 
-def modularity_matrix(g: Graph) -> np.ndarray:
-    """Dense modularity matrix; intended for small graphs and tests."""
-    d = g.degrees
-    return g.adjacency.toarray() - np.outer(d, d) / float(d.sum())
-
-
 def spectral_scores(g: Graph, index: int = 0) -> np.ndarray:
     """Per-vertex detection scores from a modularity eigenvector.
 

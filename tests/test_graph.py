@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,13 @@ class TestBuildGraph:
         assert g.size == 2
         assert g.adjacency[0, 1] == 3.5
         assert "duplicate" in caplog.text
+
+    def test_overflowing_merge_is_refused(self):
+        # The merged weight must pass the check its records passed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GraphError, match=r"edge \(0, 1\) sum to the non-finite weight inf"):
+                build_graph([(0, 1, 1e308), (2, 1, 1.0), (1, 0, 1e308)])
 
     def test_timestamped_multiplicity_is_kept(self):
         g = build_graph([(0, 1, 1.0, 0.0, 0.0), (0, 1, 1.0, 3.0, 3.0)])

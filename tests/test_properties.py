@@ -93,7 +93,14 @@ def timed_graphs(draw, labelled=False, self_loops=False, weight=st.floats(0.0, 1
     if labelled:
         name = st.text("abcxyz019_-", min_size=1, max_size=4)
         labels = draw(st.lists(name, min_size=n, max_size=n, unique=True))
-    return build_graph(rows, n=n, labels=labels, allow_self_loops=self_loops), TimeGrid(0.0, 1.0, nt)
+    try:
+        g = build_graph(rows, n=n, labels=labels, allow_self_loops=self_loops)
+    except GraphError as exc:
+        # Repeated untimed records whose merged weight overflows (wide
+        # weights only) are refused, so they make no graph.
+        assert "non-finite weight" in str(exc)
+        reject()
+    return g, TimeGrid(0.0, 1.0, nt)
 
 
 def long_row_graph():
@@ -188,6 +195,16 @@ def test_operator_matches_nested_products(case, mode, variant, rate, spatial, da
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def repeated_ends_graph():
+    """Three records between 0 and 1 whose ends all land in bin 0, one of
+    them reversed and of weight zero, so each direction's three entries of
+    ``B`` share one position; vertex 2 has a zero-weight untimed record and
+    a positive one."""
+    rows = [(0, 1, 2.0, 0.2, 0.4), (1, 0, 0.0, 0.5, 0.1), (0, 1, 0.7, 0.9, 0.3), (1, 2, 1.5, 2.5, 1.5),
+            (0, 2, 0.0), (2, 1, 0.4)]
+    return build_graph(rows, n=3), TimeGrid(0.0, 1.0, 4)
+
+
 def eliminated_hubs(p, order):
     """The cells' block of a hub-augmented operator with its hubs eliminated
     (Meyer's stochastic complement): a hub row averages cells only, so
@@ -199,6 +216,20 @@ def eliminated_hubs(p, order):
 def written_out(op):
     """A factored operator's matrix, one product per column."""
     return np.column_stack([op @ e for e in np.eye(op.shape[0])])
+
+
+def check_scatter_against_merged(m):
+    """Numpy columns ``m``, whose repeated positions add one entry at a time,
+    against the CSR that merges them first: the product one column at a time
+    and as one flattened scatter over every column, and the 0/1 pattern.
+    The matrix is symmetric up to the order its repeated positions sum in,
+    so its product is also the transposed one."""
+    merged = sp.csr_matrix((m.vals, (m.rows, m.cols)), shape=m.shape).toarray()
+    np.testing.assert_allclose(merged, merged.T, rtol=1e-14, atol=SUBNORMAL_FLOOR)
+    eye = np.eye(m.shape[0])
+    np.testing.assert_allclose(np.column_stack([m @ e for e in eye]), merged, rtol=1e-14, atol=SUBNORMAL_FLOOR)
+    np.testing.assert_allclose(m @ eye, merged, rtol=1e-14, atol=SUBNORMAL_FLOOR)
+    assert np.array_equal(m.positive() @ eye > 0, merged > 0)
 
 
 # Far below any entry of an accepted operator whose weights lie in [0, 1e6],
@@ -220,6 +251,10 @@ SUBNORMAL_FLOOR = 1e-300
 @example(case=(zero_prior_graph()[0], TimeGrid(0.0, 4.0, 1)), mode="clique", variant="coordinated-spatial",
          rate=1.0, dense=True, data=None)
 @example(case=long_row_graph(), mode="instant", variant="coordinated", rate=0.05, dense=True, data=None)
+@example(case=repeated_ends_graph(), mode="clique", variant="coordinated", rate=0.5, dense=True, data=None)
+@example(case=repeated_ends_graph(), mode="clique", variant="weighted", rate=0.5, dense=False, data=None)
+@example(case=repeated_ends_graph(), mode="instant", variant="coordinated-spatial", rate=0.5, dense=True, data=None)
+@example(case=repeated_ends_graph(), mode="instant", variant="coordinated", rate=0.5, dense=False, data=None)
 # Vertex 1's bins 3 and 4 carry mass, but the kernel from its record with the
 # cued vertex 0 is truncated there, so they do not reach the cue at bin 0.
 @example(case=(build_graph([(1, 0, 1.0, 0.5, 0.5), (1, 2, 1.0, 4.5, 4.5)]), TimeGrid(0.0, 1.0, 5)),
@@ -230,8 +265,10 @@ SUBNORMAL_FLOOR = 1e-300
          mode="kernel", variant="coordinated", rate=5.0, dense=False, data=None)
 def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, dense, data):
     """Both product forms against the explicit CSR with its hubs eliminated:
-    the operator to rtol 1e-14, the reach set and the inert cue cells
-    exactly, and the iterative solve to within its tolerance of ``direct``."""
+    the adjacency and the operator to rtol 1e-14, the reach set and the
+    inert cue cells exactly, and the iterative solve to within its tolerance
+    of ``direct``.  The unmerged factors ``B`` and ``C`` are checked against
+    their merged CSRs first."""
     g, grid = case
     psi = np.linspace(0.95, 0.05, g.n) if data is None else \
         np.array(data.draw(st.lists(st.floats(0.05, 0.95), min_size=g.n, max_size=g.n)))
@@ -242,13 +279,21 @@ def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, den
             assert mode == "kernel" and "no timestamps" in str(exc)
             return
         assert (sys_.kernel is None) != dense
+        check_scatter_against_merged(sys_.ends)
+        check_scatter_against_merged(sys_.spatial)
+        # The adjacency over the cells: a hub's row weighs each bin by one.
+        order, nt = sys_.order, grid.nt
+        a = sys_.adjacency.toarray()
+        cells = a[:order, :order] + a[:order, order:] @ a[order:, :order] / nt
+        for transpose, want in ((False, cells), (True, cells.T)):
+            got = np.column_stack([sys_.product(e, transpose) for e in np.eye(order)])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=SUBNORMAL_FLOOR)
         try:
             op = factored_operator(sys_, variant, psi, on_isolated="zero")
             hub = spacetime_operator(sys_, variant, psi, on_isolated="zero")
         except GraphError as exc:
             assert "finite reciprocal" in str(exc) and np.any((g.w > 0) & (g.w < 1e-290))
             return
-        order = sys_.order
         np.testing.assert_allclose(written_out(op), eliminated_hubs(hub, order), rtol=1e-14, atol=SUBNORMAL_FLOOR)
 
         cells = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4)) if data else [0]
@@ -260,7 +305,6 @@ def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, den
         # The spatial prior keeps every row sum of P at most 0.95, so a
         # residual of 0.05 tol bounds the iterative error by tol.
         tol = 1e-10
-        nt = grid.nt
         obs = ObservationSet.of(*((int(c) // nt, 1.0, float(grid.centers[c % nt])) for c in cells))
         solve = {m: solve_spacetime(sys_, obs, "coordinated-spatial", psi, tol=0.05 * tol, method=m,
                                     on_isolated="zero") for m in ("iterative", "direct")}

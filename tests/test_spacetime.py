@@ -233,6 +233,23 @@ class TestProductForms:
                 for n in (g.n, round(ends / DENSE_KERNEL_COST))]
         assert pays == [True, False]
 
+    def test_repeated_records_keep_the_form(self):
+        # B holds a repeated record's ends once per record, the written-out
+        # kernel once per position, so the rule counts positions.  On a grid
+        # of one bin more than there are positions, with every lag kept, the
+        # rule refuses the table for those positions and would take it for
+        # twice as many.
+        g, _ = self.timed_graph(rng_for("st-cost-rule"), "clique")
+        rows = [(e.u, e.v, e.weight, e.t_u, e.t_v) for e in g.interactions if e.timestamped]
+        positions = 2 * len(rows)
+        grid, rate = TimeGrid(0.0, 10.0 / (positions + 1), positions + 1), 1e-3
+        pays = [spacetime._dense_kernel_pays(g.n, k * positions, grid, rate, spacetime.KERNEL_TRUNCATION)
+                for k in (1, 2)]
+        assert pays == [False, True]
+        once, twice = (assemble_spacetime(build_graph(rows * k, n=g.n), grid, rate) for k in (1, 2))
+        assert twice.ends.nnz == 2 * once.ends.nnz == 2 * positions
+        assert once.kernel is None and twice.kernel is None
+
     @pytest.mark.parametrize("rate", [0.05, 12.0])
     @pytest.mark.parametrize("mode", ["clique", "instant"])
     def test_dense_and_written_kernel_agree(self, monkeypatch, rate, mode):
