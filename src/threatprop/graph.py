@@ -158,9 +158,14 @@ class Graph:
 
     @cached_property
     def neighbor_counts(self) -> np.ndarray:
-        """Unweighted degree: number of distinct neighbors per vertex."""
-        a = self.adjacency.tocsr()
-        return np.diff(a.indptr).astype(np.float64)
+        """Unweighted degree: number of distinct neighbors per vertex.
+
+        Counted from the edge columns as the adjacency's stored entries per
+        row, zero weights and a self-loop's one entry included."""
+        n = self.n
+        keys = np.sort(np.concatenate([self.u * n + self.v, self.v * n + self.u]))
+        first = np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size]
+        return np.bincount(keys[first] // n, minlength=n).astype(np.float64)
 
     @cached_property
     def interaction_weight(self) -> np.ndarray:
@@ -169,6 +174,12 @@ class Graph:
         ends = np.column_stack([self.u, self.v]).ravel()
         weights = np.column_stack([self.w, np.where(self.u != self.v, self.w, 0.0)]).ravel()
         return np.bincount(ends, weights=weights, minlength=self.n)
+
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        """Index of each label, the first one where a label repeats."""
+        labels = self.labels or ()
+        return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
 
     @property
     def size(self) -> int:

@@ -72,8 +72,8 @@ def read_edges(path) -> Graph:
 
 
 def resolve_vertex(g: Graph, name: str) -> int:
-    if g.labels is not None and name in g.labels:
-        return g.labels.index(name)
+    if name in g.label_index:
+        return g.label_index[name]
     try:
         v = int(name)
     except ValueError:

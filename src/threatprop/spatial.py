@@ -12,6 +12,10 @@ One :class:`AbsorbingChain` serves any operator ``P``, spatial or
 hub-augmented space-time.  Its exact hitting-probability solve and its walk
 simulation, which samples the stored rows of ``P`` in O(nnz) memory, exist
 as independent cross-checks of the harmonic path.
+
+``scipy.sparse`` is imported only where a CSR is built here (the chain's
+transition matrix and the walks' CDF table), so importing this module, as
+``experiment`` does, loads no scipy.
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from ._solve import scale_rows, solve_boundary_value
 from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior, checked_sums
 from .graph import Graph, ObservationSet
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -120,6 +127,8 @@ class AbsorbingChain:
     @cached_property
     def transition_matrix(self) -> sp.csr_matrix:
         """Full (n+1) x (n+1) row-stochastic chain in canonical state order."""
+        import scipy.sparse as sp
+
         return sp.bmat([[self.g_block, self.h_block, sp.csr_matrix(self.absorb[:, None])],
                         [None, sp.identity(len(self.boundary)), None],
                         [None, None, sp.identity(1)]], format="csr")
@@ -175,6 +184,8 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     """
     k = checked_number("walks_per_vertex", walks_per_vertex, integer=True, low=1)
     seed = checked_number("seed", seed, integer=True, low=0, high=2**64 - 1)
+    import scipy.sparse as sp
+
     n = chain.n
     # Transition CDFs in CSR layout: each row is the row of ``p`` in column
     # order and then the non-threat sink (state n), whose entry closes the

@@ -39,23 +39,37 @@ def spacetime_input(tmp_path):
     return edges, obs
 
 
-def run_propagate_spacetime(tmp_path, *options):
-    """``propagate spacetime`` in a fresh interpreter, which must exit 0 and
-    write its scores; returns the scipy, threatprop and multiprocessing
-    modules it loaded."""
-    edges, obs = spacetime_input(tmp_path)
-    argv = ["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs), "--variant", "coord",
-            "--reduce", "max", "--out", str(tmp_path / "st.csv"), *options]
-    script = ("import json, sys\n"
-              "from threatprop.cli import main\n"
-              f"rc = main({argv!r})\n"
-              "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', "
-              f"'threatprop', 'multiprocessing'))]))\n")
+def loaded_modules(tmp_path, script):
+    """Run ``script`` in a fresh interpreter in ``tmp_path``; it must bind
+    ``_result`` to a JSON value.  Returns that value and the scipy,
+    threatprop and multiprocessing modules the interpreter loaded."""
+    script += ("\nimport json, sys\n"
+               "print(json.dumps([_result, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', "
+               "'threatprop', 'multiprocessing'))]))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True,
-                          check=True)
-    rc, loaded = json.loads(done.stdout.splitlines()[-1])
-    assert rc == 0, done.stderr
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def scipy_modules(loaded):
+    return [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def run_cli(tmp_path, argv):
+    """``threatprop`` with ``argv`` in a fresh interpreter, which must exit 0;
+    returns the modules it loaded."""
+    rc, loaded = loaded_modules(tmp_path, f"from threatprop.cli import main\n_result = main({argv!r})")
+    assert rc == 0
+    return loaded
+
+
+def run_propagate_spacetime(tmp_path, *options, variant="coord"):
+    """``propagate spacetime`` in a fresh interpreter, which must exit 0 and
+    write its scores; returns the modules it loaded."""
+    edges, obs = spacetime_input(tmp_path)
+    loaded = run_cli(tmp_path, ["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs),
+                                "--variant", variant, "--reduce", "max", "--out", str(tmp_path / "st.csv"), *options])
     assert (tmp_path / "st.vertex.csv").exists()
     return loaded
 
@@ -63,19 +77,61 @@ def run_propagate_spacetime(tmp_path, *options):
 def test_propagate_spacetime_loads_only_what_it_runs(tmp_path):
     # A slow kernel keeps every one of 24 bins, so the dense kernel table
     # pays and the run needs no scipy at all, under time cliques and instant
-    # contact alike; a fast one keeps only a bin to either side, so the
-    # kernel is written out as a scipy CSR.
-    for mode, rate, dense in (("clique", 0.05, True), ("instant", 0.05, True), ("clique", 20.0, False)):
-        loaded = run_propagate_spacetime(tmp_path, "--bins", "24", "--lambda", str(rate), "--mode-default", mode)
+    # contact alike and with the degree-weighted coordination prior; a fast
+    # one keeps only a bin to either side, so the kernel is written out as a
+    # scipy CSR.
+    for variant, mode, rate, dense in (("coord", "clique", 0.05, True), ("coord", "instant", 0.05, True),
+                                       ("coord-prior", "clique", 0.05, True), ("coord", "clique", 20.0, False)):
+        options = ("--prior", "dwtp") if variant == "coord-prior" else ()
+        loaded = run_propagate_spacetime(tmp_path, "--bins", "24", "--lambda", str(rate), "--mode-default", mode,
+                                         *options, variant=variant)
         assert [m for m in NOT_ON_SPACETIME_PATH if m in loaded] == []
-        scipy_loaded = [m for m in loaded if m.split(".")[0] == "scipy"]
-        assert (scipy_loaded == []) == dense, (mode, rate, scipy_loaded)
+        assert (scipy_modules(loaded) == []) == dense, (variant, mode, rate, scipy_modules(loaded))
 
         # The run's own grid picks the form the case claims.
         config = json.loads((tmp_path / "st.csv.meta.json").read_text())["config"]
         grid = TimeGrid(config["t0"], config["dt"], config["bins"])
         system = assemble_spacetime(read_edges(tmp_path / "edges.csv"), grid, rate, mode_default=mode)
         assert (system.kernel is not None) == dense
+
+
+def test_generate_loads_no_scipy(tmp_path):
+    for kind in ("sbm", "hmmb"):
+        loaded = run_cli(tmp_path, ["generate", kind, "--seed", "1", "--out", str(tmp_path / kind)])
+        assert (tmp_path / kind / "edges.csv").exists()
+        assert scipy_modules(loaded) == [], kind
+
+
+def test_drawing_networks_and_choosing_cues_load_no_scipy(tmp_path):
+    script = """
+from threatprop.experiment import _cue_rng, choose_cue, hmmb_detection_config, sbm_detection_config
+from threatprop.generators import generate_hmmb, generate_sbm
+from threatprop.priors import PriorSpec, compute_prior
+
+sbm = generate_sbm(sbm_detection_config().params, seed=3)
+hmmb = generate_hmmb(hmmb_detection_config().params, seed=3)
+# hmmb draws leave some vertices isolated, where the degree-weighted prior is undefined.
+_result = [choose_cue(sbm, _cue_rng(0, 1))[0], choose_cue(hmmb, _cue_rng(0, 1))[0],
+           float(compute_prior(sbm.graph, PriorSpec("dwtp")).min())]
+"""
+    result, loaded = loaded_modules(tmp_path, script)
+    assert len(result) == 3 and result[2] > 0
+    assert "threatprop.experiment" in loaded
+    assert scipy_modules(loaded) == []
+
+
+def test_pooled_experiment_parent_loads_no_scipy(tmp_path):
+    # Only the fork-started workers solve, so only they import scipy.
+    script = """
+from threatprop.experiment import hmmb_detection_config, run_experiment
+
+result = run_experiment(hmmb_detection_config(trials=2, threads=2))
+_result = [len(result.aborted), sorted(result.curves)]
+"""
+    (aborted, detectors), loaded = loaded_modules(tmp_path, script)
+    assert aborted == 0 and detectors == ["bfs", "spec", "sttp"]
+    assert "multiprocessing" in loaded
+    assert scipy_modules(loaded) == []
 
 
 def test_every_export_resolves():

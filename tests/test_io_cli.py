@@ -92,6 +92,22 @@ class TestEdgeListIO:
         write_truth(tmp_path / "t.csv", g, truth)
         assert np.array_equal(read_truth(tmp_path / "t.csv", g), truth)
 
+    def test_vertex_names_resolve_through_the_label_index(self, tmp_path):
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)], labels=["x", "y", "x", "7"])
+        assert g.label_index == {"x": 0, "y": 1, "7": 3}  # a repeated label keeps its first index
+        assert build_graph([(0, 1, 1.0)]).label_index == {}
+        p = tmp_path / "obs.csv"
+        p.write_text("vertex,p\nx,1.0\n7,0.5\n")
+        assert [e.vertex for e in read_observations(p, g).entries] == [0, 3]
+        # A name that is not a label reads as an index; unknown names and
+        # indices out of range are refused.
+        p.write_text("vertex,p\n2,1.0\n")
+        assert read_observations(p, g).entries[0].vertex == 2
+        for bad, message in (("w", "unknown vertex identifier"), ("4", "out of range"), ("-1", "out of range")):
+            p.write_text(f"vertex,p\n{bad},1.0\n")
+            with pytest.raises(ObservationError, match=message):
+                read_observations(p, g)
+
     def test_observations(self, tmp_path):
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], labels=["x", "y", "z"])
         p = tmp_path / "obs.csv"

@@ -359,6 +359,21 @@ def test_edge_csv_round_trip(tmp_path_factory, case):
     assert records(back) == records(g)
 
 
+@PROPERTY
+@given(case=timed_graphs(self_loops=True))
+@example(case=(build_graph([], n=3), None))
+@example(case=(build_graph([(0, 0, 1.0), (0, 0, 2.0), (0, 1, 0.0), (1, 0, 0.0, 1.0, 2.0), (1, 0, 0.0, 1.0, 2.0),
+                            (1, 2, 1.0), (2, 1, 3.0), (3, 3, 0.5, 1.0, 1.0)], n=5, allow_self_loops=True), None))
+def test_neighbor_counts_match_the_adjacency_rows(case):
+    # Repeated timed records, merged untimed ones, zero weights, self-loops
+    # and isolated vertices each count as the CSR stores them.
+    g, _ = case
+    counts = g.neighbor_counts
+    assert "adjacency" not in vars(g)  # counted without building the CSR
+    oracle = np.diff(g.adjacency.indptr).astype(np.float64)
+    assert counts.dtype == oracle.dtype and counts.tobytes() == oracle.tobytes()
+
+
 def reference_reach(p, boundary):
     """Pull-path reach of the boundary, grown one frontier at a time."""
     csc = p.tocsc()
