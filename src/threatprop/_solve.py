@@ -42,28 +42,18 @@ CLAMP_WARN = 1e-6
 SOLVE_METHODS = ("iterative", "direct")
 
 
-def scale_rows(a: sp.csr_matrix, scale: np.ndarray, *then: np.ndarray) -> sp.csr_matrix:
-    """``diag(then[-1]) @ ... @ diag(scale) @ a`` for a CSR matrix without
-    duplicate entries, in one pass, stored as scipy's nested sparse products
-    store it.  Each product reverses every row and drops the entries that
-    come out zero, so a row ends reversed after an odd count of factors and
-    in stored order after an even one; with finite factors one final drop
-    removes the same entries.  The factors multiply the data one after
-    another, never fused, so every value rounds as the nested products round
-    it.  Every propagation operator is built by this one rule, so its
-    matrix-vector products sum in one order.
+def scale_rows(a: sp.csr_matrix, scale: np.ndarray) -> sp.csr_matrix:
+    """``diag(scale) @ a`` for a CSR matrix without duplicate entries, stored
+    as scipy's sparse product stores it: every row reversed, and the entries
+    that come out zero dropped.  Every propagation operator is built by this
+    one rule (nested for two factors), so its matrix-vector products sum in
+    one order.
     """
     import scipy.sparse as sp
 
     counts = np.diff(a.indptr)
-    if len(then) % 2 == 0:
-        rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)  # each row reversed
-        data, indices = a.data[rev], a.indices[rev]
-    else:
-        data, indices = a.data, a.indices.copy()
-    for s in (scale, *then):
-        data = data * np.repeat(s, counts)
-    out = sp.csr_matrix((data, indices, a.indptr.copy()), shape=a.shape)
+    rev = np.repeat(a.indptr[:-1] + a.indptr[1:] - 1, counts) - np.arange(a.nnz)  # each row reversed
+    out = sp.csr_matrix((a.data[rev] * np.repeat(scale, counts), a.indices[rev], a.indptr.copy()), shape=a.shape)
     out.eliminate_zeros()
     return out
 
@@ -123,11 +113,26 @@ def solve_boundary_value(
     return np.clip(theta, 0.0, 1.0)
 
 
+def hop_levels(step, n: int, sources) -> np.ndarray:
+    """Hop count from the nearest of ``sources`` over ``n`` states, ``inf``
+    where none leads: a level-synchronous traversal in which ``step(front)``
+    marks the states one hop from the boolean mask ``front``."""
+    hops = np.full(n, np.inf)
+    seen = np.zeros(n, dtype=bool)
+    seen[sources] = True
+    front, level = seen, 0
+    while front.any():
+        hops[front] = level
+        front = step(front) & ~seen
+        seen |= front
+        level += 1
+    return hops
+
+
 def _reaches_boundary(p, boundary: np.ndarray) -> np.ndarray:
-    """Vertices with a pull-path (following entries of P row->column) to the
-    boundary set: a level-synchronous traversal from every boundary vertex.
-    On a sparse matrix each level is one vectorised step over the stored
-    entries of P^T; an operator supplies its own step, ``p.pull``."""
+    """States with a pull-path (following entries of P row->column) to the
+    boundary set.  On a sparse matrix each level is one vectorised step over
+    the stored entries of P^T; an operator supplies its own step, ``p.pull``."""
     pull = getattr(p, "pull", None)
     if pull is None:
         pt = p.tocsc()
@@ -137,14 +142,7 @@ def _reaches_boundary(p, boundary: np.ndarray) -> np.ndarray:
             hit = np.zeros_like(front)
             hit[pt.indices[np.repeat(front, counts)]] = True  # rows with an entry in a frontier column
             return hit
-    reach = np.zeros(p.shape[0], dtype=bool)
-    reach[boundary] = True
-    front = reach
-    while True:
-        front = pull(front) & ~reach
-        if not front.any():
-            return reach
-        reach |= front
+    return np.isfinite(hop_levels(pull, p.shape[0], boundary))
 
 
 def _residual(p, theta, interior) -> float:

@@ -96,10 +96,6 @@ def roc(scores, truth, trials: int = 1) -> RocCurve:
     pd = np.r_[0.0, tp / n_fg]
     pfa = np.r_[0.0, fp / n_bg]
     thr = np.r_[np.inf, s[last]]
-    if pd[-1] != 1.0 or pfa[-1] != 1.0:
-        pd = np.r_[pd, 1.0]
-        pfa = np.r_[pfa, 1.0]
-        thr = np.r_[thr, -np.inf]
     se = np.sqrt(pd * (1.0 - pd) / n_fg)
     auc = float(np.trapezoid(pd, pfa))
     return RocCurve(thr, pfa, pd, se, auc=auc, n_fg=n_fg, n_bg=n_bg, trials=trials)

@@ -30,7 +30,7 @@ from .errors import ExperimentError, GraphError, ThreatPropagationError, checked
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
-from .priors import hop_distances, hop_prior
+from .priors import hop_prior
 from .spacetime import (MAX_ORDER, REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
                         solve_spacetime)
 from .spatial import solve_harmonic
@@ -158,7 +158,7 @@ def bfs_detector_scores(g: Graph, cue: int, cue_value: float, tol: float, method
     Vertices unreachable from the cue receive the floor prior and end at
     exactly zero threat, which is their value under the absorbing-walk model.
     """
-    psi = hop_prior(hop_distances(g, [cue]))
+    psi = hop_prior(g.hops([cue]))
     obs = ObservationSet.of((cue, cue_value))
     return solve_harmonic(g, psi, obs, tol=tol, method=method, on_unreachable="zero")
 

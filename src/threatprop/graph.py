@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._solve import scale_rows
+from ._solve import hop_levels, scale_rows
 from .errors import GraphError, ObservationError, checked_sums
 
 if TYPE_CHECKING:
@@ -186,15 +186,22 @@ class Graph:
         return int(self.u.size)
 
     def is_connected(self) -> bool:
-        return bool(self.component_of([0]).all())
+        return bool(np.isfinite(self.hops([0])).all())
 
-    def component_of(self, vertices: Sequence[int]) -> np.ndarray:
-        """Boolean mask of vertices reachable from any of ``vertices``."""
-        from scipy.sparse import csgraph
+    def hops(self, sources: Sequence[int]) -> np.ndarray:
+        """Hop count from the nearest of ``sources``, ``inf`` where no path
+        leads.  Paths follow the records of positive weight, which are the
+        entries every propagation operator keeps; a zero-weight record links
+        nothing."""
+        live = self.w > 0
+        u, v = self.u[live], self.v[live]
 
-        _, comp = csgraph.connected_components(self.adjacency, directed=False)
-        hit = np.unique(comp[np.asarray(vertices, dtype=int)])
-        return np.isin(comp, hit)
+        def step(front):
+            hit = np.zeros_like(front)
+            hit[v[front[u]]] = True
+            hit[u[front[v]]] = True
+            return hit
+        return hop_levels(step, self.n, sources)
 
 
 def build_graph(

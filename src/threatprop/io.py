@@ -72,11 +72,11 @@ def read_edges(path) -> Graph:
 
 
 def resolve_vertex(g: Graph, name: str) -> int:
-    if name in g.label_index:
-        return g.label_index[name]
+    """The vertex a name stands for: its label on a graph with a label table,
+    else its index."""
     try:
-        v = int(name)
-    except ValueError:
+        v = g.label_index[name] if g.labels is not None else int(name)
+    except (KeyError, ValueError):
         raise ObservationError(f"unknown vertex identifier {name!r}") from None
     if not 0 <= v < g.n:
         raise ObservationError(f"vertex index {v} out of range for n={g.n}")
@@ -126,6 +126,9 @@ def write_truth(path, g: Graph, truth: np.ndarray) -> None:
 
 
 def read_truth(path, g: Graph) -> np.ndarray:
+    """Truth labels per vertex.  A row whose label the graph does not hold is
+    skipped: it names a vertex isolated in a generated draw, which its edge
+    list cannot carry."""
     truth = np.zeros(g.n, dtype=np.int8)
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -133,7 +136,9 @@ def read_truth(path, g: Graph) -> np.ndarray:
         for line in r:
             if not line or all(not c.strip() for c in line):
                 continue
-            truth[resolve_vertex(g, line[0].strip())] = int(float(line[1]))
+            name = line[0].strip()
+            if g.labels is None or name in g.label_index:
+                truth[resolve_vertex(g, name)] = int(float(line[1]))
     return truth
 
 

@@ -50,16 +50,6 @@ class PriorSpec:
             raise GraphError("uniform prior value must lie in (0, 1]")
 
 
-def hop_distances(g: Graph, sources) -> np.ndarray:
-    """Minimum hop count from any source vertex, ``inf`` where unreachable."""
-    from scipy.sparse import csgraph
-
-    d = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, directed=False, indices=sources)
-    if d.ndim == 2:
-        d = d.min(axis=0)
-    return d
-
-
 def hop_prior(dist: np.ndarray) -> np.ndarray:
     """The ``bfs`` prior ``1 / d`` at hop distance ``d >= 1``, one on the
     sources and ``PRIOR_FLOOR`` where unreachable (``d = inf``)."""
@@ -119,7 +109,7 @@ def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) 
         bad = sources[(sources < 0) | (sources >= g.n)]
         if bad.size:
             raise ObservationError(f"observed vertices {bad.tolist()} out of range for n={g.n}")
-        dist = hop_distances(g, sources)
+        dist = g.hops(sources)
         if np.isinf(dist).any():
             bad = int(np.flatnonzero(np.isinf(dist))[0])
             raise DisconnectedGraphError(f"vertex {bad} disconnected from cue")

@@ -496,10 +496,8 @@ def spacetime_operator(
     psi = _cell_prior(sys, variant, spatial_psi, on_isolated)
     a = sys.adjacency
     w = checked_sums(np.asarray(a.sum(axis=1)).ravel(), sys.graph.labels, sys.grid.nt)
-    scales = [np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)]
-    if psi is not None:
-        scales.append(np.concatenate([psi, np.ones(sys.hubs)]))
-    return scale_rows(a, *scales)
+    p = scale_rows(a, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+    return p if psi is None else scale_rows(p, np.concatenate([psi, np.ones(sys.hubs)]))
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def solve_harmonic(
     """
     boundary, values = obs.boundary(g.n)
     if on_unreachable == "error":
-        reach = g.component_of(boundary)
+        reach = np.isfinite(g.hops(boundary))
         if not reach.all():
             bad = int(np.flatnonzero(~reach)[0])
             raise DisconnectedGraphError(f"vertex {bad} unreachable from any observed vertex")

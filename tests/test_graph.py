@@ -157,6 +157,13 @@ class TestFiedler:
         with pytest.raises(DisconnectedGraphError, match="not connected"):
             fiedler(g)
 
+    def test_zero_weight_record_does_not_connect(self):
+        # A zero weight leaves the Kirchhoff matrix block diagonal, so lambda_2 is zero.
+        g = build_graph([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], n=4)
+        assert not g.is_connected()
+        with pytest.raises(DisconnectedGraphError, match="not connected"):
+            fiedler(g)
+
     def test_sign_convention_deterministic(self):
         rng = rng_for("sign")
         g = make_er(rng, 12)

@@ -14,11 +14,12 @@ from threatprop.spacetime import TimeGrid, assemble_spacetime
 
 SRC = Path(threatprop.__file__).resolve().parents[1]
 
+# Graph search and linear algebra, which neither propagate command runs.
+NOT_ON_PROPAGATE_PATH = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+
 # Modules that `propagate spacetime` never runs, so its process must not load them.
 NOT_ON_SPACETIME_PATH = (
-    "scipy.sparse.csgraph",
-    "scipy.sparse.linalg",
-    "scipy.linalg",
+    *NOT_ON_PROPAGATE_PATH,
     "threatprop.experiment",
     "threatprop.spectral",
     "threatprop.validate",
@@ -93,6 +94,32 @@ def test_propagate_spacetime_loads_only_what_it_runs(tmp_path):
         grid = TimeGrid(config["t0"], config["dt"], config["bins"])
         system = assemble_spacetime(read_edges(tmp_path / "edges.csv"), grid, rate, mode_default=mode)
         assert (system.kernel is not None) == dense
+
+
+def test_propagate_spatial_loads_no_graph_search_or_linalg(tmp_path):
+    # The bfs prior's hop distances and the reach check are numpy traversals.
+    edges, _ = spacetime_input(tmp_path)
+    obs = tmp_path / "spatial-obs.csv"
+    obs.write_text("vertex,p\nv0,1.0\n")
+    for prior in ("dwtp", "bfs"):
+        out = tmp_path / f"{prior}.csv"
+        loaded = run_cli(tmp_path, ["propagate", "spatial", "--graph", str(edges), "--obs", str(obs),
+                                    "--prior", prior, "--out", str(out)])
+        assert out.exists()
+        assert [m for m in NOT_ON_PROPAGATE_PATH if m in loaded] == [], prior
+
+
+def test_experiment_trial_loads_no_csgraph(tmp_path):
+    # The bfs detector's hop distances are a numpy traversal; the spec
+    # detector still needs scipy.sparse.linalg.
+    script = """
+from threatprop.experiment import run_trial, sbm_detection_config
+
+_result = sorted(run_trial(sbm_detection_config(trials=1), 0))
+"""
+    detectors, loaded = loaded_modules(tmp_path, script)
+    assert detectors == ["_truth", "bfs", "spec", "sttp"]
+    assert "scipy.sparse.linalg" in loaded and "scipy.sparse.csgraph" not in loaded
 
 
 def test_generate_loads_no_scipy(tmp_path):

@@ -99,14 +99,31 @@ class TestEdgeListIO:
         p = tmp_path / "obs.csv"
         p.write_text("vertex,p\nx,1.0\n7,0.5\n")
         assert [e.vertex for e in read_observations(p, g).entries] == [0, 3]
-        # A name that is not a label reads as an index; unknown names and
-        # indices out of range are refused.
+        # On a labelled graph a name that is not a label is refused, even
+        # one that would read as an index.
+        for bad in ("w", "2", "4", "-1"):
+            p.write_text(f"vertex,p\n{bad},1.0\n")
+            with pytest.raises(ObservationError, match="unknown vertex identifier"):
+                read_observations(p, g)
+        # Without a label table a name reads as an index.
+        plain = build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
         p.write_text("vertex,p\n2,1.0\n")
-        assert read_observations(p, g).entries[0].vertex == 2
+        assert read_observations(p, plain).entries[0].vertex == 2
         for bad, message in (("w", "unknown vertex identifier"), ("4", "out of range"), ("-1", "out of range")):
             p.write_text(f"vertex,p\n{bad},1.0\n")
             with pytest.raises(ObservationError, match=message):
-                read_observations(p, g)
+                read_observations(p, plain)
+
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_truth_of_a_generated_draw_reads_by_label(self, tmp_path, seed):
+        # Vertices isolated in the draw are missing from its edge list, so
+        # their truth rows name no vertex of the graph and are skipped.
+        assert main(["generate", "hmmb", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        g = read_edges(tmp_path / "edges.csv")
+        rows = dict(line.split(",") for line in (tmp_path / "truth.csv").read_text().splitlines()[1:])
+        assert len(rows) > g.n
+        truth = read_truth(tmp_path / "truth.csv", g)
+        assert truth.tolist() == [int(float(rows[name])) for name in g.labels]
 
     def test_observations(self, tmp_path):
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], labels=["x", "y", "z"])
@@ -238,6 +255,19 @@ class TestCli:
         assert rc == 1
         assert "error: " in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_unreachable_across_a_zero_weight_record_exits_1(self, tmp_path, capsys):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\na,b,1\nb,c,0\nc,d,1\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p\na,1.0\n")
+        rc = main(["propagate", "spatial", "--graph", str(edges), "--obs", str(obs),
+                   "--out", str(tmp_path / "x.csv")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error: vertex 2 unreachable" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert list(tmp_path.glob("x.*")) == []
 
     @pytest.mark.parametrize("command, rows, obs_text", [
         # 1/w of a subnormal total weight overflows to inf

@@ -13,7 +13,6 @@ from threatprop.priors import (
     average_path_length,
     compute_prior,
     er_average_path_length,
-    hop_distances,
     hop_prior,
 )
 
@@ -119,7 +118,7 @@ class TestComputePrior:
             cue = int(rng.integers(g.n))
             obs = ObservationSet.of((cue, 1.0))
             psi = compute_prior(g, PriorSpec("bfs"), obs)
-            dist = hop_distances(g, [cue])
+            dist = g.hops([cue])
             order = np.argsort(dist)
             assert np.all(np.diff(psi[order]) <= 1e-12)
 
@@ -132,7 +131,12 @@ class TestComputePrior:
         with pytest.raises(DisconnectedGraphError, match="disconnected from cue"):
             compute_prior(g, PriorSpec("bfs"), ObservationSet.of((0, 1.0)))
         # The detectors' rule takes unreachable vertices to the floor instead.
-        assert np.array_equal(hop_prior(hop_distances(g, [0])), [1.0, 1.0, PRIOR_FLOOR, PRIOR_FLOOR])
+        assert np.array_equal(hop_prior(g.hops([0])), [1.0, 1.0, PRIOR_FLOOR, PRIOR_FLOOR])
+
+    def test_bfs_prior_across_a_zero_weight_record(self):
+        g = build_graph([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], n=4)
+        with pytest.raises(DisconnectedGraphError, match="vertex 2 disconnected from cue"):
+            compute_prior(g, PriorSpec("bfs"), ObservationSet.of((0, 1.0)))
 
     def test_uniform_prior(self, path3):
         assert np.allclose(compute_prior(path3, PriorSpec("uniform", psi0=0.7)), 0.7)

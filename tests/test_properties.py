@@ -446,6 +446,20 @@ def test_reach_mask_matches_dijkstra(case):
     assert np.array_equal(_reaches_boundary(p, boundary), np.isfinite(hops))
 
 
+@PROPERTY
+@given(case=timed_graphs(self_loops=True), data=st.data())
+def test_graph_hops_match_csgraph(case, data):
+    """Hop distances from several sources against csgraph's on the adjacency
+    without its stored zeros, the entries every propagation operator keeps."""
+    g, _ = case
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    a = g.adjacency.copy()
+    a.eliminate_zeros()
+    want = csgraph.shortest_path(a, unweighted=True, indices=sources).min(axis=0)
+    got = g.hops(sources)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @st.composite
 def propagation_problems(draw):
     """A graph from ``timed_graphs`` joined up by a unit-weight path, a prior

@@ -141,6 +141,16 @@ class TestSolveHarmonic:
         theta = solve_harmonic(g, psi, obs, on_unreachable="zero")
         assert theta[2] == 0.0 and theta[3] == 0.0 and theta[0] == 1.0
 
+    def test_zero_weight_record_links_nothing(self):
+        # The operator drops the zero-weight record 1-2, so 2 and 3 have no
+        # path to the cue.
+        g = build_graph([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], n=4)
+        obs = ObservationSet.of((0, 1.0))
+        psi = np.full(4, 0.9)
+        with pytest.raises(DisconnectedGraphError, match="vertex 2 unreachable"):
+            solve_harmonic(g, psi, obs)
+        assert solve_harmonic(g, psi, obs, on_unreachable="zero").tolist() == [1.0, 0.9, 0.0, 0.0]
+
     def test_prior_range_validated(self, path3):
         obs = ObservationSet.of((2, 1.0))
         with pytest.raises(GraphError):
@@ -325,14 +335,13 @@ class TestPropagationOperator:
 
     def test_row_scaling_stores_what_the_sparse_product_stores(self):
         # Same values, same order within each row and the same dropped zeros
-        # (a zero weight, a zero scale), so every matvec sums as before; two
-        # factors in one pass store what the two nested products store.
+        # (a zero weight, a zero scale), so every matvec sums as before, for
+        # one factor and for two nested ones.
         rng = rng_for("scale-rows")
         a = make_er(rng, 30, 0.3).adjacency.copy()
         a.data = rng.uniform(0.0, 2.0, a.nnz) * (rng.random(a.nnz) > 0.1)
         s, t = (rng.uniform(0.1, 1.0, 30) * (rng.random(30) > 0.2) for _ in range(2))
         twice = sp.diags(t) @ (sp.diags(s) @ a)
-        for got, want in ((scale_rows(a, s), sp.diags(s) @ a), (scale_rows(scale_rows(a, s), t), twice),
-                          (scale_rows(a, s, t), twice)):
+        for got, want in ((scale_rows(a, s), sp.diags(s) @ a), (scale_rows(scale_rows(a, s), t), twice)):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, part), getattr(want, part))
