@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GraphError, checked_number
-from .graph import Graph
+from .graph import Graph, upper_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -126,10 +126,10 @@ def generate_sbm(params: SbmParams, temporal: str = "coordinated", seed: int = 0
     if params.shuffle:
         labels = struct.permutation(labels)
 
-    iu, ju = np.triu_indices(n, k=1)
-    p = params.block_probs[labels[iu], labels[ju]]
-    hit = struct.random(iu.size) < p
-    src, dst = iu[hit], ju[hit]
+    iu, ju = upper_pairs(n)
+    p = params.block_probs.ravel().take((labels * len(params.sizes)).take(iu) + labels.take(ju))
+    hit = np.flatnonzero(struct.random(iu.size) < p)
+    src, dst = iu.take(hit), ju.take(hit)
 
     truth = (labels == params.foreground).astype(np.int8) if params.foreground is not None else np.zeros(n, np.int8)
 
@@ -246,10 +246,11 @@ def generate_hmmb(params: HmmbParams, seed: int = 0) -> GeneratedNetwork:
     lam = pareto_draw(struct, params.alpha, params.lam_min, n)
     home = params.home_communities[lifestyle]
 
-    iu, ju = np.triu_indices(n, k=1)
-    u_ij, u_ji = struct.random(iu.size), struct.random(iu.size)
-    supported = np.flatnonzero(struct.random(iu.size) < params.block_support[home[iu], home[ju]])
-    iu, ju, u_ij, u_ji = iu[supported], ju[supported], u_ij[supported], u_ji[supported]
+    iu, ju = upper_pairs(n)
+    u_ij, u_ji, u_support = struct.random((3, iu.size))
+    support = params.block_support.ravel().take((home * k).take(iu) + home.take(ju))
+    supported = np.flatnonzero(u_support < support)
+    iu, ju, u_ij, u_ji = (a.take(supported) for a in (iu, ju, u_ij, u_ji))
     cum = np.cumsum(membership, axis=1)
     role_ij = np.minimum((cum[iu] < u_ij[:, None]).sum(axis=1), k - 1)
     role_ji = np.minimum((cum[ju] < u_ji[:, None]).sum(axis=1), k - 1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,6 +36,19 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 LAPLACIAN_KINDS = ("kirchhoff", "generalized")
+
+
+@lru_cache(maxsize=1)
+def upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns ``(iu, ju)`` of the vertex pairs ``i < j`` of order
+    ``n``, in ``np.triu_indices(n, 1)`` order.
+
+    Every all-pairs draw reads this table, and successive draws mostly share
+    one order, so the last order's table is held; it is read-only because
+    every caller shares it."""
+    iu, ju = np.triu_indices(n, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 class Interaction(NamedTuple):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, GraphError, ObservationError
-from .graph import Graph, ObservationSet
+from .graph import Graph, ObservationSet, upper_pairs
 
 logger = logging.getLogger(__name__)
 
@@ -62,9 +62,12 @@ def average_path_length(g: Graph) -> float:
         raise GraphError("average path length needs at least two vertices")
     from scipy.sparse import csgraph
 
-    d = csgraph.shortest_path(g.adjacency, method="D", unweighted=True, directed=False)
-    iu = np.triu_indices(g.n, k=1)
-    vals = d[iu]
+    # csgraph counts a stored zero as an edge; a zero-weight record links
+    # nothing here, as in ``Graph.hops`` and every operator.
+    a = g.adjacency.copy()
+    a.eliminate_zeros()
+    d = csgraph.shortest_path(a, method="D", unweighted=True, directed=False)
+    vals = d[upper_pairs(g.n)]
     if np.isinf(vals).any():
         raise DisconnectedGraphError("average path length undefined on a disconnected graph")
     return float(vals.mean())

@@ -38,6 +38,10 @@ logger = logging.getLogger(__name__)
 
 # Walks still alive after this many steps count as absorbed to non-threat.
 MAX_WALK_STEPS = 1_000_000
+# Philox makes four draws per counter block, and starting a stream costs about
+# as much as 2,000 draws, so a run of more unused blocks than this between two
+# active walks is skipped by starting a new stream after it.
+STREAM_GAP_BLOCKS = 512
 
 
 def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False) -> sp.csr_matrix:
@@ -208,7 +212,6 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     slot = np.full(n + 1, -1, dtype=np.int64)
     slot[chain.boundary] = np.arange(nb)
 
-    total = n * k
     state = np.repeat(np.arange(n), k).astype(np.int64)
     absorbing = np.zeros(n + 1, dtype=bool)
     absorbing[chain.boundary] = True
@@ -228,7 +231,7 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     capped = 0
     step = 0
     while active.size and step < MAX_WALK_STEPS:
-        u = _step_uniforms(seed, step, total)[active]
+        u = _step_uniforms(seed, step, active)
         cur = state[active]
         pos = np.searchsorted(flat_cdf, u + cur)
         # A draw below ulp(cur) / 2 rounds to ``cur`` itself and ties with the
@@ -253,11 +256,20 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     return MonteCarloThreat(theta=theta, capped_walks=capped)
 
 
-def _step_uniforms(seed: int, step: int, count: int) -> np.ndarray:
-    """Uniforms for all walks at one step from a counter-based stream.
+def _step_uniforms(seed: int, step: int, walks: np.ndarray) -> np.ndarray:
+    """Uniforms of ``walks`` (ascending walk ids) at one step, from a
+    counter-based stream.
 
-    The step sits in the counter's second word: Philox advances the first
-    word once per four draws, so a step there would reuse the next step's
-    draws for walks four places on."""
-    bits = np.random.Philox(key=np.uint64(seed), counter=[0, step, 0, 0])
-    return np.random.Generator(bits).random(count)
+    Walk ``j`` reads lane ``j % 4`` of Philox block ``j // 4``, and a stream
+    started at counter ``[c, step, 0, 0]`` begins at block ``c``, so only the
+    blocks that runs of walks span are drawn.  The step sits in the counter's
+    second word: Philox advances the first word once per block, so a step
+    there would reuse the next step's draws for walks four places on."""
+    block = walks // 4
+    cut = np.flatnonzero(np.diff(block) > STREAM_GAP_BLOCKS) + 1
+    out = np.empty(walks.size)
+    for a, b in zip(np.r_[0, cut], np.r_[cut, walks.size]):
+        first = block[a]
+        bits = np.random.Philox(key=np.uint64(seed), counter=[first, step, 0, 0])
+        out[a:b] = np.random.Generator(bits).random(4 * (block[b - 1] - first + 1))[walks[a:b] - 4 * first]
+    return out

@@ -19,7 +19,7 @@ from . import spatial
 from .errors import ValidationFailure
 from .evaluation import roc
 from .generators import SbmParams, generate_sbm
-from .graph import Graph, ObservationSet, laplacian
+from .graph import Graph, ObservationSet, laplacian, upper_pairs
 from .priors import PriorSpec, compute_prior
 from .spacetime import TimeGrid, assemble_spacetime, coordination_prior, kernel_profile, solve_spacetime
 from .spatial import build_absorbing_chain, hitting_threat, monte_carlo_threat
@@ -41,12 +41,12 @@ class CheckResult:
 
 def random_connected_graph(rng: np.random.Generator, n: int, p: float = 0.3) -> Graph:
     """Random graph conditioned on connectivity (rejection draw)."""
+    iu, ju = upper_pairs(n)
     for _ in range(200):
-        iu, ju = np.triu_indices(n, k=1)
-        hit = rng.random(iu.size) < p
-        if not hit.any():
+        hit = np.flatnonzero(rng.random(iu.size) < p)
+        if not hit.size:
             continue
-        g = Graph(n, iu[hit], ju[hit], np.ones(int(hit.sum())))
+        g = Graph(n, iu.take(hit), ju.take(hit), np.ones(hit.size))
         if g.is_connected():
             return g
     raise ValidationFailure(f"could not draw a connected graph at n={n}, p={p}")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import stats
 
 from threatprop.errors import GraphError
+from threatprop.experiment import sbm_detection_config
 from threatprop.generators import (
     HmmbParams,
     SbmParams,
@@ -15,6 +17,7 @@ from threatprop.generators import (
     generate_sbm,
     pareto_draw,
 )
+from threatprop.graph import upper_pairs
 
 from conftest import rng_for
 
@@ -24,7 +27,48 @@ def small_sbm(foreground=1, shuffle=False):
     return SbmParams(sizes=(20, 20), block_probs=s, foreground=foreground, shuffle=shuffle)
 
 
+def reference_sbm(params, temporal, seed):
+    """The blockmodel drawn with a fresh pair table and 2-D block lookups:
+    ``(u, v, t_u, t_v, truth, labels)``."""
+    struct, clock = _streams(seed)
+    n = params.n
+    labels = np.repeat(np.arange(len(params.sizes)), params.sizes)
+    if params.shuffle:
+        labels = struct.permutation(labels)
+    iu, ju = np.triu_indices(n, k=1)
+    hit = struct.random(iu.size) < params.block_probs[labels[iu], labels[ju]]
+    src, dst = iu[hit], ju[hit]
+    truth = (labels == params.foreground).astype(np.int8) if params.foreground is not None else np.zeros(n, np.int8)
+    times = np.full(src.size, np.nan)
+    if temporal != "none":
+        t_star = float(clock.uniform(0.0, params.horizon))
+        times = clock.uniform(0.0, params.horizon, size=src.size)
+        if temporal == "coordinated":
+            times = np.where((truth[src] == 1) & (truth[dst] == 1), t_star, times)
+    return src, dst, times, times, truth, labels
+
+
 class TestSbm:
+    def test_matches_all_pairs_draw(self):
+        # Orders 64 and 256 alternate, so a pair table held from one order
+        # would show in the next draw.
+        small = SbmParams(sizes=(40, 24), block_probs=np.array([[0.1, 0.03], [0.03, 0.4]]), foreground=1)
+        for seed in range(6):
+            for base in (small, sbm_detection_config(2.0).params):
+                for shuffle in (True, False):
+                    params = dataclasses.replace(base, shuffle=shuffle)
+                    for temporal in ("coordinated", "uniform", "none"):
+                        net = generate_sbm(params, temporal=temporal, seed=seed)
+                        g = net.graph
+                        got = (g.u, g.v, g.t_u, g.t_v, net.truth, net.meta["labels"])
+                        for a, b in zip(got, reference_sbm(params, temporal, seed), strict=True):
+                            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for n in (64, 256):
+            iu, ju = upper_pairs(n)
+            assert iu.size == n * (n - 1) // 2 and not iu.flags.writeable and not ju.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                iu[0] = 1
+
     def test_zero_probability_gives_empty_graph(self):
         params = SbmParams(sizes=(5, 5), block_probs=np.zeros((2, 2)))
         net = generate_sbm(params, seed=1)

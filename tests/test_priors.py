@@ -68,6 +68,13 @@ class TestAveragePathLength:
         with pytest.raises(DisconnectedGraphError):
             average_path_length(g)
 
+    def test_zero_weight_record_links_nothing(self):
+        # As in Graph.hops and every operator; csgraph alone would count the
+        # stored zero as an edge and return 5/3.
+        g = build_graph([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], n=4)
+        with pytest.raises(DisconnectedGraphError):
+            average_path_length(g)
+
 
 class TestClosedFormPathLength:
     def test_sparse_random_graph_formula(self):

@@ -6,7 +6,9 @@ from threatprop._solve import scale_rows, solve_boundary_value
 from threatprop.errors import ConvergenceError, DisconnectedGraphError, GraphError
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
+from threatprop import spatial
 from threatprop.spatial import (
+    STREAM_GAP_BLOCKS,
     _step_uniforms,
     build_absorbing_chain,
     hitting_threat,
@@ -31,6 +33,12 @@ def dense_harmonic_oracle(g, psi, obs):
         lib = lp[np.ix_(interior, boundary)]
         theta[interior] = -np.linalg.solve(lii, lib @ theta[boundary])
     return theta
+
+
+def all_walk_uniforms(seed, step, walks):
+    """Reference draw: every walk's uniform at one step, read at ``walks``."""
+    bits = np.random.Philox(key=np.uint64(seed), counter=[0, step, 0, 0])
+    return np.random.Generator(bits).random(int(walks[-1]) + 1)[walks]
 
 
 def wheel(ring):
@@ -296,7 +304,34 @@ class TestMonteCarlo:
     def test_consecutive_steps_share_no_draws(self):
         # Philox advances its first counter word once per four draws, so a
         # step kept in that word would hand walk j + 4's draws to walk j next step.
-        assert not np.isin(_step_uniforms(11, 1, 8), _step_uniforms(11, 0, 1000)).any()
+        assert not np.isin(_step_uniforms(11, 1, np.arange(8)), _step_uniforms(11, 0, np.arange(1000))).any()
+
+    def test_active_walk_draws_match_all_walk_draw(self):
+        # Runs of walks split where more than STREAM_GAP_BLOCKS blocks of
+        # four draws go unused, and each run starts its own stream.
+        far = 4 * STREAM_GAP_BLOCKS
+        rng = rng_for("walk-draws")
+        sets = [np.array([0]), np.array([7]), np.arange(8), np.array([3, 4, 4 + far, 8 + 2 * far, 13 + 2 * far]),
+                np.array([1, 4 * (STREAM_GAP_BLOCKS + 1), 4 * (2 * STREAM_GAP_BLOCKS + 2) + 3, 50 * far + 2])]
+        sets += [np.flatnonzero(rng.random(12 * far) < frac) for frac in (0.5, 1e-3, 1e-4)]
+        for walks in sets:
+            for seed, step in ((0, 0), (11, 5), (2**64 - 1, 2127)):
+                got = _step_uniforms(seed, step, walks)
+                assert got.tobytes() == all_walk_uniforms(seed, step, walks).tobytes(), (walks, seed, step)
+
+    def test_long_walks_match_all_walk_draw(self, monkeypatch):
+        # Three states far apart in walk order hold their walks for hundreds
+        # of steps with a heavy self-loop, while the other walks end within a
+        # few, so late steps draw for a few scattered runs of walks.
+        heavy = (2, 15, 31)
+        edges = [(i, i, 200.0 if i in heavy else 1.0) for i in range(2, 33)]
+        edges += [(i, cue, 1.0) for i in range(2, 33) for cue in (0, 1)]
+        g = build_graph(edges, allow_self_loops=True)
+        chain = build_absorbing_chain(g, np.ones(g.n), ObservationSet.of((0, 1.0), (1, 0.0)))
+        got = monte_carlo_threat(chain, 300, seed=7)
+        monkeypatch.setattr(spatial, "_step_uniforms", all_walk_uniforms)
+        want = monte_carlo_threat(chain, 300, seed=7)
+        assert got.theta.tobytes() == want.theta.tobytes() and got.capped_walks == want.capped_walks == 0
 
     def test_spread_over_equivalent_vertices_is_binomial(self):
         # Every ring vertex of a wheel has the same threat, 0.75, so their
