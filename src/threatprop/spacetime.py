@@ -249,7 +249,13 @@ class SpaceTimeSystem:
     @property
     def hubs(self) -> int:
         """Hub states of the explicit adjacency, one per vertex with a time clique."""
-        return int(np.count_nonzero(_clique_vertices(self.spatial, self.mode)))
+        return self.hub_vertices.size
+
+    @property
+    def hub_vertices(self) -> np.ndarray:
+        """The vertices with a time clique, ascending, which is the order of
+        their hub states after the cells."""
+        return np.flatnonzero(_clique_vertices(self.spatial, self.mode))
 
     @cached_property
     def factors(self) -> tuple:

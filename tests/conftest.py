@@ -3,7 +3,8 @@ import zlib
 import numpy as np
 import pytest
 
-from threatprop.graph import Graph, build_graph
+from threatprop.graph import Graph, build_graph, upper_pairs
+from threatprop.validate import random_connected_graph
 
 
 @pytest.fixture
@@ -12,16 +13,15 @@ def path3() -> Graph:
 
 
 def make_er(rng: np.random.Generator, n: int, p: float = 0.3, connected: bool = True) -> Graph:
-    """Random graph; rejection-sampled for connectivity when asked."""
-    for _ in range(500):
-        iu, ju = np.triu_indices(n, k=1)
+    """Random graph: ``validate``'s connected draw, or with ``connected=False``
+    the first draw with an edge."""
+    if connected:
+        return random_connected_graph(rng, n, p)
+    iu, ju = upper_pairs(n)
+    while True:
         hit = rng.random(iu.size) < p
-        if not hit.any():
-            continue
-        g = build_graph([(int(u), int(v), 1.0) for u, v in zip(iu[hit], ju[hit])], n=n)
-        if not connected or g.is_connected():
-            return g
-    raise RuntimeError("could not draw a suitable graph")
+        if hit.any():
+            return Graph(n, iu[hit], ju[hit], np.ones(np.count_nonzero(hit)))
 
 
 def rng_for(*key) -> np.random.Generator:

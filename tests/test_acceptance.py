@@ -14,18 +14,21 @@ from scipy.special import zeta
 from threatprop.evaluation import convexity_defect, roc
 from threatprop.experiment import hmmb_detection_config, run_experiment, sbm_detection_config
 from threatprop.generators import HmmbParams, generate_hmmb
-from threatprop.graph import ObservationSet, build_graph
+from threatprop.graph import ObservationSet
 from threatprop.priors import PriorSpec, compute_prior
-from threatprop.spacetime import TimeGrid, assemble_spacetime, solve_spacetime
-from threatprop.spatial import (
-    build_absorbing_chain,
-    hitting_threat,
-    monte_carlo_threat,
-    solve_harmonic,
+from threatprop.spatial import build_absorbing_chain, hitting_threat, solve_harmonic
+from threatprop.validate import (
+    check_degenerate_constant,
+    check_fiedler_bounds,
+    check_generator_statistics,
+    check_invariant_subspace,
+    check_maximum_principle,
+    check_spacetime_hitting,
+    check_spacetime_walks,
+    check_walk_equivalence,
 )
-from threatprop.spectral import fiedler
 
-from conftest import adjacency_sets, bfs_component, make_er, rng_for
+from conftest import make_er, rng_for
 
 
 def report(num, ok, detail):
@@ -56,91 +59,51 @@ def hmmb_results():
     return out
 
 
+def worst_z(runs, walks):
+    """Largest plain z of a walk estimate against its exact value; a state
+    whose exact value is 0 or 1 has no spread and counts as 0."""
+    worst = 0.0
+    for exact, mc in runs:
+        sigma = np.sqrt(np.maximum(exact * (1 - exact), 0.0) / walks)
+        worst = max(worst, float((np.abs(mc.theta - exact) / np.where(sigma > 0, sigma, np.inf)).max()))
+    return worst
+
+
 def test_criterion_1_equivalence_of_the_three_solutions():
     rng = rng_for("acc1")
     t0 = time.perf_counter()
-    worst_exact = 0.0
-    worst_z = 0.0
-    walks = 100_000
-    for i in range(10):
-        g = make_er(rng, 20, 0.3)
-        cue = int(rng.integers(g.n))
-        obs = ObservationSet.of((cue, 1.0))
-        psi = compute_prior(g, PriorSpec("dwtp"))
-        harmonic = solve_harmonic(g, psi, obs, tol=1e-12)
-        chain = build_absorbing_chain(g, psi, obs)
-        exact = hitting_threat(chain)
-        worst_exact = max(worst_exact, float(np.abs(harmonic - exact).max()))
-        mc = monte_carlo_threat(chain, walks, seed=4000 + i)
-        sigma = np.sqrt(np.maximum(exact * (1 - exact), 0.0) / walks)
-        z = np.abs(mc.theta - exact) / np.where(sigma > 0, sigma, np.inf)
-        worst_z = max(worst_z, float(z.max()))
+    # spatial: 10 graphs of order 20; space-time: hub systems of order 10 on 6 bins
+    err, runs = check_walk_equivalence(rng, graphs=10, n=20, walks=100_000, seed=4000)
+    err_st, runs_st = check_spacetime_walks(rng, systems=2, n=10, walks=20_000, seed=4010)
+    err_hubs = check_spacetime_hitting(rng, systems=10, n=15)
+    worst_exact = max(err, err_st, err_hubs)
+    worst = max(worst_z(runs, 100_000), worst_z(runs_st, 20_000))
     elapsed = time.perf_counter() - t0
-    ok = worst_exact <= 1e-8 and worst_z <= 3.0 and elapsed < 30.0
+    ok = worst_exact <= 1e-8 and worst <= 3.0 and elapsed < 30.0
     report(1, ok, f"harmonic vs hitting {worst_exact:.2e} (<=1e-8), "
-                  f"walk max z {worst_z:.2f} (<=3), {elapsed:.1f}s (<30s)")
+                  f"walk max z {worst:.2f} (<=3), {elapsed:.1f}s (<30s)")
 
 
 def test_criterion_2_maximum_principle():
-    rng = rng_for("acc2")
     t0 = time.perf_counter()
-    ok = True
-    detail = "200 triples in range with boundary maximum"
-    for _ in range(200):
-        n = int(rng.integers(8, 30))
-        g = make_er(rng, n, 0.3)
-        count = int(rng.integers(1, 4))
-        verts = rng.choice(g.n, size=count, replace=False)
-        obs = ObservationSet.of(*[(int(v), float(rng.uniform(0.1, 1.0))) for v in verts])
-        kind = ("uniform", "dwtp", "lwtp", "bfs")[int(rng.integers(4))]
-        psi = compute_prior(g, PriorSpec(kind, psi0=float(rng.uniform(0.2, 1.0))), obs)
-        theta = solve_harmonic(g, psi, obs)
-        top = float(obs.values.max())
-        if not (theta.min() >= -1e-8 and theta.max() <= top + 1e-8
-                and abs(theta.max() - theta[obs.vertices].max()) <= 1e-8):
-            ok, detail = False, f"violation on n={n} {kind}"
-            break
+    worst = check_maximum_principle(rng_for("acc2"), reps=200, n=range(8, 30), cues=3)
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 10.0
-    report(2, ok, f"{detail}, {elapsed:.1f}s (<10s)")
+    ok = worst <= 1e-8 and elapsed < 10.0
+    report(2, ok, f"200 triples, range and boundary maximum within {worst:.2e} (<=1e-8), "
+                  f"{elapsed:.1f}s (<10s)")
 
 
 def test_criterion_3_invariant_subspace_construction():
-    rng = rng_for("acc3")
     t0 = time.perf_counter()
-    worst = 0.0
-    ranks_ok = True
-    for _ in range(100):
-        n = int(rng.integers(5, 31))
-        g = make_er(rng, n, 0.35)
-        count = int(rng.integers(1, max(2, n // 4)))
-        verts = rng.choice(g.n, size=count, replace=False)
-        obs = ObservationSet.of(*[(int(v), float(rng.uniform(0.1, 1.0))) for v in verts])
-        psi = compute_prior(g, PriorSpec("uniform", psi0=float(rng.uniform(0.2, 1.0))), obs)
-        chain = build_absorbing_chain(g, psi, obs)
-        e = chain.invariant_basis()
-        worst = max(worst, float(np.abs(chain.transition_matrix @ e - e).max()))
-        ranks_ok = ranks_ok and np.linalg.matrix_rank(e) == chain.n_absorbing
+    worst, shortfall = check_invariant_subspace(rng_for("acc3"), reps=100, n=range(5, 31), p=0.35,
+                                                kinds=("uniform",))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-12 and ranks_ok and elapsed < 5.0
-    report(3, ok, f"max |T@E - E| {worst:.2e} (<=1e-12), ranks ok={ranks_ok}, {elapsed:.1f}s (<5s)")
+    ok = worst <= 1e-12 and shortfall == 0 and elapsed < 5.0
+    report(3, ok, f"max |T@E - E| {worst:.2e} (<=1e-12), rank shortfall {shortfall}, {elapsed:.1f}s (<5s)")
 
 
 def test_criterion_4_degenerate_constant_solution():
-    rng = rng_for("acc4")
-    p0 = 0.37
-    g = make_er(rng, 24, 0.3)
-    theta = solve_harmonic(g, np.ones(g.n), ObservationSet.of((5, p0)), tol=1e-10, method="direct")
-    err_spatial = float(np.abs(theta - p0).max())
-
-    times = rng.uniform(0.0, 10.0, g.size)
-    gt = build_graph([(e.u, e.v, e.weight, t, t) for e, t in zip(g.interactions, times)], n=g.n)
-    # rate low enough that no kernel entry is truncated, keeping the lifted
-    # graph fully coupled
-    sys_ = assemble_spacetime(gt, TimeGrid(0.0, 1.0, 10), rates=0.25)
-    cue = gt.interactions[0].u
-    theta_st = solve_spacetime(sys_, ObservationSet.of((cue, p0, times[0])), variant="weighted", tol=1e-10)
-    err_st = float(np.abs(theta_st - p0).max())
+    err_spatial, err_st = check_degenerate_constant(rng_for("acc4"), n=24, nt=10, tol=1e-10)
     ok = err_spatial <= 1e-8 and err_st <= 1e-8
     report(4, ok, f"spatial err {err_spatial:.2e}, space-time err {err_st:.2e} (<=1e-8)")
 
@@ -213,33 +176,10 @@ def test_criterion_8_roc_convexity():
 
 
 def test_criterion_9_connectivity_eigenvector_properties():
-    rng = rng_for("acc9")
-    ok = True
-    detail = "100 graphs: bounds and threshold connectivity hold"
-    from scipy.sparse import csgraph
-
-    for _ in range(100):
-        n = int(rng.integers(6, 40))
-        g = make_er(rng, n, 0.3)
-        value, vec = fiedler(g)
-        d = csgraph.shortest_path(g.adjacency, unweighted=True)
-        lo = 4.0 / (g.n * d.max())
-        hi = g.n / (g.n - 1) * g.degrees.min()
-        if not (lo - 1e-9 <= value <= hi + 1e-9):
-            ok, detail = False, f"bound violation at n={n}: {value:.4f} not in [{lo:.4f}, {hi:.4f}]"
-            break
-        rows = adjacency_sets(g)
-        for c in np.r_[vec[vec < 0], 0.0]:
-            keep = set(np.flatnonzero(vec >= c).tolist())
-            if len(keep) <= 1:
-                continue
-            sub = {v: rows[v] & keep for v in keep}
-            if bfs_component(sub, next(iter(keep))) != keep:
-                ok, detail = False, f"disconnected threshold subgraph at n={n}, c={c:.4f}"
-                break
-        if not ok:
-            break
-    report(9, ok, detail)
+    violation, disconnected = check_fiedler_bounds(rng_for("acc9"), reps=100, n=range(6, 40))
+    ok = violation <= 1e-9 and disconnected == 0
+    report(9, ok, f"100 graphs: Fiedler bound violation {violation:.2e} (<=1e-9), "
+                  f"{disconnected} disconnected threshold subgraphs")
 
 
 def ml_tail_exponent(samples: np.ndarray, x_min: float) -> float:
@@ -253,27 +193,9 @@ def ml_tail_exponent(samples: np.ndarray, x_min: float) -> float:
 
 def test_criterion_10_generator_statistics():
     # blockmodel: pooled block densities within 3 sigma over 1000 draws
-    from threatprop.generators import SbmParams, generate_sbm
-
-    s = np.array([[0.25, 0.04], [0.04, 0.15]])
-    params = SbmParams(sizes=(30, 30), block_probs=s, shuffle=False)
-    counts = np.zeros((2, 2))
-    trials = 1000
-    for t in range(trials):
-        net = generate_sbm(params, temporal="none", seed=50_000 + t)
-        labels = net.meta["labels"]
-        for e in net.graph.interactions:
-            a, b = min(labels[e.u], labels[e.v]), max(labels[e.u], labels[e.v])
-            counts[a, b] += 1
-    pairs = np.array([[435.0, 900.0], [0.0, 435.0]]) * trials
-    dens_ok = True
-    worst_sigma = 0.0
-    for i in range(2):
-        for j in range(i, 2):
-            sig = np.sqrt(s[i, j] * (1 - s[i, j]) / pairs[i, j])
-            zval = abs(counts[i, j] / pairs[i, j] - s[i, j]) / sig
-            worst_sigma = max(worst_sigma, zval)
-            dens_ok = dens_ok and zval <= 3.0
+    worst_sigma = check_generator_statistics(rng_for("acc10"), block_probs=((0.25, 0.04), (0.04, 0.15)),
+                                             sizes=(30, 30), trials=1000, seed=50_000)
+    dens_ok = worst_sigma <= 3.0
 
     # hybrid model at ones strength and full support reduces to the
     # expected-degree model: the interaction-count tail recovers alpha

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -690,3 +691,19 @@ class TestValidateFaultInjection:
         report = validate.run_suite("fast")
         assert time.time() - t0 < 60
         assert report["passed"]
+
+
+class TestValidateReport:
+    def test_fast_report_names_every_check_in_order(self):
+        names = [c["name"] for c in validate.run_suite("fast")["checks"]]
+        assert names == [
+            "laplacian-kernel", "fiedler-bounds-and-threshold", "maximum-principle",
+            "chain-row-stochasticity", "invariant-subspace", "harmonic-vs-hitting", "harmonic-vs-walks",
+            "degenerate-constant", "kernel-identities", "spacetime-spatial-equivalence", "roc-properties",
+            "generator-block-densities", "spacetime-harmonic-vs-hitting", "spacetime-harmonic-vs-walks",
+        ]
+
+    def test_fast_suite_logs_no_warning(self, caplog):
+        caplog.set_level(logging.WARNING)
+        validate.run_suite("fast")
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []

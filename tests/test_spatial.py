@@ -16,6 +16,7 @@ from threatprop.spatial import (
     propagation_operator,
     solve_harmonic,
 )
+from threatprop.validate import check_chain_stochasticity, check_harmonic_hitting_equivalence
 
 from conftest import make_er, rng_for
 
@@ -198,12 +199,7 @@ class TestAbsorbingChain:
         assert np.allclose(chain.hitting_matrix(), acc, atol=1e-10)
 
     def test_rows_sum_to_one(self):
-        rng = rng_for("stoch")
-        for _ in range(10):
-            g, psi, obs = random_system(rng)
-            t = build_absorbing_chain(g, psi, obs).transition_matrix
-            ones = np.ones(t.shape[0])
-            assert np.abs(t @ ones - ones).max() <= 1e-14
+        assert check_chain_stochasticity(rng_for("stoch"), reps=10, n=18) <= 1e-14
 
     def test_observed_rows_are_identity(self):
         rng = rng_for("idrows")
@@ -239,12 +235,7 @@ class TestAbsorbingChain:
 
 class TestEquivalence:
     def test_harmonic_equals_hitting(self):
-        rng = rng_for("equiv")
-        for _ in range(10):
-            g, psi, obs = random_system(rng)
-            theta = solve_harmonic(g, psi, obs, tol=1e-12)
-            exact = hitting_threat(build_absorbing_chain(g, psi, obs))
-            assert np.abs(theta - exact).max() <= 1e-8
+        assert check_harmonic_hitting_equivalence(rng_for("equiv"), reps=10, n=18, cues=3) <= 1e-8
 
 
 class TestMonteCarlo:
