@@ -2,10 +2,9 @@
 
 The CLI maps these onto exit codes: input/usage problems exit 1, numerical
 failures exit 2, validation-suite failures exit 3.  ``checked_number`` is
-the one scalar input check the config objects and solvers share,
-``checked_prior`` the one check of a per-vertex prior vector, and
-``checked_sums`` the one weight-range rule for the row sums that every
-propagation operator divides by.
+the one scalar input check the config objects and solvers share, and
+``checked_prior`` the one check of a per-vertex prior vector.  The range of
+an edge weight is checked where a graph is built (``graph.Graph``).
 """
 
 from __future__ import annotations
@@ -70,22 +69,6 @@ def checked_number(name: str, value, *, integer: bool = False, low: float = -mat
         kind = "an integer" if integer else "a finite number"
         raise GraphError(f"{name} must be {kind} in {'(' if open_low else '['}{low:g}, {high:g}], got {value!r}")
     return int(value) if integer else float(value)
-
-
-def checked_sums(sums: np.ndarray, labels=None, rows_per_vertex: int = 1) -> np.ndarray:
-    """``sums``, the total weights that an operator's rows are divided by,
-    if every one is finite and every positive one has a finite reciprocal
-    (is at least ``1 / finfo(float).max``, about 5.6e-309); else a
-    :class:`GraphError` naming the vertex that owns the first bad row."""
-    with np.errstate(divide="ignore", over="ignore"):
-        bad = ~np.isfinite(sums) | ~np.isfinite(1.0 / np.where(sums > 0, sums, 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        vertex = i // rows_per_vertex
-        name = labels[vertex] if labels else vertex
-        raise GraphError(f"weights at vertex {name} sum to {sums[i]:g}, but a vertex's total weight must be "
-                         f"finite with a finite reciprocal; rescale the weights")
-    return sums
 
 
 def checked_prior(psi, n: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._solve import hop_levels, scale_rows
-from .errors import GraphError, ObservationError, checked_sums
+from .errors import GraphError, ObservationError
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -36,6 +36,12 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 LAPLACIAN_KINDS = ("kirchhoff", "generalized")
+
+# A stored weight is 0 or lies in this range.  Every propagation operator is
+# a ratio of weights, and inside it every row sum, reciprocal, kernel product
+# and prior of either model is a normal float, so no positive entry rounds
+# to zero and none of them overflows.
+MIN_WEIGHT, MAX_WEIGHT = 1e-100, 1e100
 
 
 @lru_cache(maxsize=1)
@@ -78,8 +84,10 @@ class Graph:
     columns (endpoints in range, finite nonnegative weights, times finite or
     NaN in both columns of a record) and merges duplicate untimed records of
     the same pair by weight summation, in record order at the position of the
-    first, refusing a sum that overflows; repeated timestamped records are
-    legitimate multiplicity.  All matrix views are built lazily and cached.
+    first; repeated timestamped records are legitimate multiplicity.  Every
+    stored weight, a merged one included, must then be 0 or lie in
+    ``[MIN_WEIGHT, MAX_WEIGHT]``.  All matrix views are built lazily and
+    cached.
     """
 
     n: int
@@ -100,6 +108,12 @@ class Graph:
                     for t in (self.t_u, self.t_v))
         if not u.size == v.size == w.size == t_u.size == t_v.size:
             raise GraphError("edge columns differ in length")
+
+        def refuse(bad, message):
+            if np.any(bad):
+                i = int(np.argmax(bad))
+                raise GraphError(message.format(e=(int(u[i]), int(v[i])), n=n, w=w[i]))
+
         checks = (
             ((u < 0) | (v < 0), "negative vertex index in edge {e}"),
             ((u >= n) | (v >= n), "vertex index out of range for n={n} in edge {e}"),
@@ -109,9 +123,7 @@ class Graph:
             (np.isinf(t_u) | np.isinf(t_v), "non-finite timestamp on edge {e}"),
         )
         for bad, message in checks:
-            if np.any(bad):
-                i = int(np.argmax(bad))
-                raise GraphError(message.format(e=(int(u[i]), int(v[i])), n=n, w=w[i]))
+            refuse(bad, message)
         labels = self.labels
         if labels is not None:
             labels = tuple(str(s) for s in labels)
@@ -125,18 +137,16 @@ class Graph:
             dup = np.ones(static.size, dtype=bool)
             dup[first] = False
             total = w[static[first]]
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore"):  # an overflowed sum is inf, which the range refuses
                 np.add.at(total, group[dup], w[static[dup]])
-            bad = np.flatnonzero(~np.isfinite(total))
-            if bad.size:
-                i = static[first[bad[0]]]
-                raise GraphError(f"untimed records of edge {(int(u[i]), int(v[i]))} sum to the non-finite "
-                                 f"weight {total[bad[0]]}")
             w[static[first]] = total
             keep = np.ones(u.size, dtype=bool)
             keep[static[dup]] = False
             u, v, w, t_u, t_v = (col[keep] for col in (u, v, w, t_u, t_v))
             logger.warning("merged %d duplicate static edge records by weight summation", int(dup.sum()))
+        refuse((w != 0) & ((w < MIN_WEIGHT) | (w > MAX_WEIGHT)),
+               f"weight {{w}} on edge {{e}} is neither 0 nor in [{MIN_WEIGHT:g}, {MAX_WEIGHT:g}]; "
+               "rescale the weights")
         for col in (u, v, w, t_u, t_v):
             col.flags.writeable = False
         # Frozen: store the normalized fields past the dataclass __setattr__.
@@ -234,8 +244,9 @@ def build_graph(
     ------
     GraphError
         On an empty edge list with no vertex count, negative or non-finite
-        weights, non-finite times, out-of-range indices, self-loops (unless
-        allowed), or a half-set timestamp pair.
+        weights, a positive weight (after merging) outside ``[MIN_WEIGHT,
+        MAX_WEIGHT]``, non-finite times, out-of-range indices, self-loops
+        (unless allowed), or a half-set timestamp pair.
     """
     rows = [(*row, None, None) if len(row) == 3 else tuple(row) for row in edges]
     bad = next((len(row) for row in rows if len(row) != 5), None)
@@ -269,7 +280,6 @@ def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
     d = g.degrees
     if kind == "kirchhoff":
         return (sp.diags(d) - a).tocsr()
-    checked_sums(d, g.labels)
     if np.any(d <= 0):
         isolated = int(np.argmin(d))
         raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")

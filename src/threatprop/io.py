@@ -49,7 +49,9 @@ def write_edges(path, g: Graph) -> None:
 def read_edges(path) -> Graph:
     """Load a graph, mapping string vertex ids to dense indices by first
     appearance.  An empty weight reads as 1 and empty time fields mark an
-    untimed edge; a non-finite weight or time is an error."""
+    untimed edge; a non-finite time, or a weight that is not 0 or in
+    ``[graph.MIN_WEIGHT, graph.MAX_WEIGHT]`` once duplicate untimed edges
+    merge, is an error that names the edge."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, None)

@@ -24,7 +24,10 @@ as numpy columns (:class:`Entries`), so a product through them is one
 ``P = diag(s) A`` scales that product by its row factors ``s`` (one over the
 row sum, then the prior, both read off the product on ones), so the
 iterative solve never writes ``A`` out, and its reachability traversal and
-inert-cue check run on the factors' pattern.  Where the dense ``nt x nt``
+inert-cue check read the sign of the same product: every stored weight is 0
+or in the range that ``graph.Graph`` enforces, so no positive product
+underflows, and the product of a 0/1 vector is positive exactly where ``A``
+has a positive entry into the ones.  Where the dense ``nt x nt``
 product would cost more than the kernel entries themselves (a fine grid, or
 a kernel that keeps only a few bins around each record), the timed part is
 written out instead, as a CSR over the cells with one window of kernel
@@ -57,7 +60,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from ._solve import scale_rows, solve_boundary_value
-from .errors import GraphError, checked_prior, checked_sums
+from .errors import GraphError, checked_prior
 from .graph import Graph, ObservationSet
 
 if TYPE_CHECKING:
@@ -203,10 +206,6 @@ class Entries(NamedTuple):
         """Stored entries, repeated positions counted each time."""
         return self.vals.size
 
-    def positive(self) -> "Entries":
-        """The entries with every positive value one and every other zero."""
-        return self._replace(vals=(self.vals > 0).astype(float))
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """``M @ x`` for a vector, or for a matrix of ``k`` columns through
         one scatter over the flattened cells ``rows * k + column``."""
@@ -230,14 +229,13 @@ class SpaceTimeSystem:
     None, and products use ``(I_n kron K) B`` written out over the cells,
     built on first use as a scipy CSR.  ``B`` and ``C`` are :class:`Entries`,
     numpy columns with one entry per record end and per direction of an
-    untimed record, unmerged.  ``rate`` and ``truncation`` define ``K``
-    where it is written out and in the explicit adjacency."""
+    untimed record, unmerged.  ``rate`` defines ``K`` where it is written
+    out and in the explicit adjacency."""
 
     graph: Graph
     grid: TimeGrid
     rate: float
     mode: str
-    truncation: float
     ends: Entries
     kernel: np.ndarray | None
     spatial: Entries
@@ -270,37 +268,24 @@ class SpaceTimeSystem:
         import scipy.sparse as sp
 
         nt, centers, ends = self.grid.nt, self.grid.centers, self.ends
-        half = int(_kernel_lags(self.grid, self.rate, self.truncation).max(initial=-1)) + 1
+        half = int(_kernel_lags(self.grid, self.rate).max(initial=-1)) + 1
         width = min(nt, 2 * half + 1)
         recv, b = np.divmod(ends.rows, nt)
         t = np.clip(b - width // 2, 0, nt - width)[:, None] + np.arange(width)
         vals = kernel_profile(self.rate, centers[t] - centers[b][:, None])
-        keep = vals >= self.truncation
+        keep = vals >= KERNEL_TRUNCATION
         rows = (recv[:, None] * nt + t)[keep]
         cols = np.broadcast_to(ends.cols[:, None], keep.shape)[keep]
         written = sp.csr_matrix(((ends.vals[:, None] * vals)[keep], (rows, cols)), shape=ends.shape)
         return written, None, self.spatial
 
-    @cached_property
-    def pattern(self) -> tuple:
-        """The factors with every positive entry one and every other zero, so
-        the product of a 0/1 vector through them is positive exactly where
-        ``A`` has a positive entry into the ones."""
-        timed, kernel, spatial = self.factors
-        if kernel is None:  # the written-out kernel's CSR
-            timed = timed.copy()
-            timed.data = (timed.data > 0).astype(float)
-        else:
-            timed, kernel = timed.positive(), (kernel > 0).astype(float)
-        return timed, kernel, spatial.positive()
-
-    def product(self, x: np.ndarray, transpose: bool = False, pattern: bool = False) -> np.ndarray:
+    def product(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
         """``A @ x``, or ``A.T @ x``, over the cells, with every time clique's
-        hub eliminated; through :attr:`pattern` with ``pattern``.  ``K`` and
-        ``C`` are symmetric, and so is the untimed part; so is ``B``, which
-        holds both ends of every record with one weight."""
+        hub eliminated.  ``K`` and ``C`` are symmetric, and so is the untimed
+        part; so is ``B``, which holds both ends of every record with one
+        weight."""
         n, nt = self.graph.n, self.grid.nt
-        timed, kernel, spatial = self.pattern if pattern else self.factors
+        timed, kernel, spatial = self.factors
         if kernel is None:
             y = (timed.T if transpose else timed) @ x
         elif transpose:
@@ -314,15 +299,14 @@ class SpaceTimeSystem:
 
     @cached_property
     def row_sums(self) -> np.ndarray:
-        """Total weight of every cell's row, ``A @ 1``, held to the weight-range
-        rule of :func:`checked_sums`."""
-        return checked_sums(self.product(np.ones(self.order)), self.graph.labels, self.grid.nt)
+        """Total weight of every cell's row, ``A @ 1``."""
+        return self.product(np.ones(self.order))
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
         """The explicit adjacency, built on demand: the cells, then one hub
         state per vertex with a time clique."""
-        return _explicit_adjacency(self.graph, self.grid, self.rate, self.mode, self.truncation)
+        return _explicit_adjacency(self)
 
 
 def assemble_spacetime(
@@ -330,7 +314,6 @@ def assemble_spacetime(
     grid: TimeGrid,
     rates: float = 1.0,
     mode_default: str = "clique",
-    truncation: float = KERNEL_TRUNCATION,
 ) -> SpaceTimeSystem:
     """Build the factors of the space-time adjacency from the graph's edge columns.
 
@@ -369,11 +352,11 @@ def assemble_spacetime(
     keys = np.sort(ends.rows * cells + ends.cols)
     positions = keys.size - np.count_nonzero(keys[1:] == keys[:-1])
     kernel = None
-    if _dense_kernel_pays(g.n, positions, grid, lam, truncation):
+    if _dense_kernel_pays(g.n, positions, grid, lam):
         centers = grid.centers
         kernel = kernel_profile(lam, centers - centers[:, None])
-        kernel[kernel < truncation] = 0.0
-    return SpaceTimeSystem(g, grid, lam, mode_default, truncation, ends, kernel, spatial)
+        kernel[kernel < KERNEL_TRUNCATION] = 0.0
+    return SpaceTimeSystem(g, grid, lam, mode_default, ends, kernel, spatial)
 
 
 def _clique_vertices(spatial: Entries, mode: str) -> np.ndarray:
@@ -384,12 +367,12 @@ def _clique_vertices(spatial: Entries, mode: str) -> np.ndarray:
     return np.bincount(spatial.rows, minlength=n) > 0 if mode == "clique" else np.zeros(n, dtype=bool)
 
 
-def _kernel_lags(grid: TimeGrid, lam: float, truncation: float) -> np.ndarray:
+def _kernel_lags(grid: TimeGrid, lam: float) -> np.ndarray:
     """The bin lags at which the truncated kernel keeps its entry."""
-    return np.flatnonzero(kernel_profile(lam, np.arange(grid.nt) * grid.dt) >= truncation)
+    return np.flatnonzero(kernel_profile(lam, np.arange(grid.nt) * grid.dt) >= KERNEL_TRUNCATION)
 
 
-def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float, truncation: float) -> bool:
+def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float) -> bool:
     """Whether a product applies the kernel as the dense ``nt x nt`` table.
 
     One dense product is ``n * nt**2`` multiply-adds, each costing
@@ -400,13 +383,13 @@ def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float, truncation
     form, so it is never the larger of the two.
     """
     nt = grid.nt
-    lags = _kernel_lags(grid, lam, truncation)
+    lags = _kernel_lags(grid, lam)
     written = ends * float(((nt - lags) * np.where(lags > 0, 2, 1)).sum()) / nt
     return nt * nt * max(1.0, n * DENSE_KERNEL_COST) <= written
 
 
-def _explicit_adjacency(g: Graph, grid: TimeGrid, lam: float, mode: str, truncation: float) -> sp.csr_matrix:
-    """The space-time adjacency written out, with hub states for time cliques."""
+def _explicit_adjacency(sys: SpaceTimeSystem) -> sp.csr_matrix:
+    """The space-time adjacency of ``sys`` written out, with hub states for time cliques."""
     import scipy.sparse as sp
 
     # One entry rule over (records, 2 directions, nt bins): every record
@@ -417,16 +400,15 @@ def _explicit_adjacency(g: Graph, grid: TimeGrid, lam: float, mode: str, truncat
     # kernel's zero-rate limit, exactly its weight at every bin and always
     # kept, in the column of the sender's hub for a time clique or of the
     # sender's same bin for instant contact.
-    nt = grid.nt
-    untimed = np.flatnonzero(~g.timed)
-    hubbed = np.unique(np.stack([g.u[untimed], g.v[untimed]])) if mode == "clique" else untimed[:0]
+    g, grid, mode = sys.graph, sys.grid, sys.mode
+    nt, hubbed = grid.nt, sys.hub_vertices
     cells, bins, timed = g.n * nt, np.arange(nt), g.timed[:, None]
     recv = np.stack([g.v, g.u], axis=1)
     send = recv[:, ::-1]
     t_recv = grid.bin_of(np.where(timed, np.stack([g.t_v, g.t_u], axis=1), grid.t0))
     centers = grid.centers
-    vals = kernel_profile(np.where(timed, lam, 0.0)[..., None], centers - centers[t_recv][..., None])
-    keep = (vals >= truncation) | ~timed[..., None]
+    vals = kernel_profile(np.where(timed, sys.rate, 0.0)[..., None], centers - centers[t_recv][..., None])
+    keep = (vals >= KERNEL_TRUNCATION) | ~timed[..., None]
     vals *= g.w[:, None, None]
     col = send * nt + t_recv[:, ::-1]
     if mode == "clique":
@@ -454,7 +436,7 @@ def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.n
     clamped and reported.  An isolated spatial vertex is an error by
     default; ``on_isolated='zero'`` assigns it the absorbing prior instead.
     """
-    d = checked_sums(sys.graph.interaction_weight, sys.graph.labels).copy()
+    d = sys.graph.interaction_weight.copy()
     if np.any(d <= 0):
         if on_isolated == "error":
             raise GraphError(f"isolated spatial vertex {int(np.argmin(d))} has no interactions")
@@ -501,7 +483,7 @@ def spacetime_operator(
     """
     psi = _cell_prior(sys, variant, spatial_psi, on_isolated)
     a = sys.adjacency
-    w = checked_sums(np.asarray(a.sum(axis=1)).ravel(), sys.graph.labels, sys.grid.nt)
+    w = np.asarray(a.sum(axis=1)).ravel()
     p = scale_rows(a, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
     return p if psi is None else scale_rows(p, np.concatenate([psi, np.ones(sys.hubs)]))
 
@@ -523,14 +505,14 @@ class FactoredOperator:
 
     def pull(self, front: np.ndarray) -> np.ndarray:
         """Cells with a nonzero entry of ``P`` in a column of ``front``."""
-        return (self.system.product(front.astype(float), pattern=True) > 0) & (self.scale != 0)
+        return (self.system.product(front.astype(float)) > 0) & (self.scale != 0)
 
     def inbound(self) -> np.ndarray:
         """Cells with a nonzero entry of ``P`` in their column, and every bin
         of a vertex with a time clique, which its hub's row reaches in the
         explicit adjacency."""
         sys = self.system
-        hit = sys.product((self.scale != 0).astype(float), transpose=True, pattern=True) > 0
+        hit = sys.product((self.scale != 0).astype(float), transpose=True) > 0
         return hit | np.repeat(_clique_vertices(sys.spatial, sys.mode), sys.grid.nt)
 
 

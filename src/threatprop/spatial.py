@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._solve import scale_rows, solve_boundary_value
-from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior, checked_sums
+from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior
 from .graph import Graph, ObservationSet
 
 if TYPE_CHECKING:
@@ -51,7 +51,7 @@ def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False
     are zero (a walk there is absorbed to non-threat immediately).
     """
     psi = checked_prior(psi, g.n)
-    d = checked_sums(g.degrees, g.labels).copy()
+    d = g.degrees.copy()
     if np.any(d <= 0):
         if not allow_isolated:
             raise GraphError("propagation undefined at an isolated vertex")

@@ -126,13 +126,14 @@ def check_maximum_principle(rng, reps, n, **family):
     """Worst violation of the maximum principle by the harmonic solve over
     ``reps`` triples of :func:`_cued_graphs` (``family`` takes its other
     arguments): a value below zero or above the largest cue, or a maximum
-    away from every cue."""
-    worst = []
+    away from every cue; and the largest |theta - p| at the cued vertices."""
+    worst, pinned = [], []
     for g, psi, obs in _cued_graphs(rng, reps, n, **family):
         theta = _harmonic(g, psi, obs, tol=1e-10)
         top = theta.max()
         worst.append(max(-theta.min(), top - obs.values.max(), abs(top - theta[obs.vertices].max())))
-    return float(np.max(worst))
+        pinned.append(np.abs(theta[obs.vertices] - obs.values).max())
+    return float(np.max(worst)), float(np.max(pinned))
 
 
 def check_chain_stochasticity(rng, reps, n):
@@ -146,16 +147,18 @@ def check_chain_stochasticity(rng, reps, n):
 
 
 def check_invariant_subspace(rng, reps, n, **family):
-    """Largest |T @ E - E| of the invariant basis ``E`` and the largest gap
-    between its rank and the absorbing state count, over ``reps`` triples of
-    :func:`_cued_graphs` (``family`` takes its other arguments)."""
-    worst, shortfall = [], 0
+    """Largest |T @ E - E| of the invariant basis ``E``, the largest gap
+    between its rank and the absorbing state count, and the largest -min(E),
+    over ``reps`` triples of :func:`_cued_graphs` (``family`` takes its other
+    arguments)."""
+    worst, shortfall, negative = [], 0, []
     for g, psi, obs in _cued_graphs(rng, reps, n, **family):
         chain = build_absorbing_chain(g, psi, obs)
         e = chain.invariant_basis()
         worst.append(np.abs(chain.transition_matrix @ e - e).max())
         shortfall = max(shortfall, abs(int(np.linalg.matrix_rank(e)) - chain.n_absorbing))
-    return float(np.max(worst)), shortfall
+        negative.append(-e.min())
+    return float(np.max(worst)), shortfall, float(np.max(negative))
 
 
 def check_harmonic_hitting_equivalence(rng, reps, n, **family):
@@ -362,11 +365,11 @@ CHECKS = (
     ("fiedler-bounds-and-threshold", check_fiedler_bounds, dict(reps=10, n=20), None,
      (1e-9, 0), ("Fiedler bound violation", "disconnected threshold subgraphs")),
     ("maximum-principle", check_maximum_principle, dict(reps=50, n=18), dict(reps=200, n=18),
-     1e-8, "worst maximum-principle violation"),
+     (1e-8, 1e-12), ("worst maximum-principle violation", "max |theta - p| at cues")),
     ("chain-row-stochasticity", check_chain_stochasticity, dict(reps=20, n=15), None,
      1e-12, "max |T@1 - 1|"),
     ("invariant-subspace", check_invariant_subspace, dict(reps=20, n=15), None,
-     (1e-12, 0), ("max |T@E - E|", "rank shortfall")),
+     (1e-12, 0, 0), ("max |T@E - E|", "rank shortfall", "-min E")),
     ("harmonic-vs-hitting", check_harmonic_hitting_equivalence, dict(reps=8, n=30), None,
      1e-8, "max |harmonic - hitting|"),
     ("harmonic-vs-walks", _banded(check_walk_equivalence),

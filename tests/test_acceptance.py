@@ -86,7 +86,7 @@ def test_criterion_1_equivalence_of_the_three_solutions():
 
 def test_criterion_2_maximum_principle():
     t0 = time.perf_counter()
-    worst = check_maximum_principle(rng_for("acc2"), reps=200, n=range(8, 30), cues=3)
+    worst, _ = check_maximum_principle(rng_for("acc2"), reps=200, n=range(8, 30), cues=3)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
     report(2, ok, f"200 triples, range and boundary maximum within {worst:.2e} (<=1e-8), "
@@ -95,8 +95,8 @@ def test_criterion_2_maximum_principle():
 
 def test_criterion_3_invariant_subspace_construction():
     t0 = time.perf_counter()
-    worst, shortfall = check_invariant_subspace(rng_for("acc3"), reps=100, n=range(5, 31), p=0.35,
-                                                kinds=("uniform",))
+    worst, shortfall, _ = check_invariant_subspace(rng_for("acc3"), reps=100, n=range(5, 31), p=0.35,
+                                                   kinds=("uniform",))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and shortfall == 0 and elapsed < 5.0
     report(3, ok, f"max |T@E - E| {worst:.2e} (<=1e-12), rank shortfall {shortfall}, {elapsed:.1f}s (<5s)")

@@ -1,10 +1,11 @@
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
-from threatprop.graph import Graph, ObservationSet, build_graph, laplacian
+from threatprop.graph import MAX_WEIGHT, MIN_WEIGHT, Graph, ObservationSet, build_graph, laplacian
 from threatprop.spatial import propagation_operator
 from threatprop.spacetime import TimeGrid
 from threatprop.spectral import fiedler
@@ -79,10 +80,10 @@ class TestBuildGraph:
         assert "duplicate" in caplog.text
 
     def test_overflowing_merge_is_refused(self):
-        # The merged weight must pass the check its records passed.
+        # The range applies to the merged weight, whose sum overflows quietly.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GraphError, match=r"edge \(0, 1\) sum to the non-finite weight inf"):
+            with pytest.raises(GraphError, match=r"weight inf on edge \(0, 1\) is neither 0 nor in "):
                 build_graph([(0, 1, 1e308), (2, 1, 1.0), (1, 0, 1e308)])
 
     def test_timestamped_multiplicity_is_kept(self):
@@ -99,6 +100,30 @@ class TestBuildGraph:
     def test_label_table_length_checked(self):
         with pytest.raises(GraphError, match="label"):
             build_graph([(0, 1, 1.0)], labels=["a"])
+
+
+class TestWeightRange:
+    """A stored weight is 0 or lies in [MIN_WEIGHT, MAX_WEIGHT], timed or
+    untimed, and a merged weight is held to the same range."""
+
+    @pytest.mark.parametrize("w", [0.0, MIN_WEIGHT, MAX_WEIGHT])
+    @pytest.mark.parametrize("times", [(), (0.5, 1.5)], ids=["untimed", "timed"])
+    def test_zero_and_both_ends_are_accepted(self, w, times):
+        g = build_graph([(0, 1, 1.0), (1, 2, w, *times)])
+        assert g.w.tolist() == [1.0, w]
+
+    @pytest.mark.parametrize("w", [np.nextafter(MIN_WEIGHT, 0.0), np.nextafter(MAX_WEIGHT, np.inf)],
+                             ids=["below", "above"])
+    @pytest.mark.parametrize("times", [(), (0.5, 1.5)], ids=["untimed", "timed"])
+    def test_beyond_either_end_is_refused(self, w, times):
+        message = f"weight {w} on edge (2, 1) is neither 0 nor in [1e-100, 1e+100]; rescale the weights"
+        with pytest.raises(GraphError, match=re.escape(message)):
+            build_graph([(0, 1, 1.0), (2, 1, w, *times)])
+
+    def test_merged_sum_beyond_the_range_is_refused(self):
+        # Both records lie in the range; their merged weight 1.2e100 does not.
+        with pytest.raises(GraphError, match=r"weight 1\.2e\+100 on edge \(2, 1\) is neither 0 nor in "):
+            build_graph([(0, 1, 1.0), (2, 1, 6e99), (1, 2, 6e99)])
 
 
 class TestLaplacian:

@@ -270,17 +270,27 @@ class TestCli:
         assert "Traceback" not in captured.out + captured.err
         assert list(tmp_path.glob("x.*")) == []
 
-    @pytest.mark.parametrize("command, rows, obs_text", [
-        # 1/w of a subnormal total weight overflows to inf
+    @pytest.mark.parametrize("command, rows, obs_text, named", [
+        # A subnormal weight, whose vertex's 1/w would overflow to inf
         pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\nd,c,1e-310,,", "vertex,p,t\na,1.0,1.0",
-                     id="spacetime-subnormal-untimed"),
+                     "weight 1e-310 on edge (3, 2)", id="spacetime-subnormal-untimed"),
         pytest.param("spatial", "a,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\nd,c,1e-310,,", "vertex,p\na,1.0",
-                     id="spatial-subnormal-untimed"),
-        # b's total weight overflows to inf, so 1/w = 0 would empty its rows
+                     "weight 1e-310 on edge (3, 2)", id="spatial-subnormal-untimed"),
+        # b's total weight would overflow to inf, so 1/w = 0 would empty its rows
         pytest.param("spacetime", "a,b,1e308,1.0,1.0\nb,c,1e308,1.0,1.0", "vertex,p,t\na,1.0,1.0",
-                     id="spacetime-overflowing-timed"),
+                     "weight 1e+308 on edge (0, 1)", id="spacetime-overflowing-timed"),
+        # Just past either end of the range, and two untimed records in the
+        # range whose merged weight is not
+        pytest.param("spatial", "a,b,1.0\nb,c,9.999999999999999e-101", "vertex,p\na,1.0",
+                     "weight 9.999999999999999e-101 on edge (1, 2)", id="spatial-below-the-range"),
+        pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,1.0000000000000002e+100,2.0,2.0", "vertex,p,t\na,1.0,1.0",
+                     "weight 1.0000000000000002e+100 on edge (1, 2)", id="spacetime-above-the-range"),
+        pytest.param("spatial", "a,b,1.0\nb,c,6e99\nc,b,6e99", "vertex,p\na,1.0",
+                     "weight 1.2e+100 on edge (1, 2)", id="spatial-merged-above-the-range"),
+        pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,6e99,,\nc,b,6e99,,", "vertex,p,t\na,1.0,1.0",
+                     "weight 1.2e+100 on edge (1, 2)", id="spacetime-merged-above-the-range"),
     ])
-    def test_weight_sums_out_of_range_exit_1(self, tmp_path, capsys, command, rows, obs_text):
+    def test_weight_sums_out_of_range_exit_1(self, tmp_path, capsys, command, rows, obs_text, named):
         edges = tmp_path / "edges.csv"
         edges.write_text(f"src,dst,weight,t_src,t_dst\n{rows}\n")
         obs = tmp_path / "obs.csv"
@@ -290,7 +300,7 @@ class TestCli:
                    "--out", str(tmp_path / "x.csv")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert "error: weights at vertex " in err and "finite reciprocal" in err
+        assert f"error: {edges}: {named} is neither 0 nor in [1e-100, 1e+100]; rescale the weights" in err
         assert list(tmp_path.glob("x.*")) == []
 
     @pytest.mark.parametrize("command, flags, obs_text, config", [

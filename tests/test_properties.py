@@ -3,6 +3,7 @@ random cue sets, random sparse propagation operators and random detector
 scores."""
 
 import csv
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from threatprop import spacetime
 from threatprop._solve import _reaches_boundary, scale_rows
 from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import RocCurve, roc
-from threatprop.graph import ObservationSet, build_graph
+from threatprop.graph import MAX_WEIGHT, MIN_WEIGHT, ObservationSet, build_graph
 from threatprop.io import read_edges, write_edges, write_roc, write_scores, write_spacetime_scores
 from threatprop.spacetime import (MODES, VARIANTS, TimeGrid, assemble_spacetime, coordination_prior,
                                   factored_operator, kernel_profile, solve_spacetime, spacetime_operator)
@@ -76,9 +77,10 @@ def reference_assembly(g, grid, rate, mode_default, truncation=1e-4):
 
 
 @st.composite
-def timed_graphs(draw, labelled=False, self_loops=False, weight=st.floats(0.0, 1e6, allow_nan=False)):
-    """Edge rows on a few vertices: some timed, some untimed, some repeated,
-    and with ``self_loops`` some from a vertex to itself."""
+def edge_rows(draw, labelled=False, self_loops=False, weight=st.floats(0.0, 1e6, allow_nan=False)):
+    """Edge rows on a few vertices, with the vertex count, the bin count and
+    a label table or None: some rows timed, some untimed, some repeated, and
+    with ``self_loops`` some from a vertex to itself."""
     n = draw(st.integers(2, 6))
     nt = draw(st.integers(1, 5))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
@@ -93,12 +95,19 @@ def timed_graphs(draw, labelled=False, self_loops=False, weight=st.floats(0.0, 1
     if labelled:
         name = st.text("abcxyz019_-", min_size=1, max_size=4)
         labels = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    return rows, n, nt, labels
+
+
+@st.composite
+def timed_graphs(draw, labelled=False, self_loops=False, weight=st.floats(0.0, 1e6, allow_nan=False)):
+    """A graph of :func:`edge_rows` and its time grid of unit bins."""
+    rows, n, nt, labels = draw(edge_rows(labelled, self_loops, weight))
     try:
         g = build_graph(rows, n=n, labels=labels, allow_self_loops=self_loops)
     except GraphError as exc:
-        # Repeated untimed records whose merged weight overflows (wide
-        # weights only) are refused, so they make no graph.
-        assert "non-finite weight" in str(exc)
+        # A positive weight below the range, or a merged one above it, is
+        # refused, so it makes no graph.
+        assert "is neither 0 nor in" in str(exc)
         reject()
     return g, TimeGrid(0.0, 1.0, nt)
 
@@ -181,14 +190,7 @@ def test_operator_matches_nested_products(case, mode, variant, rate, spatial, da
     if spatial or variant == "coordinated-spatial":
         spatial_psi = np.linspace(1.0, 0.05, g.n) if data is None else \
             np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n, max_size=g.n)))
-    try:
-        got = spacetime_operator(sys_, variant, spatial_psi, on_isolated="zero")
-    except GraphError as exc:
-        # The weight-range rule refuses a row sum whose reciprocal overflows,
-        # which takes a positive weight far below any kernel entry's reach.
-        assert "finite reciprocal" in str(exc)
-        assert np.any((g.w > 0) & (g.w < 1e-290))
-        return
+    got = spacetime_operator(sys_, variant, spatial_psi, on_isolated="zero")
     want = reference_operator(sys_, variant, spatial_psi)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
@@ -221,19 +223,18 @@ def written_out(op):
 def check_scatter_against_merged(m):
     """Numpy columns ``m``, whose repeated positions add one entry at a time,
     against the CSR that merges them first: the product one column at a time
-    and as one flattened scatter over every column, and the 0/1 pattern.
-    The matrix is symmetric up to the order its repeated positions sum in,
-    so its product is also the transposed one."""
+    and as one flattened scatter over every column.  The matrix is symmetric
+    up to the order its repeated positions sum in, so its product is also the
+    transposed one."""
     merged = sp.csr_matrix((m.vals, (m.rows, m.cols)), shape=m.shape).toarray()
     np.testing.assert_allclose(merged, merged.T, rtol=1e-14, atol=SUBNORMAL_FLOOR)
     eye = np.eye(m.shape[0])
     np.testing.assert_allclose(np.column_stack([m @ e for e in eye]), merged, rtol=1e-14, atol=SUBNORMAL_FLOOR)
     np.testing.assert_allclose(m @ eye, merged, rtol=1e-14, atol=SUBNORMAL_FLOOR)
-    assert np.array_equal(m.positive() @ eye > 0, merged > 0)
 
 
-# Far below any entry of an accepted operator whose weights lie in [0, 1e6],
-# except where a subnormal weight's entry has lost its relative precision.
+# Far below any entry of an operator whose weights are 0 or lie in
+# [MIN_WEIGHT, 1e6].
 SUBNORMAL_FLOOR = 1e-300
 
 
@@ -259,10 +260,6 @@ SUBNORMAL_FLOOR = 1e-300
 # cued vertex 0 is truncated there, so they do not reach the cue at bin 0.
 @example(case=(build_graph([(1, 0, 1.0, 0.5, 0.5), (1, 2, 1.0, 4.5, 4.5)]), TimeGrid(0.0, 1.0, 5)),
          mode="kernel", variant="weighted", rate=5.0, dense=True, data=None)
-# Vertex 1's bin 0 has mass 1e-300 of a total weight 1e300, so its prior
-# underflows to zero: its row is empty in P though its adjacency row is not.
-@example(case=(build_graph([(1, 0, 1e-300, 0.5, 0.5), (1, 2, 1e300, 4.5, 4.5)]), TimeGrid(0.0, 1.0, 5)),
-         mode="kernel", variant="coordinated", rate=5.0, dense=False, data=None)
 def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, dense, data):
     """Both product forms against the explicit CSR with its hubs eliminated:
     the adjacency and the operator to rtol 1e-14, the reach set and the
@@ -288,12 +285,8 @@ def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, den
         for transpose, want in ((False, cells), (True, cells.T)):
             got = np.column_stack([sys_.product(e, transpose) for e in np.eye(order)])
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=SUBNORMAL_FLOOR)
-        try:
-            op = factored_operator(sys_, variant, psi, on_isolated="zero")
-            hub = spacetime_operator(sys_, variant, psi, on_isolated="zero")
-        except GraphError as exc:
-            assert "finite reciprocal" in str(exc) and np.any((g.w > 0) & (g.w < 1e-290))
-            return
+        op = factored_operator(sys_, variant, psi, on_isolated="zero")
+        hub = spacetime_operator(sys_, variant, psi, on_isolated="zero")
         np.testing.assert_allclose(written_out(op), eliminated_hubs(hub, order), rtol=1e-14, atol=SUBNORMAL_FLOOR)
 
         cells = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4)) if data else [0]
@@ -311,38 +304,83 @@ def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, den
         assert np.abs(solve["iterative"] - solve["direct"]).max() <= tol
 
 
-# Every magnitude a float weight can take, the subnormal and overflowing sums
-# that the weight-range rule refuses included.
+# Every magnitude a float weight can take, with the subnormal ones and those
+# whose sums overflow drawn often.
 WIDE_WEIGHTS = st.one_of(st.floats(0.0, np.finfo(float).max), st.sampled_from([5e-324, 1e-310, 1e-306, 1e308]))
 
 
-# Sums of such weights overflow on their way to the refusal.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+def stored_weights(rows):
+    """The weights a graph of ``rows`` stores, by a per-record loop: each
+    timed record's own, and the untimed records of one pair summed in
+    record order."""
+    timed, merged = [], {}
+    for u, v, w, *times in rows:
+        if times:
+            timed.append(w)
+        else:
+            merged[min(u, v), max(u, v)] = merged.get((min(u, v), max(u, v)), 0.0) + w
+    return timed + list(merged.values())
+
+
+def accepted(w):
+    return w == 0 or MIN_WEIGHT <= w <= MAX_WEIGHT
+
+
+# Both ends of the range at one vertex, timed and untimed.
+RANGE_ENDS = [(0, 1, MIN_WEIGHT, 0.5, 0.5), (1, 2, MAX_WEIGHT, 2.5, 0.5), (1, 2, MIN_WEIGHT), (3, 1, MAX_WEIGHT)]
+
+
 @PROPERTY
-@given(case=timed_graphs(self_loops=True, weight=WIDE_WEIGHTS), mode=st.sampled_from(["clique", "instant"]),
+@given(case=edge_rows(self_loops=True, weight=WIDE_WEIGHTS), mode=st.sampled_from(["clique", "instant"]),
        variant=st.sampled_from(VARIANTS))
-@example(case=(build_graph([(0, 1, 1.0, 1.0, 1.0), (1, 2, 1.0, 2.0, 2.0), (3, 2, 1e-310)]), TimeGrid(0.0, 1.0, 3)),
-         mode="clique", variant="weighted")
-@example(case=(build_graph([(0, 1, 1e308, 1.0, 1.0), (1, 2, 1e308, 1.0, 1.0)]), TimeGrid(0.0, 1.0, 3)),
-         mode="clique", variant="weighted")
-@example(case=(build_graph([(0, 1, 1e-306, 0.5, 0.5)]), TimeGrid(0.0, 20.0, 5)), mode="clique", variant="weighted")
+@example(case=(RANGE_ENDS, 4, 3, None), mode="clique", variant="coordinated")
+@example(case=(RANGE_ENDS, 4, 3, None), mode="instant", variant="weighted")
 def test_accepted_graphs_give_finite_operators(case, mode, variant):
-    g, grid = case
+    """A graph is refused exactly where a stored weight lies outside the
+    range, and every operator of an accepted one is finite, with no
+    subnormal entry."""
+    rows, n, nt, _ = case
+    weights = stored_weights(rows)
+    try:
+        g = build_graph(rows, n=n, allow_self_loops=True)
+    except GraphError as exc:
+        assert "is neither 0 nor in" in str(exc)
+        assert not all(map(accepted, weights))
+        return
+    assert all(map(accepted, weights))
     psi = np.linspace(1.0, 0.05, g.n)
-    sys_ = assemble_spacetime(g, grid, 1.0, mode_default=mode)
+    sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), 1.0, mode_default=mode)
     operators = {
-        "spatial": lambda: propagation_operator(g, psi, allow_isolated=True).data,
-        "explicit": lambda: spacetime_operator(sys_, variant, psi, on_isolated="zero").data,
-        "factored": lambda: factored_operator(sys_, variant, psi, on_isolated="zero") @ np.ones(sys_.order),
+        "spatial": propagation_operator(g, psi, allow_isolated=True).data,
+        "explicit": spacetime_operator(sys_, variant, psi, on_isolated="zero").data,
+        "factored": factored_operator(sys_, variant, psi, on_isolated="zero") @ np.ones(sys_.order),
     }
-    for name, entries in operators.items():
-        try:
-            values = entries()
-        except GraphError as exc:
-            assert "finite reciprocal" in str(exc), name
-            continue
+    for name, values in operators.items():
         assert np.all(np.isfinite(values)), name
+        assert np.all((values == 0) | (values >= np.finfo(float).tiny)), name
+
+
+# Graphs that earlier versions accepted, each with a weight outside the
+# range, and the edge each refusal names.
+OUT_OF_RANGE = [
+    pytest.param([(0, 1, 1.0, 1.0, 1.0), (1, 2, 1.0, 2.0, 2.0), (3, 2, 1e-310)], (3, 2), id="subnormal-untimed"),
+    pytest.param([(0, 1, 1e308, 1.0, 1.0), (1, 2, 1e308, 1.0, 1.0)], (0, 1), id="overflowing-sums"),
+    pytest.param([(0, 1, 1e-306, 0.5, 0.5)], (0, 1), id="subnormal-reciprocal"),
+    # The mass 1e-300 of a total weight 1e300 underflowed a prior to zero.
+    pytest.param([(1, 0, 1e-300, 0.5, 0.5), (1, 2, 1e300, 4.5, 4.5)], (1, 0), id="underflowing-prior"),
+    # The factored operator gave 0 at a cell, or reached a cell, that the
+    # hub matrix did not: a subnormal weight times a kernel entry or a bin
+    # mean underflowed in one operation order and not in the other (the
+    # second in instant mode).
+    pytest.param([(0, 1, 1.0, 1.0, 0.0), (0, 1, 5e-324), (1, 0, 1.0, 0.5, 0.5)], (0, 1), id="underflowing-pattern"),
+    pytest.param([(0, 1, 1.87e-251, 0.5, 1.5), (1, 0, 2.2e-313)], (0, 1), id="underflowing-product"),
+]
+
+
+@pytest.mark.parametrize("rows, edge", OUT_OF_RANGE)
+def test_weights_outside_the_range_are_refused(rows, edge):
+    with pytest.raises(GraphError, match=re.escape(f"on edge {edge} is neither 0 nor in [1e-100, 1e+100]")):
+        build_graph(rows)
 
 
 @PROPERTY
@@ -428,10 +466,7 @@ def hub_operators(draw):
     time clique, cued at cells that may repeat."""
     g, grid = draw(timed_graphs().filter(lambda case: not case[0].timed.all()))
     sys_ = assemble_spacetime(g, grid, rates=draw(st.floats(0.05, 5.0)), mode_default="clique")
-    try:
-        p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])), on_isolated="zero")
-    except GraphError:  # the weight-range rule refused the graph, so it has no operator
-        reject()
+    p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])), on_isolated="zero")
     cells = st.integers(0, g.n * grid.nt - 1)
     return p, np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.int64)
 

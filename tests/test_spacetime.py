@@ -219,7 +219,7 @@ class TestProductForms:
         # With more vertices per record end, the dense product's n * nt**2
         # multiply-adds outweigh the written-out entries at the same grid.
         ends = assemble_spacetime(g, wide, 0.05).ends.nnz
-        pays = [spacetime._dense_kernel_pays(n, ends, wide, 0.05, spacetime.KERNEL_TRUNCATION)
+        pays = [spacetime._dense_kernel_pays(n, ends, wide, 0.05)
                 for n in (g.n, round(ends / DENSE_KERNEL_COST))]
         assert pays == [True, False]
 
@@ -233,8 +233,7 @@ class TestProductForms:
         rows = [(e.u, e.v, e.weight, e.t_u, e.t_v) for e in g.interactions if e.timestamped]
         positions = 2 * len(rows)
         grid, rate = TimeGrid(0.0, 10.0 / (positions + 1), positions + 1), 1e-3
-        pays = [spacetime._dense_kernel_pays(g.n, k * positions, grid, rate, spacetime.KERNEL_TRUNCATION)
-                for k in (1, 2)]
+        pays = [spacetime._dense_kernel_pays(g.n, k * positions, grid, rate) for k in (1, 2)]
         assert pays == [False, True]
         once, twice = (assemble_spacetime(build_graph(rows * k, n=g.n), grid, rate) for k in (1, 2))
         assert twice.ends.nnz == 2 * once.ends.nnz == 2 * positions
@@ -374,7 +373,7 @@ class TestSolveSpacetime:
         grid = TimeGrid(0.0, 1.0, 5)
         t2 = grid.centers[2]
         g = build_graph([(0, 1, 1.0, t2, t2)])
-        sys_ = assemble_spacetime(g, grid, rates=lam, truncation=0.0)
+        sys_ = assemble_spacetime(g, grid, rates=lam)
         obs = ObservationSet.of((0, 1.0, t2))
         theta = solve_spacetime(sys_, obs, variant="coordinated", tol=1e-12)
         oracle = dense_spacetime_oracle(sys_, obs)

@@ -16,7 +16,12 @@ from threatprop.spatial import (
     propagation_operator,
     solve_harmonic,
 )
-from threatprop.validate import check_chain_stochasticity, check_harmonic_hitting_equivalence
+from threatprop.validate import (
+    check_chain_stochasticity,
+    check_harmonic_hitting_equivalence,
+    check_invariant_subspace,
+    check_maximum_principle,
+)
 
 from conftest import make_er, rng_for
 
@@ -104,14 +109,8 @@ class TestSolveHarmonic:
         assert np.abs(base - other).max() <= 1e-9
 
     def test_maximum_principle_property(self):
-        rng = rng_for("maxprin")
-        for _ in range(40):
-            g, psi, obs = random_system(rng)
-            theta = solve_harmonic(g, psi, obs)
-            assert theta.min() >= -1e-8
-            assert theta.max() <= obs.values.max() + 1e-8
-            assert theta.max() == pytest.approx(theta[obs.vertices].max(), abs=1e-8)
-            assert np.allclose(theta[obs.vertices], obs.values, atol=1e-12)
+        worst, pinned = check_maximum_principle(rng_for("maxprin"), reps=40, n=18, cues=3)
+        assert worst <= 1e-8 and pinned <= 1e-12
 
     def test_cue_neighbor_lower_bound(self):
         # Provable for every cue neighbor: theta_i >= psi_i * theta_b / d_i.
@@ -212,14 +211,8 @@ class TestAbsorbingChain:
             assert row[ni + j] == 1.0 and row.sum() == 1.0
 
     def test_invariant_subspace_identity(self):
-        rng = rng_for("piss")
-        for _ in range(10):
-            g, psi, obs = random_system(rng)
-            chain = build_absorbing_chain(g, psi, obs)
-            e = chain.invariant_basis()
-            assert np.abs(chain.transition_matrix @ e - e).max() <= 1e-12
-            assert e.min() >= 0.0
-            assert np.linalg.matrix_rank(e) == chain.n_absorbing
+        worst, shortfall, negative = check_invariant_subspace(rng_for("piss"), reps=10, n=18, cues=3)
+        assert worst <= 1e-12 and shortfall == 0 and negative <= 0
 
     def test_spectral_radius_of_interior_block(self):
         rng = rng_for("radius")
