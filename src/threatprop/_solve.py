@@ -7,10 +7,11 @@ fixed, where ``P`` is a (sub)stochastic propagation operator.  Two methods:
   re-imposed until the interior residual is below ``tol``; it needs only
   matrix-vector products, so ``P`` may be a sparse matrix or an operator
   that is never written out (the space-time system's factors, see
-  ``spacetime``): any object with ``shape``, ``P @ x`` and ``P.pull(front)``,
-  the mask of states with a nonzero entry in a column of ``front``.  Its
-  ``pull`` is what tells an operator from a matrix, so an operator's solve
-  never imports scipy.
+  ``spacetime``): any object with ``shape`` and ``P @ x``, so an operator's
+  solve never imports scipy.  It solves only on the states with a path to
+  the boundary along the positive entries of ``P``, found level by level by
+  the sign of the same product, ``P @ front > 0``: an entry stored as zero
+  links nothing.
 * ``'direct'`` factorizes ``I - P_II`` with SuperLU and needs ``P`` as a
   scipy sparse matrix.  It is the exact reference for validation and tests;
   its fill grows quickly with the order of space-time systems, so nothing
@@ -75,12 +76,11 @@ def solve_boundary_value(
     theta = np.zeros(n)
     theta[boundary] = boundary_values
 
-    if hasattr(p, "pull"):
-        if method == "direct":
+    if method == "direct":
+        if not hasattr(p, "tocsr"):
             raise ValueError("the direct method needs P as a sparse matrix")
-    else:
         p = p.tocsr()
-    # A vertex with no pull-path to the boundary has exactly zero threat;
+    # A vertex with no path to the boundary has exactly zero threat;
     # solving only on the reaching set also keeps the interior system
     # nonsingular (a detached stochastic component would make I - P_ii
     # singular for the factorization).
@@ -130,19 +130,9 @@ def hop_levels(step, n: int, sources) -> np.ndarray:
 
 
 def _reaches_boundary(p, boundary: np.ndarray) -> np.ndarray:
-    """States with a pull-path (following entries of P row->column) to the
-    boundary set.  On a sparse matrix each level is one vectorised step over
-    the stored entries of P^T; an operator supplies its own step, ``p.pull``."""
-    pull = getattr(p, "pull", None)
-    if pull is None:
-        pt = p.tocsc()
-        counts = np.diff(pt.indptr)
-
-        def pull(front):
-            hit = np.zeros_like(front)
-            hit[pt.indices[np.repeat(front, counts)]] = True  # rows with an entry in a frontier column
-            return hit
-    return np.isfinite(hop_levels(pull, p.shape[0], boundary))
+    """States with a path along the positive entries of P, row to column, to
+    the boundary set: each level is the sign of one product, ``P @ front``."""
+    return np.isfinite(hop_levels(lambda front: p @ front > 0, p.shape[0], boundary))
 
 
 def _residual(p, theta, interior) -> float:

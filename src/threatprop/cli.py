@@ -64,7 +64,7 @@ def _resolve_seed(seed: int | None) -> int:
 def _load_json(path) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, undecodable or not JSON
         raise click.UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise click.UsageError(f"config {path} must be a JSON object")

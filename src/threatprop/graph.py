@@ -108,11 +108,20 @@ class Graph:
                     for t in (self.t_u, self.t_v))
         if not u.size == v.size == w.size == t_u.size == t_v.size:
             raise GraphError("edge columns differ in length")
+        labels = self.labels
+        if labels is not None:
+            labels = tuple(str(s) for s in labels)
+            if len(labels) != n:
+                raise GraphError(f"label table has {len(labels)} entries for n={n}")
 
         def refuse(bad, message):
+            # An edge is named by its labels once its indices are in range.
             if np.any(bad):
                 i = int(np.argmax(bad))
-                raise GraphError(message.format(e=(int(u[i]), int(v[i])), n=n, w=w[i]))
+                a, b = int(u[i]), int(v[i])
+                if labels is not None and 0 <= min(a, b) and max(a, b) < n:
+                    a, b = labels[a], labels[b]
+                raise GraphError(message.format(e=f"({a}, {b})", n=n, w=w[i]))
 
         checks = (
             ((u < 0) | (v < 0), "negative vertex index in edge {e}"),
@@ -124,11 +133,6 @@ class Graph:
         )
         for bad, message in checks:
             refuse(bad, message)
-        labels = self.labels
-        if labels is not None:
-            labels = tuple(str(s) for s in labels)
-            if len(labels) != n:
-                raise GraphError(f"label table has {len(labels)} entries for n={n}")
 
         static = np.flatnonzero(np.isnan(t_u))
         keys = np.minimum(u[static], v[static]) * n + np.maximum(u[static], v[static])  # unordered pair

@@ -36,6 +36,16 @@ def _write_csv(path, header, *columns) -> None:
         w.writerows(zip(*columns))
 
 
+def _read_rows(path, error) -> list[list[str]]:
+    """Every row of a CSV file; bytes that do not decode, or a field that the
+    csv module refuses, raise ``error`` naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"{path}: cannot read the file as CSV text ({exc})") from None
+
+
 def _labels(g: Graph) -> np.ndarray:
     return np.asarray(g.labels or [str(i) for i in range(g.n)], dtype=object)
 
@@ -52,13 +62,10 @@ def read_edges(path) -> Graph:
     untimed edge; a non-finite time, or a weight that is not 0 or in
     ``[graph.MIN_WEIGHT, graph.MAX_WEIGHT]`` once duplicate untimed edges
     merge, is an error that names the edge."""
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:3]] != EDGE_HEADER[:3]:
-            raise GraphError(f"{path}: expected edge header {','.join(EDGE_HEADER)}")
-        lines = [[c.strip() or None for c in (line + [""] * 4)[:5]]
-                 for line in r if any(c.strip() for c in line)]
+    header, *rows = _read_rows(path, GraphError) or [None]
+    if header is None or [h.strip() for h in header[:3]] != EDGE_HEADER[:3]:
+        raise GraphError(f"{path}: expected edge header {','.join(EDGE_HEADER)}")
+    lines = [[c.strip() or None for c in (line + [""] * 4)[:5]] for line in rows if any(c.strip() for c in line)]
     if not lines:
         raise GraphError(f"{path}: empty graph")
     src, dst, weight, t_src, t_dst = zip(*lines)
@@ -89,26 +96,24 @@ def read_observations(path, g: Graph) -> ObservationSet:
     """Observation CSV with named columns ``vertex``, ``p``, optional ``t``
     (in any order; an empty time broadcasts the cue over all bins)."""
     entries = []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None:
-            raise ObservationError(f"{path}: empty observation file")
-        cols = {name.strip(): i for i, name in enumerate(header)}
-        if "vertex" not in cols or "p" not in cols:
-            raise ObservationError(f"{path}: expected columns vertex,p[,t], got {header}")
-        t_col = cols.get("t")
-        for line in r:
-            if not line or all(not c.strip() for c in line):
-                continue
-            try:
-                v = resolve_vertex(g, line[cols["vertex"]].strip())
-                p = float(line[cols["p"]])
-                t_field = line[t_col].strip() if t_col is not None and len(line) > t_col else ""
-                t = float(t_field) if t_field else None
-            except (ValueError, IndexError) as exc:
-                raise ObservationError(f"{path}: bad observation row {line}: {exc}") from None
-            entries.append(Observation(v, p, t))
+    header, *rows = _read_rows(path, ObservationError) or [None]
+    if header is None:
+        raise ObservationError(f"{path}: empty observation file")
+    cols = {name.strip(): i for i, name in enumerate(header)}
+    if "vertex" not in cols or "p" not in cols:
+        raise ObservationError(f"{path}: expected columns vertex,p[,t], got {header}")
+    t_col = cols.get("t")
+    for line in rows:
+        if not line or all(not c.strip() for c in line):
+            continue
+        try:
+            v = resolve_vertex(g, line[cols["vertex"]].strip())
+            p = float(line[cols["p"]])
+            t_field = line[t_col].strip() if t_col is not None and len(line) > t_col else ""
+            t = float(t_field) if t_field else None
+        except (ValueError, IndexError) as exc:
+            raise ObservationError(f"{path}: bad observation row {line}: {exc}") from None
+        entries.append(Observation(v, p, t))
     return ObservationSet(tuple(entries))
 
 
@@ -132,15 +137,12 @@ def read_truth(path, g: Graph) -> np.ndarray:
     skipped: it names a vertex isolated in a generated draw, which its edge
     list cannot carry."""
     truth = np.zeros(g.n, dtype=np.int8)
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        next(r, None)
-        for line in r:
-            if not line or all(not c.strip() for c in line):
-                continue
-            name = line[0].strip()
-            if g.labels is None or name in g.label_index:
-                truth[resolve_vertex(g, name)] = int(float(line[1]))
+    for line in _read_rows(path, GraphError)[1:]:
+        if not line or all(not c.strip() for c in line):
+            continue
+        name = line[0].strip()
+        if g.labels is None or name in g.label_index:
+            truth[resolve_vertex(g, name)] = int(float(line[1]))
     return truth
 
 

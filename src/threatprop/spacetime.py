@@ -23,11 +23,14 @@ as numpy columns (:class:`Entries`), so a product through them is one
 ``np.bincount`` scatter each and needs no scipy.  The propagation operator
 ``P = diag(s) A`` scales that product by its row factors ``s`` (one over the
 row sum, then the prior, both read off the product on ones), so the
-iterative solve never writes ``A`` out, and its reachability traversal and
-inert-cue check read the sign of the same product: every stored weight is 0
-or in the range that ``graph.Graph`` enforces, so no positive product
-underflows, and the product of a 0/1 vector is positive exactly where ``A``
-has a positive entry into the ones.  Where the dense ``nt x nt``
+iterative solve never writes ``A`` out, and its reachability traversal
+follows the sign of the same product ``P @ x`` on a 0/1 vector: every stored
+weight is 0 or in the range that ``graph.Graph`` enforces, so no positive
+product underflows, and it is positive exactly where ``P`` has a positive
+entry into the ones.  The cue cells with no inbound coupling, which
+``solve_spacetime`` reports, are read off the factors: a cell is coupled
+where a column of ``B`` or an untimed record reaches it
+(:attr:`SpaceTimeSystem.coupled`).  Where the dense ``nt x nt``
 product would cost more than the kernel entries themselves (a fine grid, or
 a kernel that keeps only a few bins around each record), the timed part is
 written out instead, as a CSR over the cells with one window of kernel
@@ -279,19 +282,11 @@ class SpaceTimeSystem:
         written = sp.csr_matrix(((ends.vals[:, None] * vals)[keep], (rows, cols)), shape=ends.shape)
         return written, None, self.spatial
 
-    def product(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``A @ x``, or ``A.T @ x``, over the cells, with every time clique's
-        hub eliminated.  ``K`` and ``C`` are symmetric, and so is the untimed
-        part; so is ``B``, which holds both ends of every record with one
-        weight."""
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``A @ x`` over the cells, with every time clique's hub eliminated."""
         n, nt = self.graph.n, self.grid.nt
         timed, kernel, spatial = self.factors
-        if kernel is None:
-            y = (timed.T if transpose else timed) @ x
-        elif transpose:
-            y = timed @ (x.reshape(n, nt) @ kernel).ravel()
-        else:
-            y = ((timed @ x).reshape(n, nt) @ kernel).ravel()
+        y = timed @ x if kernel is None else ((timed @ x).reshape(n, nt) @ kernel).ravel()
         if spatial.nnz:
             x, cells = x.reshape(n, nt), y.reshape(n, nt)
             cells += spatial @ x if self.mode == "instant" else (spatial @ x.mean(axis=1))[:, None]
@@ -301,6 +296,20 @@ class SpaceTimeSystem:
     def row_sums(self) -> np.ndarray:
         """Total weight of every cell's row, ``A @ 1``."""
         return self.product(np.ones(self.order))
+
+    @property
+    def coupled(self) -> np.ndarray:
+        """Mask of the cells with inbound coupling, a positive entry of ``A``
+        (or of a hub's row) in their column, read off the factors: the cell
+        of a record end of positive weight (a column of ``B``), and every bin
+        of a vertex with an untimed record, of any weight through its time
+        clique's hub, of positive weight under instant contact."""
+        ends, spatial = self.ends, self.spatial
+        hit = np.zeros(self.order, dtype=bool)
+        hit[ends.cols[ends.vals > 0]] = True
+        untimed = spatial.cols if self.mode == "clique" else spatial.cols[spatial.vals > 0]
+        hit.reshape(self.graph.n, self.grid.nt)[untimed] = True
+        return hit
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
@@ -503,18 +512,6 @@ class FactoredOperator:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.scale * self.system.product(x)
 
-    def pull(self, front: np.ndarray) -> np.ndarray:
-        """Cells with a nonzero entry of ``P`` in a column of ``front``."""
-        return (self.system.product(front.astype(float)) > 0) & (self.scale != 0)
-
-    def inbound(self) -> np.ndarray:
-        """Cells with a nonzero entry of ``P`` in their column, and every bin
-        of a vertex with a time clique, which its hub's row reaches in the
-        explicit adjacency."""
-        sys = self.system
-        hit = sys.product((self.scale != 0).astype(float), transpose=True) > 0
-        return hit | np.repeat(_clique_vertices(sys.spatial, sys.mode), sys.grid.nt)
-
 
 def factored_operator(
     sys: SpaceTimeSystem,
@@ -548,7 +545,7 @@ def solve_spacetime(
     op = factored_operator(sys, variant, spatial_psi, on_isolated)
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
     nt = sys.grid.nt
-    inert = boundary[~op.inbound()[boundary]]
+    inert = boundary[~sys.coupled[boundary]]
     if inert.size:
         cells = [(int(i) // nt, int(i) % nt) for i in inert[:5]]
         logger.warning(

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spatial
+from ._solve import _reaches_boundary
 from .errors import ValidationFailure
 from .evaluation import roc
 from .generators import SbmParams, generate_sbm
@@ -209,14 +210,11 @@ def _hub_chains(rng, systems, n, variant, tol):
     hub's value is its vertex's bin mean, which its row takes with prior 1.
     A state with no path to the cue raises :class:`ValidationFailure`, since
     its walks would test nothing."""
-    from scipy.sparse import csgraph
-
     for sys_, obs in hub_systems(rng, systems, n):
         chain = AbsorbingChain(spacetime_operator(sys_, variant), *obs.boundary(sys_.graph.n, sys_.grid))
-        # csgraph counts a stored zero as an edge, so only positive entries go in
-        hops = csgraph.dijkstra((chain.p > 0).T, indices=chain.boundary, min_only=True, unweighted=True)
-        if not np.isfinite(hops).all():
-            raise ValidationFailure(f"{np.count_nonzero(~np.isfinite(hops))} states have no path to the cue")
+        reach = _reaches_boundary(chain.p, chain.boundary)
+        if not reach.all():
+            raise ValidationFailure(f"{np.count_nonzero(~reach)} states have no path to the cue")
         theta = solve_spacetime(sys_, obs, variant=variant, tol=tol)
         yield np.concatenate([theta.ravel(), theta[sys_.hub_vertices].mean(axis=1)]), chain
 

@@ -87,6 +87,22 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match=message):
             read_edges(bad)
 
+    @pytest.mark.parametrize("row", [
+        pytest.param(b"\xff,b,1", id="undecodable"),  # 0xff starts no UTF-8 character
+        pytest.param(b"a,%s,1" % (b"b" * 200_000), id="field-over-the-csv-limit"),
+    ])
+    @pytest.mark.parametrize("reader, error", [
+        pytest.param(lambda path, g: read_edges(path), GraphError, id="edges"),
+        pytest.param(read_observations, ObservationError, id="observations"),
+        pytest.param(read_truth, GraphError, id="truth"),
+    ])
+    def test_unreadable_csv_names_the_file(self, tmp_path, reader, error, row):
+        g = build_graph([(0, 1, 1.0)], labels=["a", "b"])
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"src,dst,weight\na,b,1\n%s\n" % row)
+        with pytest.raises(error, match=f"{bad}: cannot read the file as CSV text"):
+            reader(bad, g)
+
     def test_truth_round_trip(self, tmp_path):
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], labels=["x", "y", "z"])
         truth = np.array([1, 0, 1], dtype=np.int8)
@@ -273,22 +289,22 @@ class TestCli:
     @pytest.mark.parametrize("command, rows, obs_text, named", [
         # A subnormal weight, whose vertex's 1/w would overflow to inf
         pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\nd,c,1e-310,,", "vertex,p,t\na,1.0,1.0",
-                     "weight 1e-310 on edge (3, 2)", id="spacetime-subnormal-untimed"),
+                     "weight 1e-310 on edge (d, c)", id="spacetime-subnormal-untimed"),
         pytest.param("spatial", "a,b,1.0,1.0,1.0\nb,c,1.0,2.0,2.0\nd,c,1e-310,,", "vertex,p\na,1.0",
-                     "weight 1e-310 on edge (3, 2)", id="spatial-subnormal-untimed"),
+                     "weight 1e-310 on edge (d, c)", id="spatial-subnormal-untimed"),
         # b's total weight would overflow to inf, so 1/w = 0 would empty its rows
         pytest.param("spacetime", "a,b,1e308,1.0,1.0\nb,c,1e308,1.0,1.0", "vertex,p,t\na,1.0,1.0",
-                     "weight 1e+308 on edge (0, 1)", id="spacetime-overflowing-timed"),
+                     "weight 1e+308 on edge (a, b)", id="spacetime-overflowing-timed"),
         # Just past either end of the range, and two untimed records in the
         # range whose merged weight is not
         pytest.param("spatial", "a,b,1.0\nb,c,9.999999999999999e-101", "vertex,p\na,1.0",
-                     "weight 9.999999999999999e-101 on edge (1, 2)", id="spatial-below-the-range"),
+                     "weight 9.999999999999999e-101 on edge (b, c)", id="spatial-below-the-range"),
         pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,1.0000000000000002e+100,2.0,2.0", "vertex,p,t\na,1.0,1.0",
-                     "weight 1.0000000000000002e+100 on edge (1, 2)", id="spacetime-above-the-range"),
+                     "weight 1.0000000000000002e+100 on edge (b, c)", id="spacetime-above-the-range"),
         pytest.param("spatial", "a,b,1.0\nb,c,6e99\nc,b,6e99", "vertex,p\na,1.0",
-                     "weight 1.2e+100 on edge (1, 2)", id="spatial-merged-above-the-range"),
+                     "weight 1.2e+100 on edge (b, c)", id="spatial-merged-above-the-range"),
         pytest.param("spacetime", "a,b,1.0,1.0,1.0\nb,c,6e99,,\nc,b,6e99,,", "vertex,p,t\na,1.0,1.0",
-                     "weight 1.2e+100 on edge (1, 2)", id="spacetime-merged-above-the-range"),
+                     "weight 1.2e+100 on edge (b, c)", id="spacetime-merged-above-the-range"),
     ])
     def test_weight_sums_out_of_range_exit_1(self, tmp_path, capsys, command, rows, obs_text, named):
         edges = tmp_path / "edges.csv"
@@ -302,6 +318,27 @@ class TestCli:
         assert rc == 1
         assert f"error: {edges}: {named} is neither 0 nor in [1e-100, 1e+100]; rescale the weights" in err
         assert list(tmp_path.glob("x.*")) == []
+
+    @pytest.mark.parametrize("bad", ["graph", "obs", "config"])
+    def test_undecodable_input_exits_1(self, tmp_path, capsys, bad):
+        # Byte 0xff starts no UTF-8 character, in an edge list, a cue list
+        # or a config file.
+        files = {"graph": tmp_path / "edges.csv", "obs": tmp_path / "obs.csv", "config": tmp_path / "cfg.json"}
+        files["graph"].write_text("src,dst,weight\na,b,1.0\nb,c,1.0\n")
+        files["obs"].write_text("vertex,p\na,1.0\n")
+        files["config"].write_text(json.dumps(EXPERIMENT))
+        files[bad].write_bytes(files[bad].read_bytes() + b"\xff\n")
+        out = tmp_path / "out"
+        if bad == "config":
+            args = ["experiment", "--config", str(files["config"])]
+        else:
+            args = ["propagate", "spatial", "--graph", str(files["graph"]), "--obs", str(files["obs"])]
+        rc = main([*args, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("usage error: " if bad == "config" else "error: ") and str(files[bad]) in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, obs_text, config", [
         pytest.param("spacetime", ["--dt", "0"], "a,1.0,1.0", None, id="dt-zero"),

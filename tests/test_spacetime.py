@@ -254,8 +254,7 @@ class TestProductForms:
         forced = assemble_spacetime(gt, grid, rate, mode_default=mode)
         assert (forced.kernel is None) != (chosen.kernel is None)
         x = rng.random(chosen.order)
-        for transpose in (False, True):
-            np.testing.assert_allclose(chosen.product(x, transpose), forced.product(x, transpose), rtol=1e-14)
+        np.testing.assert_allclose(chosen.product(x), forced.product(x), rtol=1e-14)
         np.testing.assert_allclose(chosen.row_sums, forced.row_sums, rtol=1e-14)
         theta = [solve_spacetime(s, obs, tol=1e-12) for s in (chosen, forced)]
         assert np.abs(theta[0] - theta[1]).max() <= 1e-12

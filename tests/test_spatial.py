@@ -140,6 +140,23 @@ class TestSolveHarmonic:
             solve_boundary_value(p, np.array([2]), np.array([1.0]), tol=1e-12, max_iter=3)
         assert err.value.residual is not None and err.value.residual > 1e-12
 
+    def test_operator_needs_only_shape_and_matmul(self, path3):
+        # The iterative solve and its reach set use nothing else of P; the
+        # direct method, which factorizes, still needs a sparse matrix.
+        p = propagation_operator(path3, compute_prior(path3, PriorSpec("dwtp")))
+
+        class Operator:
+            shape = p.shape
+
+            def __matmul__(self, x):
+                return p @ x
+
+        cue = np.array([2]), np.array([1.0])
+        want = solve_boundary_value(p, *cue, tol=1e-12)
+        assert np.array_equal(solve_boundary_value(Operator(), *cue, tol=1e-12), want)
+        with pytest.raises(ValueError, match="needs P as a sparse matrix"):
+            solve_boundary_value(Operator(), *cue, method="direct")
+
     def test_disconnected_policy(self):
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
         obs = ObservationSet.of((0, 1.0))
