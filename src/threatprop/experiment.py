@@ -28,7 +28,7 @@ import numpy as np
 from ._solve import SOLVE_METHODS
 from .errors import ExperimentError, GraphError, ThreatPropagationError, checked_number
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
-from .generators import GeneratedNetwork, SbmParams, generate_hmmb, generate_sbm
+from .generators import GeneratedNetwork, HmmbParams, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
 from .priors import hop_prior
 from .spacetime import (MAX_ORDER, REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
@@ -75,6 +75,8 @@ class ExperimentConfig:
         bad = [d for d in self.detectors if d not in DETECTORS]
         if bad:
             raise GraphError(f"unknown detectors {bad}")
+        if not self.detectors or len(set(self.detectors)) < len(self.detectors):
+            raise GraphError(f"detectors must name each detector to run once, got {list(self.detectors)}")
         fixed = {
             "detectors": tuple(self.detectors),
             "trials": checked_number("trials", self.trials, integer=True, low=1),
@@ -88,6 +90,9 @@ class ExperimentConfig:
         }
         for name, val in fixed.items():
             object.__setattr__(self, name, val)
+        params = {"sbm": SbmParams, "hmmb": HmmbParams}[self.kind]
+        if not isinstance(self.params, params):
+            raise GraphError(f"{self.kind} experiment needs {params.__name__}, got {type(self.params).__name__}")
         if self.params.n * self.time_bins > MAX_ORDER:  # refused before any trial draws a network
             raise GraphError(f"time_bins {self.time_bins} over {self.params.n} vertices exceeds the space-time "
                              f"order limit of {MAX_ORDER:,}")

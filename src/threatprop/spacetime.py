@@ -38,8 +38,9 @@ entries per record end; the untimed part stays factored in both forms.
 That form and the explicit adjacency below are scipy CSRs, and scipy is
 imported where they are built.
 
-``SpaceTimeSystem.adjacency`` writes the system out on demand, for the
-direct method, the absorbing chain and the tests.  There a time clique is
+``SpaceTimeSystem.adjacency`` writes the factors out on demand, plus hub
+rows, for the direct method, the absorbing chain and the tests, with the
+timed part in the written-out kernel's windows.  There a time clique is
 stored through hub states rather than as its dense nt x nt block: each
 vertex with an untimed record gets one hub state, appended after the
 ``n * nt`` cells in sorted vertex order; every bin of ``u`` points at the
@@ -100,7 +101,10 @@ DENSE_KERNEL_COST = 1 / 50
 # kernel builds at most its timed part.  Building the explicit operator
 # peaks at about 60 bytes of RSS per entry (619 MiB for 10.4M entries: a
 # 1.5k-record blockmodel draw with 231 hubs at 3,840 bins), so this caps it
-# near 1 GB; the iterative CLI run on that grid peaks at 444 MiB.
+# near 1 GB; the iterative CLI run on that grid peaks at 444 MiB.  It also
+# caps the dense kernel table, whose nt**2 entries are at most the estimate,
+# so it is checked at assembly: 10,000 timed records on 3 vertices at 20,000
+# bins would take a 400M-entry (3.2 GB) table and build no CSR at all.
 MAX_ENTRIES = 16_000_000
 
 
@@ -233,7 +237,7 @@ class SpaceTimeSystem:
     built on first use as a scipy CSR.  ``B`` and ``C`` are :class:`Entries`,
     numpy columns with one entry per record end and per direction of an
     untimed record, unmerged.  ``rate`` defines ``K`` where it is written
-    out and in the explicit adjacency."""
+    out, here and in the explicit adjacency, which are the same entries."""
 
     graph: Graph
     grid: TimeGrid
@@ -260,27 +264,13 @@ class SpaceTimeSystem:
 
     @cached_property
     def factors(self) -> tuple:
-        """``(B, K, C)``, or ``((I_n kron K) B, None, C)`` where the dense table does not pay."""
+        """``(B, K, C)``, or ``((I_n kron K) B, None, C)`` where the dense
+        table does not pay, written out from :func:`_timed_entries`."""
         if self.kernel is not None:
             return self.ends, self.kernel, self.spatial
-        # Every record end (receiver cell at bin b, sender cell s, weight w)
-        # spreads to w * K[b, t] at each bin t of its receiver, in column s.
-        # Only a window of bins around b can keep its entry: one lag beyond
-        # the last kept one, for roundoff in the bin centres, and no wider
-        # than the grid, shifted to lie inside it.
         import scipy.sparse as sp
 
-        nt, centers, ends = self.grid.nt, self.grid.centers, self.ends
-        half = int(_kernel_lags(self.grid, self.rate).max(initial=-1)) + 1
-        width = min(nt, 2 * half + 1)
-        recv, b = np.divmod(ends.rows, nt)
-        t = np.clip(b - width // 2, 0, nt - width)[:, None] + np.arange(width)
-        vals = kernel_profile(self.rate, centers[t] - centers[b][:, None])
-        keep = vals >= KERNEL_TRUNCATION
-        rows = (recv[:, None] * nt + t)[keep]
-        cols = np.broadcast_to(ends.cols[:, None], keep.shape)[keep]
-        written = sp.csr_matrix(((ends.vals[:, None] * vals)[keep], (rows, cols)), shape=ends.shape)
-        return written, None, self.spatial
+        return sp.csr_matrix(_timed_entries(self), shape=self.ends.shape), None, self.spatial
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``A @ x`` over the cells, with every time clique's hub eliminated."""
@@ -313,8 +303,8 @@ class SpaceTimeSystem:
 
     @cached_property
     def adjacency(self) -> sp.csr_matrix:
-        """The explicit adjacency, built on demand: the cells, then one hub
-        state per vertex with a time clique."""
+        """The explicit adjacency, built on demand: the factors written out
+        over the cells, then one hub row per vertex with a time clique."""
         return _explicit_adjacency(self)
 
 
@@ -397,44 +387,43 @@ def _dense_kernel_pays(n: int, ends: int, grid: TimeGrid, lam: float) -> bool:
     return nt * nt * max(1.0, n * DENSE_KERNEL_COST) <= written
 
 
+def _timed_entries(sys: SpaceTimeSystem) -> tuple:
+    """The entries of ``(I_n kron K) B`` in the order of ``B``, as scipy's ``(vals, (rows, cols))``."""
+    # Every record end (receiver cell at bin b, sender cell s, weight w) spreads
+    # to w * K[b, t] at each bin t of its receiver, in column s.  Only a window
+    # of bins around b can keep its entry: one lag beyond the last kept one, for
+    # roundoff in the bin centres, and no wider than the grid, shifted inside it.
+    nt, centers, ends = sys.grid.nt, sys.grid.centers, sys.ends
+    half = int(_kernel_lags(sys.grid, sys.rate).max(initial=-1)) + 1
+    width = min(nt, 2 * half + 1)
+    recv, b = np.divmod(ends.rows, nt)
+    t = np.clip(b - width // 2, 0, nt - width)[:, None] + np.arange(width)
+    vals = kernel_profile(sys.rate, centers[t] - centers[b][:, None])
+    keep = vals >= KERNEL_TRUNCATION
+    rows = (recv[:, None] * nt + t)[keep]
+    cols = np.broadcast_to(ends.cols[:, None], keep.shape)[keep]
+    return (ends.vals[:, None] * vals)[keep], (rows, cols)
+
+
 def _explicit_adjacency(sys: SpaceTimeSystem) -> sp.csr_matrix:
-    """The space-time adjacency of ``sys`` written out, with hub states for time cliques."""
+    """The space-time adjacency of ``sys`` written out from its factors,
+    with hub states for time cliques."""
     import scipy.sparse as sp
 
-    # One entry rule over (records, 2 directions, nt bins): every record
-    # couples receiver v from sender u, then u from v, at each bin of the
-    # receiver.  The entry is the record's weight times the kernel centred on
-    # the receiver's own bin, kept where the kernel reaches the truncation,
-    # in the column of the sender's bin.  An untimed record takes the
-    # kernel's zero-rate limit, exactly its weight at every bin and always
-    # kept, in the column of the sender's hub for a time clique or of the
-    # sender's same bin for instant contact.
-    g, grid, mode = sys.graph, sys.grid, sys.mode
-    nt, hubbed = grid.nt, sys.hub_vertices
-    cells, bins, timed = g.n * nt, np.arange(nt), g.timed[:, None]
-    recv = np.stack([g.v, g.u], axis=1)
-    send = recv[:, ::-1]
-    t_recv = grid.bin_of(np.where(timed, np.stack([g.t_v, g.t_u], axis=1), grid.t0))
-    centers = grid.centers
-    vals = kernel_profile(np.where(timed, sys.rate, 0.0)[..., None], centers - centers[t_recv][..., None])
-    keep = (vals >= KERNEL_TRUNCATION) | ~timed[..., None]
-    vals *= g.w[:, None, None]
-    col = send * nt + t_recv[:, ::-1]
-    if mode == "clique":
-        col = np.where(timed, col, cells + np.searchsorted(hubbed, send))
-    cols = np.broadcast_to(col[..., None], keep.shape)
-    if mode == "instant":
-        cols = cols + ~timed[..., None] * bins
-    # Reading the kept entries in C order emits them record by record, as a
-    # per-record loop would, and the hub rows come last: the CSR conversion
-    # sums duplicates in input order, so this keeps the sums bitwise
-    # reproducible.  A hub's row weighs each bin of its vertex by one.
-    hubs = cells + np.arange(hubbed.size)
-    rows = np.concatenate([(recv[..., None] * nt + bins)[keep], np.repeat(hubs, nt)])
-    cols = np.concatenate([cols[keep], (hubbed[:, None] * nt + bins).ravel()])
-    vals = np.concatenate([vals[keep], np.ones(hubbed.size * nt)])
-    size = cells + hubbed.size
-    return sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    # The timed entries; each entry of C at every bin of its receiver, from
+    # the sender's hub (time clique) or the sender's same bin (instant
+    # contact); the hub rows, weighing each bin of their vertex by one.  The
+    # CSR conversion sums a repeated position in this order.
+    nt, spatial, hubbed = sys.grid.nt, sys.spatial, sys.hub_vertices
+    cells, bins = sys.order, np.arange(nt)
+    vals, (rows, cols) = _timed_entries(sys)
+    send = (np.repeat(cells + np.searchsorted(hubbed, spatial.cols), nt) if sys.mode == "clique"
+            else (spatial.cols[:, None] * nt + bins).ravel())
+    hubs = np.repeat(cells + np.arange(hubbed.size), nt)
+    rows = np.concatenate([rows, (spatial.rows[:, None] * nt + bins).ravel(), hubs])
+    cols = np.concatenate([cols, send, (hubbed[:, None] * nt + bins).ravel()])
+    vals = np.concatenate([vals, np.repeat(spatial.vals, nt), np.ones(hubbed.size * nt)])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(cells + hubbed.size,) * 2).tocsr()
 
 
 def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.ndarray:
@@ -542,7 +531,7 @@ def solve_spacetime(
     factors (:func:`factored_operator`), and ``direct`` writes it out.
     Space-time vertices with no kernel mass (or cut off from every cue) take
     the absorbing value zero."""
-    op = factored_operator(sys, variant, spatial_psi, on_isolated)
+    p = (spacetime_operator if method == "direct" else factored_operator)(sys, variant, spatial_psi, on_isolated)
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
     nt = sys.grid.nt
     inert = boundary[~sys.coupled[boundary]]
@@ -552,7 +541,6 @@ def solve_spacetime(
             "%d cue cells have no inbound coupling (vertex inactive at that bin): %s",
             inert.size, cells,
         )
-    p = spacetime_operator(sys, variant, spatial_psi, on_isolated) if method == "direct" else op
     theta = solve_boundary_value(p, boundary, values, tol=tol, method=method)
     return theta[:sys.order].reshape(sys.graph.n, nt)
 

@@ -184,6 +184,19 @@ class TestRunExperiment:
         with pytest.raises(GraphError):
             ExperimentConfig(kind="sbm", params=None, aggregate="hexagonal")
 
+    @pytest.mark.parametrize("detectors", [(), ("bfs", "bfs")], ids=["none", "repeated"])
+    def test_detectors_each_named_once(self, detectors):
+        with pytest.raises(GraphError, match="each detector to run once"):
+            replace(tiny_sbm_config(), detectors=detectors)
+
+    @pytest.mark.parametrize("make, wanted, got", [
+        (lambda: replace(sbm_detection_config(trials=1), kind="hmmb"), "HmmbParams", "SbmParams"),
+        (lambda: ExperimentConfig(kind="sbm", params=None), "SbmParams", "NoneType"),
+    ], ids=["other-kind", "none"])
+    def test_params_of_the_kinds_class(self, make, wanted, got):
+        with pytest.raises(GraphError, match=f"experiment needs {wanted}, got {got}"):
+            make()
+
     def test_vertical_aggregation_mode(self):
         cfg = replace(tiny_sbm_config(), aggregate="vertical", detectors=("bfs",))
         res = run_experiment(cfg)

@@ -426,6 +426,8 @@ class TestCli:
         pytest.param("experiment", {**EXPERIMENT, "kind": "hmmb", "activity": 2.0}, [],
                      id="experiment-knob-of-other-kind"),
         pytest.param("experiment", EXPERIMENT, ["--threads", "0"], id="experiment-threads-zero"),
+        pytest.param("experiment", {**EXPERIMENT, "detectors": []}, [], id="experiment-no-detectors"),
+        pytest.param("experiment", {**EXPERIMENT, "detectors": ["bfs", "bfs"]}, [], id="experiment-detector-twice"),
     ])
     def test_config_error_contract(self, tmp_path, capsys, command, config, flags):
         cfg = tmp_path / "cfg.json"

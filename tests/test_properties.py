@@ -28,52 +28,41 @@ PROPERTY = settings(max_examples=150, deadline=None, database=None)
 
 def reference_assembly(g, grid, rate, mode_default, truncation=1e-4):
     """Space-time adjacency built one interaction record at a time, keeping a
-    timed entry where the kernel reaches the truncation."""
+    timed entry where the kernel reaches the truncation.  The entries reach
+    the CSR conversion, which sums a repeated position in input order, in
+    the factors' order: every timed record's end at v, then every one at u,
+    then every untimed record's end at u, then every one at v, then the
+    hub rows."""
     nt = grid.nt
     centers = grid.centers
-    rows, cols, vals = [], [], []
     eye = np.arange(nt)
     # one hub per vertex with a time clique, numbered after the cells
     hubs = sorted({x for e in g.interactions if not e.timestamped for x in (e.u, e.v)})
     hub_of = {x: g.n * nt + k for k, x in enumerate(hubs)} if mode_default == "clique" else {}
+    sides = [[] for _ in range(5)]  # (rows, cols, vals) blocks in the order above
 
-    def add_column(recv, send, t_recv, t_send, w):
+    def add_column(side, recv, send, t_recv, t_send, w):
         kernel = kernel_profile(rate, centers - centers[grid.bin_of(t_recv)])
         keep = np.flatnonzero(kernel >= truncation)
-        if keep.size == 0:
-            return
-        rows.append(recv * nt + keep)
-        cols.append(np.full(keep.size, send * nt + grid.bin_of(t_send)))
-        vals.append(w * kernel[keep])
+        sides[side].append((recv * nt + keep, np.full(keep.size, send * nt + grid.bin_of(t_send)), w * kernel[keep]))
 
     for i, e in enumerate(g.interactions):
         mode = "kernel" if e.timestamped else mode_default
         if mode == "kernel":
             if not e.timestamped:
                 raise GraphError(f"interaction {i} ({e.u},{e.v}) has no timestamps for kernel mode")
-            add_column(e.v, e.u, e.t_v, e.t_u, e.weight)
-            add_column(e.u, e.v, e.t_u, e.t_v, e.weight)
-        elif mode == "instant":
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                rows.append(a * nt + eye)
-                cols.append(b * nt + eye)
-                vals.append(np.full(nt, e.weight))
-        else:  # clique: every bin of one end points at the other end's hub
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                rows.append(a * nt + eye)
-                cols.append(np.full(nt, hub_of[b]))
-                vals.append(np.full(nt, e.weight))
+            add_column(0, e.v, e.u, e.t_v, e.t_u, e.weight)
+            add_column(1, e.u, e.v, e.t_u, e.t_v, e.weight)
+        else:  # instant: bin to same bin; clique: every bin of one end points at the other end's hub
+            for side, (a, b) in ((2, (e.u, e.v)), (3, (e.v, e.u))):
+                col = b * nt + eye if mode == "instant" else np.full(nt, hub_of[b])
+                sides[side].append((a * nt + eye, col, np.full(nt, e.weight)))
     for x, h in hub_of.items():  # a hub's row weighs each bin of its vertex by one
-        rows.append(np.full(nt, h))
-        cols.append(x * nt + eye)
-        vals.append(np.ones(nt))
+        sides[4].append((np.full(nt, h), x * nt + eye, np.ones(nt)))
 
-    if not vals:  # every kernel entry fell below the truncation
-        rows, cols, vals = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*(block for side in sides for block in side)))
     order = g.n * nt + len(hub_of)
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(order, order)
-    ).tocsr()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(order, order)).tocsr()
 
 
 # Zero, or a weight in the graph's range, so every draw builds a graph.

@@ -154,6 +154,24 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_grid_of_an_oversize_dense_table_refused_before_allocating(self):
+        # 10,000 timed records on 3 vertices at 20,000 bins: the cost rule
+        # would take the dense table, 400M entries, so the entry estimate
+        # must refuse the grid although no CSR would be built.
+        t = rng_for("st-oversize-table").uniform(0.0, 24.0, 10_000)
+        u = np.arange(t.size) % 3
+        g = Graph(3, u, (u + 1) % 3, np.ones(t.size), t, t)
+        grid = TimeGrid(0.0, 24 / 20_000, 20_000)
+        assert spacetime._dense_kernel_pays(g.n, 2 * g.size, grid, 0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="--bins"):
+                assemble_spacetime(g, grid, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_clique_entries_grow_linearly_with_bins(self):
         g = make_er(rng_for("st-clique-linear"), 12, p=0.5)
         nnz = [assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), mode_default="clique").adjacency.nnz
