@@ -77,13 +77,6 @@ def _check_keys(keys, allowed, required=()) -> None:
             raise click.UsageError(f"{what} config key(s): {', '.join(sorted(bad))}")
 
 
-def _from_config(cls, raw: dict):
-    """``cls(**raw)``: the keys are checked here, the values by the dataclass."""
-    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
-    _check_keys(raw, [f.name for f in fields(cls)], required)
-    return cls(**raw)
-
-
 def _leaves(node: dict, prefix: str = ""):
     """(dotted key, value) for every non-object value of a nested JSON object."""
     for key, val in node.items():
@@ -125,11 +118,26 @@ def _emit_network(net, out_dir: Path, config: dict, seed: int):
                f"{int(net.truth.sum())} foreground of {net.graph.n})")
 
 
+def _shape(cls, config_path, knob: str, preset):
+    """A generator's ``cls`` params: ``cls(**raw)`` of the ``--config`` file
+    (keys checked here, values by the dataclass), else ``preset()``, the
+    default shape tuned by the flag of parameter ``knob``.  That flag is
+    refused next to a file, which would leave it without effect."""
+    if not config_path:
+        return preset()
+    if click.get_current_context().get_parameter_source(knob) is click.core.ParameterSource.COMMANDLINE:
+        raise click.UsageError(f"--{knob.replace('_', '-')} tunes the default shape and has no effect with --config")
+    raw = _load_json(config_path)
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(raw, [f.name for f in fields(cls)], required)
+    return cls(**raw)
+
+
 @generate.command("sbm")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON with the SbmParams fields: sizes, block_probs, foreground, horizon, shuffle.")
 @click.option("--activity", type=float, default=2.0, show_default=True,
-              help="Foreground density multiplier for the benchmark shape (ignored with --config).")
+              help="Foreground density multiplier for the benchmark shape (refused with --config).")
 @click.option("--temporal", default="coordinated", show_default=True,
               type=click.Choice(["coordinated", "uniform", "none"]))
 @click.option("--seed", type=int, default=None)
@@ -138,10 +146,7 @@ def generate_sbm_cmd(config_path, activity, temporal, seed, out_dir):
     from .experiment import sbm_detection_config
     from .generators import SbmParams, generate_sbm
 
-    if config_path:
-        params = _from_config(SbmParams, _load_json(config_path))
-    else:
-        params = sbm_detection_config(activity=activity).params
+    params = _shape(SbmParams, config_path, "activity", lambda: sbm_detection_config(activity=activity).params)
     seed = _resolve_seed(seed)
     net = generate_sbm(params, temporal=temporal, seed=seed)
     _emit_network(net, Path(out_dir), {"generator": "sbm", "params": params, "temporal": temporal}, seed)
@@ -151,20 +156,16 @@ def generate_sbm_cmd(config_path, activity, temporal, seed, out_dir):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON with the HmmbParams fields.")
 @click.option("--gamma-fg", type=float, default=1.0, show_default=True,
-              help="Foreground coordination level for the default shape (ignored with --config).")
+              help="Foreground coordination level for the default shape (refused with --config).")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 def generate_hmmb_cmd(config_path, gamma_fg, seed, out_dir):
     from .generators import HmmbParams, default_hmmb_params, generate_hmmb
 
-    if config_path:
-        params = _from_config(HmmbParams, _load_json(config_path))
-    else:
-        params = default_hmmb_params(gamma_fg=gamma_fg)
+    params = _shape(HmmbParams, config_path, "gamma_fg", lambda: default_hmmb_params(gamma_fg=gamma_fg))
     seed = _resolve_seed(seed)
     net = generate_hmmb(params, seed=seed)
-    config = {"generator": "hmmb", "params": params}
-    _emit_network(net, Path(out_dir), config, seed)
+    _emit_network(net, Path(out_dir), {"generator": "hmmb", "params": params}, seed)
 
 
 @cli.group()
@@ -187,15 +188,15 @@ def propagate():
 @click.option("--seed", type=int, default=None, help="Required for --method mc.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def propagate_spatial(graph_path, obs_path, prior, psi0, tol, method, walks, seed, out_path):
-    from .spatial import build_absorbing_chain, monte_carlo_threat, solve_harmonic
+    from .spatial import build_absorbing_chain, monte_carlo_threat, require_reach, solve_harmonic
 
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     psi = compute_prior(g, PriorSpec(prior, psi0=psi0), obs)
     if method == "mc":
+        require_reach(g, obs.vertices)  # the harmonic solve's refusal
         seed = _resolve_seed(seed)
-        chain = build_absorbing_chain(g, psi, obs)
-        theta = monte_carlo_threat(chain, walks, seed=seed).theta
+        theta = monte_carlo_threat(build_absorbing_chain(g, psi, obs), walks, seed=seed).theta
     else:
         theta = solve_harmonic(g, psi, obs, tol=tol)
     write_scores(out_path, g, theta)

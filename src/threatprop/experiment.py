@@ -7,9 +7,9 @@ Trials use independent counter-based substreams keyed by (seed, trial), and
 pooling is an order-independent merge, so results are identical for any
 worker count.
 
-With ``threads > 1`` the trials run in a pool of that many worker
-processes.  The pool is started with ``fork`` on first use and kept for the
-life of the process; it is rebuilt only when the worker count changes.
+With ``threads > 1`` the trials run in a pool of that many worker processes
+(at most one per trial), started with ``fork`` and kept for the life of the
+process; it is rebuilt only when the worker count changes.
 Workers therefore run the library as it was when the pool started, and
 their memory does not show in the parent's ``RUSAGE_SELF``.
 """
@@ -30,7 +30,7 @@ from .errors import ExperimentError, GraphError, ThreatPropagationError, checked
 from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, HmmbParams, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
-from .priors import hop_prior
+from .priors import PriorSpec, compute_prior
 from .spacetime import (MAX_ORDER, REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
                         solve_spacetime)
 from .spatial import solve_harmonic
@@ -158,13 +158,10 @@ def choose_cue(net: GeneratedNetwork, rng: np.random.Generator) -> tuple[int, fl
 
 
 def bfs_detector_scores(g: Graph, cue: int, cue_value: float, tol: float, method: str) -> np.ndarray:
-    """Spatial propagation with the hop-distance prior from the cue.
-
-    Vertices unreachable from the cue receive the floor prior and end at
-    exactly zero threat, which is their value under the absorbing-walk model.
-    """
-    psi = hop_prior(g.hops([cue]))
+    """Spatial propagation with the ``bfs`` prior from the cue; a vertex it
+    cannot reach ends at zero threat, its value under the absorbing-walk model."""
     obs = ObservationSet.of((cue, cue_value))
+    psi = compute_prior(g, PriorSpec("bfs"), obs)
     return solve_harmonic(g, psi, obs, tol=tol, method=method, on_unreachable="zero")
 
 
@@ -249,20 +246,22 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run all trials and pool per-detector ROC curves.
 
-    ``cfg.threads`` counts worker processes.  With more than one, trials are
-    mapped over the shared fork-started pool (see the module docstring);
-    outcomes come back in trial order either way, so results do not depend
-    on the worker count.  Aborted trials are logged here, in trial order.
+    ``cfg.threads`` counts worker processes, at most one per trial.  With
+    more than one, trials are mapped over the shared fork-started pool (see
+    the module docstring); outcomes come back in trial order either way, so
+    results do not depend on the worker count.  Aborted trials are logged
+    here, in trial order.
 
     Raises :class:`ExperimentError` when more than ``max_abort_fraction`` of
     trials abort or when none completes.  A programming error in a trial
     propagates with its own type.  If a worker dies, the pool is dropped and
     ``BrokenProcessPool`` propagates; the next call starts a new pool.
     """
-    if cfg.threads > 1:
+    workers = min(cfg.threads, cfg.trials)
+    if workers > 1:
         from concurrent.futures.process import BrokenProcessPool
 
-        pool = _worker_pool(cfg.threads)
+        pool = _worker_pool(workers)
         try:
             outcomes = list(pool.map(partial(run_trial, cfg), range(cfg.trials)))
         except BrokenProcessPool:

@@ -208,6 +208,10 @@ class Graph:
         labels = self.labels or ()
         return dict(zip(reversed(labels), range(len(labels) - 1, -1, -1)))
 
+    def name(self, i: int) -> str | int:
+        """Vertex ``i`` as the edge list names it: its label, else its index."""
+        return self.labels[i] if self.labels is not None else int(i)
+
     @property
     def size(self) -> int:
         return int(self.u.size)

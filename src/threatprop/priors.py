@@ -5,10 +5,12 @@ probability that threat survives a visit to the vertex instead of being
 absorbed into the non-threat state.  Supported kinds:
 
 * ``uniform`` -- constant ``psi0``;
-* ``dwtp`` -- degree weighted, ``psi_v = 1 / deg(v)``;
+* ``dwtp`` -- degree weighted, ``psi_v = 1 / deg(v)`` (one at a vertex
+  without neighbours);
 * ``lwtp`` -- length weighted, constant ``2**(-1/l)`` with ``l`` the graph's
   average shortest-path length;
-* ``bfs`` -- inversely proportional to hop distance from the observed set.
+* ``bfs`` -- ``1 / d`` at hop distance ``d >= 1`` from the observed set, one
+  on it and the floor where no path leads.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ class PriorSpec:
             raise GraphError("uniform prior value must lie in (0, 1]")
 
 
-def hop_prior(dist: np.ndarray) -> np.ndarray:
-    """The ``bfs`` prior ``1 / d`` at hop distance ``d >= 1``, one on the
-    sources and ``PRIOR_FLOOR`` where unreachable (``d = inf``)."""
-    return np.clip(1.0 / np.maximum(dist, 1.0), PRIOR_FLOOR, 1.0)
-
-
 def average_path_length(g: Graph) -> float:
     """Mean shortest-path hop distance over all unordered vertex pairs."""
     if g.n < 2:
@@ -85,16 +81,16 @@ def er_average_path_length(n: int) -> float:
 def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) -> np.ndarray:
     """Evaluate a diffusion prior over all vertices.
 
-    The ``bfs`` kind requires a nonempty observation set and errors on
-    vertices unreachable from it.
+    ``bfs`` requires a nonempty observation set, and ``lwtp`` a connected
+    graph up to ``EXACT_PATH_LENGTH_LIMIT`` vertices.  Neither ``bfs`` nor
+    ``dwtp`` refuses a vertex: ``bfs`` gives one that the cues cannot reach
+    the floor, ``dwtp`` gives one without neighbours 1, and the prior there
+    changes no threat.
     """
     if spec.kind == "uniform":
         psi = np.full(g.n, spec.psi0)
     elif spec.kind == "dwtp":
-        deg = g.neighbor_counts
-        if np.any(deg <= 0):
-            raise GraphError("degree-weighted prior undefined at an isolated vertex")
-        psi = 1.0 / deg
+        psi = 1.0 / np.maximum(g.neighbor_counts, 1.0)
     elif spec.kind == "lwtp":
         if g.n > EXACT_PATH_LENGTH_LIMIT:
             l = er_average_path_length(g.n)
@@ -112,9 +108,5 @@ def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) 
         bad = sources[(sources < 0) | (sources >= g.n)]
         if bad.size:
             raise ObservationError(f"observed vertices {bad.tolist()} out of range for n={g.n}")
-        dist = g.hops(sources)
-        if np.isinf(dist).any():
-            bad = int(np.flatnonzero(np.isinf(dist))[0])
-            raise DisconnectedGraphError(f"vertex {bad} disconnected from cue")
-        psi = hop_prior(dist)
+        psi = 1.0 / np.maximum(g.hops(sources), 1.0)  # 1/inf = 0 where unreachable, floored below
     return np.clip(psi, PRIOR_FLOOR, 1.0)

@@ -51,7 +51,8 @@ the dense block, which is ``U``; the hubs carry no prior.
 The coordination prior measures how temporally aligned a vertex's
 interactions are: it is the kernel mass arriving at a (vertex, bin) divided
 by the vertex's total interaction weight, and equals one exactly when all
-interactions hit the same discretized time.
+interactions hit the same discretized time, and zero at a vertex without
+interaction weight; only ``solve_spacetime`` decides whether to refuse one.
 """
 
 from __future__ import annotations
@@ -426,30 +427,24 @@ def _explicit_adjacency(sys: SpaceTimeSystem) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=(cells + hubbed.size,) * 2).tocsr()
 
 
-def coordination_prior(sys: SpaceTimeSystem, on_isolated: str = "error") -> np.ndarray:
+def coordination_prior(sys: SpaceTimeSystem) -> np.ndarray:
     """Per-(vertex, bin) alignment prior, shape ``(n, nt)``.
 
     Equals one exactly where all of a vertex's interaction weight arrives in
     a single discretized bin.  Values above one (stacked interactions) are
-    clamped and reported.  An isolated spatial vertex is an error by
-    default; ``on_isolated='zero'`` assigns it the absorbing prior instead.
+    clamped and reported.  A vertex without interaction weight has no kernel
+    mass either, and gets the absorbing prior zero.
     """
-    d = sys.graph.interaction_weight.copy()
-    if np.any(d <= 0):
-        if on_isolated == "error":
-            raise GraphError(f"isolated spatial vertex {int(np.argmin(d))} has no interactions")
-        if on_isolated != "zero":
-            raise ValueError(f"unknown on_isolated policy {on_isolated!r}")
-        d[d <= 0] = 1.0  # their kernel mass is zero, so the ratio is zero
+    d = sys.graph.interaction_weight
     mass = sys.row_sums.reshape(sys.graph.n, sys.grid.nt)
-    psi = mass / d[:, None]
+    psi = mass / np.where(d > 0, d, 1.0)[:, None]
     over = int(np.count_nonzero(psi > 1.0 + 1e-12))
     if over:
         logger.info("coordination prior clamped at %d space-time vertices (stacked interactions)", over)
     return np.clip(psi, 0.0, 1.0)
 
 
-def _cell_prior(sys, variant, spatial_psi, on_isolated) -> np.ndarray | None:
+def _cell_prior(sys, variant, spatial_psi) -> np.ndarray | None:
     """The prior that scales each cell's row after ``1/w``; None for
     ``weighted`` without a spatial prior."""
     if variant not in VARIANTS:
@@ -457,7 +452,7 @@ def _cell_prior(sys, variant, spatial_psi, on_isolated) -> np.ndarray | None:
     spatial = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
     if variant == "weighted":
         return spatial
-    psi = coordination_prior(sys, on_isolated=on_isolated).ravel()
+    psi = coordination_prior(sys).ravel()
     if variant == "coordinated-spatial":
         if spatial is None:
             raise GraphError("coordinated-spatial variant needs a spatial prior")
@@ -469,7 +464,6 @@ def spacetime_operator(
     sys: SpaceTimeSystem,
     variant: str = "coordinated",
     spatial_psi: np.ndarray | None = None,
-    on_isolated: str = "error",
 ) -> sp.csr_matrix:
     """Row-substochastic propagation operator over the states of the explicit
     adjacency, hubs included, for the direct method and the absorbing chain.
@@ -479,7 +473,7 @@ def spacetime_operator(
     which folds in the coordination prior; ``coordinated-spatial`` also damps
     each vertex by a spatial prior.  Hub rows are averages and carry no prior.
     """
-    psi = _cell_prior(sys, variant, spatial_psi, on_isolated)
+    psi = _cell_prior(sys, variant, spatial_psi)
     a = sys.adjacency
     w = np.asarray(a.sum(axis=1)).ravel()
     p = scale_rows(a, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
@@ -506,12 +500,11 @@ def factored_operator(
     sys: SpaceTimeSystem,
     variant: str = "coordinated",
     spatial_psi: np.ndarray | None = None,
-    on_isolated: str = "error",
 ) -> FactoredOperator:
     """:func:`spacetime_operator` over the cells, with the hubs eliminated,
     applied through the factors of ``sys``; its row factor is ``1/w`` times
     the prior, with ``w`` the factored :attr:`SpaceTimeSystem.row_sums`."""
-    psi = _cell_prior(sys, variant, spatial_psi, on_isolated)
+    psi = _cell_prior(sys, variant, spatial_psi)
     w = sys.row_sums
     scale = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)
     return FactoredOperator(sys, scale if psi is None else scale * psi)
@@ -530,17 +523,22 @@ def solve_spacetime(
     :func:`spacetime_operator`: the iterative method applies it through the
     factors (:func:`factored_operator`), and ``direct`` writes it out.
     Space-time vertices with no kernel mass (or cut off from every cue) take
-    the absorbing value zero."""
-    p = (spacetime_operator if method == "direct" else factored_operator)(sys, variant, spatial_psi, on_isolated)
+    the absorbing value zero; an uncued vertex without interaction weight is
+    refused under every variant unless ``on_isolated='zero'``."""
     boundary, values = obs.boundary(sys.graph.n, sys.grid)
+    if on_isolated == "error":
+        idle = sys.graph.interaction_weight <= 0
+        idle[obs.vertices] = False
+        if idle.any():
+            raise GraphError(f"isolated spatial vertex {sys.graph.name(np.argmax(idle))} has no interactions")
+    elif on_isolated != "zero":
+        raise ValueError(f"unknown on_isolated policy {on_isolated!r}")
+    p = (spacetime_operator if method == "direct" else factored_operator)(sys, variant, spatial_psi)
     nt = sys.grid.nt
     inert = boundary[~sys.coupled[boundary]]
     if inert.size:
-        cells = [(int(i) // nt, int(i) % nt) for i in inert[:5]]
-        logger.warning(
-            "%d cue cells have no inbound coupling (vertex inactive at that bin): %s",
-            inert.size, cells,
-        )
+        logger.warning("%d cue cells have no inbound coupling (vertex inactive at that bin): %s",
+                       inert.size, [(int(i) // nt, int(i) % nt) for i in inert[:5]])
     theta = solve_boundary_value(p, boundary, values, tol=tol, method=method)
     return theta[:sys.order].reshape(sys.graph.n, nt)
 

@@ -8,6 +8,9 @@ Two equivalent realizations of the same Bayesian model are provided:
   plus one augmented non-threat state, where threat is the expected value at
   the walk's terminal state.
 
+A vertex that no cue reaches has exactly zero threat in both; only
+:func:`solve_harmonic` decides whether to refuse one (:func:`require_reach`).
+
 One :class:`AbsorbingChain` serves any operator ``P``, spatial or
 hub-augmented space-time.  Its exact hitting-probability solve and its walk
 simulation, which samples the stored rows of ``P`` in O(nnz) memory, exist
@@ -27,8 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._solve import scale_rows, solve_boundary_value
-from .errors import DisconnectedGraphError, GraphError, checked_number, checked_prior
+from ._solve import _reaches_boundary, scale_rows, solve_boundary_value
+from .errors import DisconnectedGraphError, checked_number, checked_prior
 from .graph import Graph, ObservationSet
 
 if TYPE_CHECKING:
@@ -44,19 +47,22 @@ MAX_WALK_STEPS = 1_000_000
 STREAM_GAP_BLOCKS = 512
 
 
-def propagation_operator(g: Graph, psi: np.ndarray, allow_isolated: bool = False) -> sp.csr_matrix:
+def propagation_operator(g: Graph, psi: np.ndarray) -> sp.csr_matrix:
     """Row-substochastic operator ``diag(psi) D^{-1} A``.
 
-    Isolated vertices are an error unless allowed, in which case their rows
-    are zero (a walk there is absorbed to non-threat immediately).
+    A vertex without weight has a zero row: a walk there is absorbed to
+    non-threat at once.
     """
     psi = checked_prior(psi, g.n)
-    d = g.degrees.copy()
-    if np.any(d <= 0):
-        if not allow_isolated:
-            raise GraphError("propagation undefined at an isolated vertex")
-        d[d <= 0] = 1.0  # rows are zero anyway
-    return scale_rows(g.adjacency, psi / d)
+    d = g.degrees
+    return scale_rows(g.adjacency, psi / np.where(d > 0, d, 1.0))
+
+
+def require_reach(g: Graph, sources) -> None:
+    """Refuse a vertex with no path from ``sources``, named as the edge list names it."""
+    cut = np.flatnonzero(~np.isfinite(g.hops(sources)))
+    if cut.size:
+        raise DisconnectedGraphError(f"vertex {g.name(cut[0])} unreachable from any observed vertex")
 
 
 def solve_harmonic(
@@ -71,19 +77,15 @@ def solve_harmonic(
 
     Vertices with no path to any observed vertex have zero threat under the
     absorbing-walk model; by default their presence raises
-    :class:`DisconnectedGraphError`, with ``on_unreachable='zero'`` they are
-    assigned exactly that zero.
+    :class:`DisconnectedGraphError` (:func:`require_reach`), with
+    ``on_unreachable='zero'`` they are assigned exactly that zero.
     """
     boundary, values = obs.boundary(g.n)
     if on_unreachable == "error":
-        reach = np.isfinite(g.hops(boundary))
-        if not reach.all():
-            bad = int(np.flatnonzero(~reach)[0])
-            raise DisconnectedGraphError(f"vertex {bad} unreachable from any observed vertex")
+        require_reach(g, boundary)
     elif on_unreachable != "zero":
         raise ValueError(f"unknown on_unreachable policy {on_unreachable!r}")
-    p = propagation_operator(g, psi, allow_isolated=on_unreachable == "zero")
-    return solve_boundary_value(p, boundary, values, tol=tol, method=method)
+    return solve_boundary_value(propagation_operator(g, psi), boundary, values, tol=tol, method=method)
 
 
 @dataclass(frozen=True)
@@ -182,9 +184,10 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
 
     Randomness is counter-based: the uniform draw consumed by walk ``j`` at
     step ``s`` depends only on ``(seed, s, j)``, so results are bitwise
-    reproducible regardless of scheduling or batching.  Walks still alive at
-    ``MAX_WALK_STEPS`` count as absorbed to non-threat and are tallied in
-    ``capped_walks``.
+    reproducible regardless of scheduling or batching.  A state with no path
+    to an observed state is absorbed to non-threat on arrival, which is its
+    exact value.  Walks still alive at ``MAX_WALK_STEPS`` count as absorbed
+    to non-threat and are tallied in ``capped_walks``.
     """
     k = checked_number("walks_per_vertex", walks_per_vertex, integer=True, low=1)
     seed = checked_number("seed", seed, integer=True, low=0, high=2**64 - 1)
@@ -214,6 +217,7 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
 
     state = np.repeat(np.arange(n), k).astype(np.int64)
     absorbing = np.zeros(n + 1, dtype=bool)
+    absorbing[:n] = ~_reaches_boundary(chain.p, chain.boundary)
     absorbing[chain.boundary] = True
     absorbing[n] = True
 

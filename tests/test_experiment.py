@@ -107,6 +107,12 @@ class TestRunExperiment:
             assert np.array_equal(one.curves[det].pd, four.curves[det].pd)
             assert np.array_equal(one.curves[det].thresholds, four.curves[det].thresholds)
 
+    def test_pool_gets_no_more_workers_than_trials(self):
+        # A fork-started pool starts every worker on the first submit.
+        cfg = tiny_sbm_config(threads=3, trials=2, detectors=("spec",))
+        assert run_experiment(cfg).curves["spec"].auc == run_experiment(replace(cfg, threads=1)).curves["spec"].auc
+        assert experiment._pool_workers == 2
+
     def test_hmmb_smoke(self):
         cfg = hmmb_detection_config(gamma_fg=1.0, trials=3, seed=23)
         res = run_experiment(cfg)

@@ -137,7 +137,6 @@ from threatprop.priors import PriorSpec, compute_prior
 
 sbm = generate_sbm(sbm_detection_config().params, seed=3)
 hmmb = generate_hmmb(hmmb_detection_config().params, seed=3)
-# hmmb draws leave some vertices isolated, where the degree-weighted prior is undefined.
 _result = [choose_cue(sbm, _cue_rng(0, 1))[0], choose_cue(hmmb, _cue_rng(0, 1))[0],
            float(compute_prior(sbm.graph, PriorSpec("dwtp")).min())]
 """

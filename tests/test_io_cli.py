@@ -282,9 +282,59 @@ class TestCli:
                    "--out", str(tmp_path / "x.csv")])
         captured = capsys.readouterr()
         assert rc == 1
-        assert "error: vertex 2 unreachable" in captured.err
+        assert "error: vertex c unreachable" in captured.err
         assert "Traceback" not in captured.out + captured.err
         assert list(tmp_path.glob("x.*")) == []
+
+    def test_mc_refuses_what_harmonic_refuses(self, tmp_path, capsys, monkeypatch):
+        # d and e have no path to the cue.  Walks there would run to the step
+        # cap, which is lowered so that a run that does not refuse ends fast.
+        import threatprop.spatial as spatial
+
+        monkeypatch.setattr(spatial, "MAX_WALK_STEPS", 1000)
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\na,b,1\nb,c,1\nd,e,1\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p\na,1.0\n")
+        errors = []
+        for method in ("harmonic", "mc"):
+            rc = main(["propagate", "spatial", "--graph", str(edges), "--obs", str(obs), "--method", method,
+                       "--walks", "20", "--seed", "1", "--out", str(tmp_path / f"{method}.csv")])
+            errors.append(capsys.readouterr().err)
+            assert rc == 1, method
+        assert errors[0] == errors[1] == "error: vertex d unreachable from any observed vertex\n"
+        assert list(tmp_path.glob("harmonic.*")) == list(tmp_path.glob("mc.*")) == []
+
+    @pytest.mark.parametrize("method", ["harmonic", "mc"])
+    def test_a_weightless_cued_vertex_is_accepted(self, tmp_path, method):
+        # c's one record has weight 0, but c is cued and b is reached from a.
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\na,b,1\nc,b,0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p\na,1.0\nc,0.3\n")
+        out = tmp_path / "theta.csv"
+        assert main(["propagate", "spatial", "--graph", str(edges), "--obs", str(obs), "--method", method,
+                     "--walks", "20", "--seed", "1", "--out", str(out)]) == 0
+        theta = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        assert (theta["a"], theta["c"]) == ("1.0", "0.3")
+        if method == "harmonic":  # b's dwtp prior is 1/2 over its two neighbours
+            assert float(theta["b"]) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("variant", ["weighted", "coord", "coord-prior"])
+    def test_spacetime_refuses_a_weightless_uncued_vertex_under_every_variant(self, tmp_path, capsys, variant):
+        # c, the fourth vertex read, has only a zero-weight record; cued, it
+        # would be accepted.
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1,1,1\nb,d,1,2,2\nc,b,0,1,1\n")
+        obs = tmp_path / "obs.csv"
+        common = ["propagate", "spacetime", "--graph", str(edges), "--obs", str(obs), "--variant", variant,
+                  "--bins", "4", "--lambda", "0.7"]
+        obs.write_text("vertex,p,t\na,1.0,1.0\n")
+        assert main([*common, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: isolated spatial vertex c has no interactions\n"
+        assert list(tmp_path.glob("x.*")) == []
+        obs.write_text("vertex,p,t\na,1.0,1.0\nc,0.5,\n")
+        assert main([*common, "--out", str(tmp_path / "cued.csv")]) == 0
 
     @pytest.mark.parametrize("command, rows, obs_text, named", [
         # A subnormal weight, whose vertex's 1/w would overflow to inf
@@ -617,6 +667,19 @@ class TestCli:
             outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert set(outs[0]) == {"meta.json", "roc_bfs.csv", "roc_spec.csv", "roc.svg", "summary.json"}
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("generator, flag", [("sbm", ["--activity", "9"]), ("hmmb", ["--gamma-fg", "2"])])
+    def test_generate_refuses_a_shape_flag_next_to_config(self, tmp_path, capsys, generator, flag):
+        # The flag tunes the default shape, which the config file replaces.
+        first = tmp_path / "first"
+        assert main(["generate", generator, *flag, "--seed", "3", "--out", str(first)]) == 0
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(json.loads((first / "meta.json").read_text())["config"]["params"]))
+        capsys.readouterr()
+        assert main(["generate", generator, "--config", str(cfg), *flag, "--seed", "3",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {flag[0]} ")
+        assert not (tmp_path / "out").exists()
 
     def test_generate_hmmb_with_config_file(self, tmp_path):
         from threatprop.generators import default_hmmb_params, generate_hmmb

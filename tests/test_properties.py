@@ -143,7 +143,7 @@ def reference_operator(sys_, variant, spatial_psi):
     p = sp.diags(np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)) @ a
     psi = None if spatial_psi is None else np.repeat(spatial_psi, sys_.grid.nt)
     if variant != "weighted":
-        coord = coordination_prior(sys_, on_isolated="zero").ravel()
+        coord = coordination_prior(sys_).ravel()
         psi = coord if variant == "coordinated" else coord * psi
     return p if psi is None else sp.diags(np.concatenate([psi, np.ones(sys_.hubs)])) @ p
 
@@ -176,7 +176,7 @@ def test_operator_matches_nested_products(case, mode, variant, rate, spatial, da
     if spatial or variant == "coordinated-spatial":
         spatial_psi = np.linspace(1.0, 0.05, g.n) if data is None else \
             np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n, max_size=g.n)))
-    got = spacetime_operator(sys_, variant, spatial_psi, on_isolated="zero")
+    got = spacetime_operator(sys_, variant, spatial_psi)
     want = reference_operator(sys_, variant, spatial_psi)
     for name in ("data", "indices", "indptr"):
         a, b = getattr(got, name), getattr(want, name)
@@ -270,8 +270,8 @@ def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, den
         cells = a[:order, :order] + a[:order, order:] @ a[order:, :order] / nt
         got = np.column_stack([sys_.product(e) for e in np.eye(order)])
         np.testing.assert_allclose(got, cells, rtol=1e-14, atol=SUBNORMAL_FLOOR)
-        op = factored_operator(sys_, variant, psi, on_isolated="zero")
-        hub = spacetime_operator(sys_, variant, psi, on_isolated="zero")
+        op = factored_operator(sys_, variant, psi)
+        hub = spacetime_operator(sys_, variant, psi)
         np.testing.assert_allclose(written_out(op), eliminated_hubs(hub, order), rtol=1e-14, atol=SUBNORMAL_FLOOR)
 
         cells = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4)) if data else [0]
@@ -336,9 +336,9 @@ def test_accepted_graphs_give_finite_operators(case, mode, variant):
     psi = np.linspace(1.0, 0.05, g.n)
     sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), 1.0, mode_default=mode)
     operators = {
-        "spatial": propagation_operator(g, psi, allow_isolated=True).data,
-        "explicit": spacetime_operator(sys_, variant, psi, on_isolated="zero").data,
-        "factored": factored_operator(sys_, variant, psi, on_isolated="zero") @ np.ones(sys_.order),
+        "spatial": propagation_operator(g, psi).data,
+        "explicit": spacetime_operator(sys_, variant, psi).data,
+        "factored": factored_operator(sys_, variant, psi) @ np.ones(sys_.order),
     }
     for name, values in operators.items():
         assert np.all(np.isfinite(values)), name
@@ -452,7 +452,7 @@ def hub_operators(draw):
     time clique, cued at cells that may repeat."""
     g, grid = draw(timed_graphs().filter(lambda case: not case[0].timed.all()))
     sys_ = assemble_spacetime(g, grid, rates=draw(st.floats(0.05, 5.0)), mode_default="clique")
-    p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])), on_isolated="zero")
+    p = spacetime_operator(sys_, draw(st.sampled_from(["weighted", "coordinated"])))
     cells = st.integers(0, g.n * grid.nt - 1)
     return p, np.array(draw(st.lists(cells, min_size=1, max_size=6)), dtype=np.int64)
 

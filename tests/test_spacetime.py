@@ -308,9 +308,8 @@ class TestCoordinationPrior:
     def test_isolated_vertex_policy(self):
         g = build_graph([(0, 1, 1.0, 0.5, 0.5)], n=3)
         sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 2), rates=1.0)
-        with pytest.raises(GraphError, match="isolated"):
-            coordination_prior(sys_)
-        psi = coordination_prior(sys_, on_isolated="zero")
+        # A vertex without interaction weight gets the absorbing prior zero.
+        psi = coordination_prior(sys_)
         assert np.array_equal(psi[2], [0.0, 0.0])
 
     def test_monotone_under_tightening(self):

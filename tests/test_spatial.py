@@ -302,6 +302,22 @@ class TestMonteCarlo:
         assert mc.capped_walks == 0 and mc.theta[0] == 1.0
         assert abs(mc.theta[1:].mean() - 0.75) <= 5 * np.sqrt(0.75 * 0.25 / (k * ring))
 
+    def test_walks_in_a_cut_off_component_end_at_once(self, monkeypatch):
+        # Vertices 3-5 are a stochastic component with no path to the cue:
+        # its walks would wander to the step cap.  They have threat zero, and
+        # the cued component keeps the estimates of its chain alone, since
+        # each walk draws by (seed, step, walk) only.
+        monkeypatch.setattr(spatial, "MAX_WALK_STEPS", 200)
+        cued = [(0, 1, 1.0), (1, 2, 1.0)]
+        psi = [0.9, 0.9, 0.9, 1.0, 1.0, 1.0]
+        whole = build_graph(cued + [(3, 4, 1.0), (4, 5, 1.0)])
+        mc = monte_carlo_threat(build_absorbing_chain(whole, psi, ObservationSet.of((0, 1.0))), 50, seed=3)
+        alone = monte_carlo_threat(build_absorbing_chain(build_graph(cued), psi[:3], ObservationSet.of((0, 1.0))),
+                                   50, seed=3)
+        assert mc.capped_walks == 0
+        assert mc.theta[3:].tolist() == [0.0, 0.0, 0.0]
+        assert mc.theta[:3].tobytes() == alone.theta.tobytes()
+
     def test_consecutive_steps_share_no_draws(self):
         # Philox advances its first counter word once per four draws, so a
         # step kept in that word would hand walk j + 4's draws to walk j next step.
@@ -363,10 +379,9 @@ class TestPropagationOperator:
         assert np.allclose(p[1], [0.25, 0.0, 0.75])
 
     def test_isolated_vertex_policy(self):
+        # A vertex without weight gets a zero row: walks there absorb at once.
         g = build_graph([(0, 1, 1.0)], n=3)
-        with pytest.raises(GraphError, match="isolated"):
-            propagation_operator(g, np.ones(3))
-        p = propagation_operator(g, np.ones(3), allow_isolated=True).toarray()
+        p = propagation_operator(g, np.ones(3)).toarray()
         assert np.array_equal(p[2], [0.0, 0.0, 0.0])
 
     def test_row_scaling_stores_what_the_sparse_product_stores(self):
