@@ -7,7 +7,10 @@ Graphs are undirected.  Edges are stored as parallel numpy columns
 timestamped contacts between the same pair survive construction; NaN in both
 time columns marks an untimed record.  Every matrix view is computed from
 these columns, and the adjacency view coalesces repeated records by weight
-summation.
+summation.  That view is :class:`Entries`, numpy columns in the order a
+CSR stores it, and the degrees, the spatial propagation operator and the
+modularity operator read it without scipy; ``Graph.adjacency`` writes it
+out as a scipy CSR for the paths that need one.
 
 Observations are the boundary of the harmonic problem.
 ``ObservationSet.boundary`` is the one rule that turns cues into boundary
@@ -25,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._solve import hop_levels, scale_rows
+from ._solve import Entries, hop_levels, scale_rows
 from .errors import GraphError, ObservationError
 
 if TYPE_CHECKING:
@@ -168,31 +171,44 @@ class Graph:
         return tuple(map(Interaction, self.u.tolist(), self.v.tolist(), self.w.tolist(), *times))
 
     @cached_property
-    def adjacency(self) -> sp.csr_matrix:
-        """Coalesced symmetric weighted adjacency."""
-        import scipy.sparse as sp
+    def entries(self) -> Entries:
+        """Coalesced symmetric weighted adjacency as numpy columns, in the
+        order a CSR stores it: by row, then by column.  Each position is
+        stored once, its records' weights summed in record order, and a
+        zero-weight record's position is a stored zero."""
+        src, dst = np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u])
+        order = np.argsort(src * self.n + dst)
+        src, dst = src[order], dst[order]
+        first = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))[: src.size]
+        # Each record's position, scattered back to record order so that
+        # repeated records sum in that order whatever the sort did with ties.
+        position = np.empty_like(order)
+        position[order] = np.cumsum(first) - 1
+        vals = np.bincount(position, weights=np.concatenate([self.w, self.w]))
+        return Entries(src[first], dst[first], vals.astype(float, copy=False), (self.n, self.n))
 
-        rows = np.concatenate([self.u, self.v])
-        cols = np.concatenate([self.v, self.u])
-        vals = np.concatenate([self.w, self.w])
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n))
-        return a.tocsr()
+    @cached_property
+    def adjacency(self) -> sp.csr_matrix:
+        """:attr:`entries` written out as a scipy CSR."""
+        return self.entries.tocsr()
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        """Weighted degree vector d = A @ 1."""
-        return np.asarray(self.adjacency.sum(axis=1)).ravel()
+        """Weighted degree vector d = A @ 1, each row summed as scipy sums a
+        CSR's rows (``np.add.reduceat``)."""
+        rows, vals = self.entries.rows, self.entries.vals
+        start = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1]))[: rows.size])
+        d = np.zeros(self.n)
+        if start.size:
+            d[rows[start]] = np.add.reduceat(vals, start)
+        return d
 
     @cached_property
     def neighbor_counts(self) -> np.ndarray:
-        """Unweighted degree: number of distinct neighbors per vertex.
-
-        Counted from the edge columns as the adjacency's stored entries per
-        row, zero weights and a self-loop's one entry included."""
-        n = self.n
-        keys = np.sort(np.concatenate([self.u * n + self.v, self.v * n + self.u]))
-        first = np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size]
-        return np.bincount(keys[first] // n, minlength=n).astype(np.float64)
+        """Unweighted degree: number of distinct neighbors per vertex,
+        counted as the adjacency's stored entries per row, zero weights and a
+        self-loop's one entry included."""
+        return np.bincount(self.entries.rows, minlength=self.n).astype(np.float64)
 
     @cached_property
     def interaction_weight(self) -> np.ndarray:
@@ -284,14 +300,13 @@ def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
         raise GraphError(f"unknown laplacian kind {kind!r}")
     import scipy.sparse as sp
 
-    a = g.adjacency
     d = g.degrees
     if kind == "kirchhoff":
-        return (sp.diags(d) - a).tocsr()
+        return (sp.diags(d) - g.adjacency).tocsr()
     if np.any(d <= 0):
         isolated = int(np.argmin(d))
         raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")
-    return (sp.identity(g.n, format="csr") - scale_rows(a, 1.0 / d)).tocsr()
+    return (sp.identity(g.n, format="csr") - scale_rows(g.entries, 1.0 / d).tocsr()).tocsr()
 
 
 class Observation(NamedTuple):
@@ -330,16 +345,16 @@ class ObservationSet:
     def values(self) -> np.ndarray:
         return np.fromiter((e.p for e in self.entries), dtype=np.float64, count=len(self.entries))
 
-    def boundary(self, n: int, grid: TimeGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Boundary cells and their values, sorted by cell, for a graph of order ``n``.
+    def boundary(self, g: Graph, grid: TimeGrid | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Boundary cells and their values, sorted by cell, on the graph ``g``.
 
         Without a grid a cue pins its vertex.  With one it pins the cell
         ``vertex * nt + bin`` of its time, and an untimed cue pins the vertex
         at every bin.  Rows pinning one cell to the same value merge; two
         different values are an :class:`ObservationError`, so the result
-        never depends on row order.
+        never depends on row order; it names the vertex as the edge list does.
         """
-        verts = self.vertices
+        n, verts = g.n, self.vertices
         bad = verts[(verts < 0) | (verts >= n)]
         if bad.size:
             raise ObservationError(f"observed vertices {bad.tolist()} out of range for n={n}")
@@ -358,7 +373,8 @@ class ObservationSet:
         clash = np.flatnonzero(same & (vals[1:] != vals[:-1]))
         if clash.size:
             i, cell = clash[0], int(cells[clash[0]])
-            where = f"vertex {cell}" if grid is None else "vertex {} at bin {}".format(*divmod(cell, grid.nt))
+            vertex, b = divmod(cell, 1 if grid is None else grid.nt)
+            where = f"vertex {g.name(vertex)}" + ("" if grid is None else f" at bin {b}")
             raise ObservationError(f"{where} is cued with both p={vals[i]} and p={vals[i + 1]}")
         keep = np.concatenate(([True], ~same))
         return cells[keep], vals[keep]

@@ -8,7 +8,7 @@ absorbed into the non-threat state.  Supported kinds:
 * ``dwtp`` -- degree weighted, ``psi_v = 1 / deg(v)`` (one at a vertex
   without neighbours);
 * ``lwtp`` -- length weighted, constant ``2**(-1/l)`` with ``l`` the graph's
-  average shortest-path length;
+  average shortest-path length over the vertex pairs that a path joins;
 * ``bfs`` -- ``1 / d`` at hop distance ``d >= 1`` from the observed set, one
   on it and the floor where no path leads.
 """
@@ -53,7 +53,8 @@ class PriorSpec:
 
 
 def average_path_length(g: Graph) -> float:
-    """Mean shortest-path hop distance over all unordered vertex pairs."""
+    """Mean shortest-path hop distance over the unordered vertex pairs that a
+    path joins; a graph in which no pair is joined has none."""
     if g.n < 2:
         raise GraphError("average path length needs at least two vertices")
     from scipy.sparse import csgraph
@@ -64,9 +65,10 @@ def average_path_length(g: Graph) -> float:
     a.eliminate_zeros()
     d = csgraph.shortest_path(a, method="D", unweighted=True, directed=False)
     vals = d[upper_pairs(g.n)]
-    if np.isinf(vals).any():
-        raise DisconnectedGraphError("average path length undefined on a disconnected graph")
-    return float(vals.mean())
+    joined = vals[np.isfinite(vals)]
+    if not joined.size:
+        raise DisconnectedGraphError("average path length undefined: no pair of vertices is joined by a path")
+    return float(joined.mean())
 
 
 def er_average_path_length(n: int) -> float:
@@ -81,8 +83,9 @@ def er_average_path_length(n: int) -> float:
 def compute_prior(g: Graph, spec: PriorSpec, obs: ObservationSet | None = None) -> np.ndarray:
     """Evaluate a diffusion prior over all vertices.
 
-    ``bfs`` requires a nonempty observation set, and ``lwtp`` a connected
-    graph up to ``EXACT_PATH_LENGTH_LIMIT`` vertices.  Neither ``bfs`` nor
+    ``bfs`` requires a nonempty observation set, and ``lwtp`` up to
+    ``EXACT_PATH_LENGTH_LIMIT`` vertices a graph in which a path joins some
+    pair of vertices.  Neither ``bfs`` nor
     ``dwtp`` refuses a vertex: ``bfs`` gives one that the cues cannot reach
     the floor, ``dwtp`` gives one without neighbours 1, and the prior there
     changes no threat.

@@ -23,13 +23,9 @@ as numpy columns (:class:`Entries`), so a product through them is one
 ``np.bincount`` scatter each and needs no scipy.  The propagation operator
 ``P = diag(s) A`` scales that product by its row factors ``s`` (one over the
 row sum, then the prior, both read off the product on ones), so the
-iterative solve never writes ``A`` out, and its reachability traversal
-follows the sign of the same product ``P @ x`` on a 0/1 vector: every stored
-weight is 0 or in the range that ``graph.Graph`` enforces, so no positive
-product underflows, and it is positive exactly where ``P`` has a positive
-entry into the ones.  The cue cells with no inbound coupling, which
-``solve_spacetime`` reports, are read off the factors: a cell is coupled
-where a column of ``B`` or an untimed record reaches it
+iterative solve never writes ``A`` out.  The cue cells with no inbound
+coupling, which ``solve_spacetime`` reports, are read off the factors: a
+cell is coupled where a column of ``B`` or an untimed record reaches it
 (:attr:`SpaceTimeSystem.coupled`).  Where the dense ``nt x nt``
 product would cost more than the kernel entries themselves (a fine grid, or
 a kernel that keeps only a few bins around each record), the timed part is
@@ -60,11 +56,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._solve import scale_rows, solve_boundary_value
+from ._solve import Entries, scale_rows, solve_boundary_value
 from .errors import GraphError, checked_prior
 from .graph import Graph, ObservationSet
 
@@ -197,34 +193,6 @@ def default_rate(g: Graph, horizon: float | None = None) -> float:
 def kernel_profile(lam: float, lags: np.ndarray) -> np.ndarray:
     """Exponential threat kernel ``exp(-lam * |lag|)``."""
     return np.exp(-lam * np.abs(lags))
-
-
-class Entries(NamedTuple):
-    """A sparse matrix held as numpy columns: entry ``k`` adds ``vals[k]`` at
-    ``(rows[k], cols[k])``, and repeated positions add.  A product is one
-    ``np.bincount`` scatter over the entries, in entry order."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries, repeated positions counted each time."""
-        return self.vals.size
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """``M @ x`` for a vector, or for a matrix of ``k`` columns through
-        one scatter over the flattened cells ``rows * k + column``."""
-        # astype: bincount over no entries at all returns integers.
-        if x.ndim == 1:
-            y = np.bincount(self.rows, weights=self.vals * x[self.cols], minlength=self.shape[0])
-            return y.astype(float, copy=False)
-        k = x.shape[1]
-        cells = (self.rows[:, None] * k + np.arange(k)).ravel()
-        y = np.bincount(cells, weights=(self.vals[:, None] * x[self.cols]).ravel(), minlength=self.shape[0] * k)
-        return y.astype(float, copy=False).reshape(-1, k)
 
 
 @dataclass(frozen=True)
@@ -476,8 +444,8 @@ def spacetime_operator(
     psi = _cell_prior(sys, variant, spatial_psi)
     a = sys.adjacency
     w = np.asarray(a.sum(axis=1)).ravel()
-    p = scale_rows(a, np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
-    return p if psi is None else scale_rows(p, np.concatenate([psi, np.ones(sys.hubs)]))
+    p = scale_rows(Entries.of_csr(a), np.divide(1.0, w, out=np.zeros_like(w), where=w > 0))
+    return (p if psi is None else scale_rows(p, np.concatenate([psi, np.ones(sys.hubs)]))).tocsr()
 
 
 @dataclass(frozen=True)
@@ -525,7 +493,7 @@ def solve_spacetime(
     Space-time vertices with no kernel mass (or cut off from every cue) take
     the absorbing value zero; an uncued vertex without interaction weight is
     refused under every variant unless ``on_isolated='zero'``."""
-    boundary, values = obs.boundary(sys.graph.n, sys.grid)
+    boundary, values = obs.boundary(sys.graph, sys.grid)
     if on_isolated == "error":
         idle = sys.graph.interaction_weight <= 0
         idle[obs.vertices] = False

@@ -16,9 +16,11 @@ hub-augmented space-time.  Its exact hitting-probability solve and its walk
 simulation, which samples the stored rows of ``P`` in O(nnz) memory, exist
 as independent cross-checks of the harmonic path.
 
-``scipy.sparse`` is imported only where a CSR is built here (the chain's
-transition matrix and the walks' CDF table), so importing this module, as
-``experiment`` does, loads no scipy.
+The propagation operator is :class:`~threatprop._solve.Entries` built from
+the graph's numpy adjacency view, so the harmonic solve loads no scipy.
+``scipy.sparse`` is imported only where a CSR is written out: for the
+``direct`` method, the chain and its transition matrix, and the walks' CDF
+table.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._solve import _reaches_boundary, scale_rows, solve_boundary_value
+from ._solve import Entries, _reaches_boundary, scale_rows, solve_boundary_value
 from .errors import DisconnectedGraphError, checked_number, checked_prior
 from .graph import Graph, ObservationSet
 
@@ -47,15 +49,16 @@ MAX_WALK_STEPS = 1_000_000
 STREAM_GAP_BLOCKS = 512
 
 
-def propagation_operator(g: Graph, psi: np.ndarray) -> sp.csr_matrix:
-    """Row-substochastic operator ``diag(psi) D^{-1} A``.
+def propagation_operator(g: Graph, psi: np.ndarray) -> Entries:
+    """Row-substochastic operator ``diag(psi) D^{-1} A``, as numpy columns
+    in the order its scipy CSR (``.tocsr()``) stores them.
 
     A vertex without weight has a zero row: a walk there is absorbed to
     non-threat at once.
     """
     psi = checked_prior(psi, g.n)
     d = g.degrees
-    return scale_rows(g.adjacency, psi / np.where(d > 0, d, 1.0))
+    return scale_rows(g.entries, psi / np.where(d > 0, d, 1.0))
 
 
 def require_reach(g: Graph, sources) -> None:
@@ -80,7 +83,7 @@ def solve_harmonic(
     :class:`DisconnectedGraphError` (:func:`require_reach`), with
     ``on_unreachable='zero'`` they are assigned exactly that zero.
     """
-    boundary, values = obs.boundary(g.n)
+    boundary, values = obs.boundary(g)
     if on_unreachable == "error":
         require_reach(g, boundary)
     elif on_unreachable != "zero":
@@ -159,7 +162,7 @@ class AbsorbingChain:
 
 def build_absorbing_chain(g: Graph, psi: np.ndarray, obs: ObservationSet) -> AbsorbingChain:
     """Assemble the spatial absorbing chain for a graph, prior, and observation set."""
-    return AbsorbingChain(propagation_operator(g, psi), *obs.boundary(g.n))
+    return AbsorbingChain(propagation_operator(g, psi).tocsr(), *obs.boundary(g))
 
 
 def hitting_threat(chain: AbsorbingChain) -> np.ndarray:

@@ -211,7 +211,7 @@ def _hub_chains(rng, systems, n, variant, tol):
     A state with no path to the cue raises :class:`ValidationFailure`, since
     its walks would test nothing."""
     for sys_, obs in hub_systems(rng, systems, n):
-        chain = AbsorbingChain(spacetime_operator(sys_, variant), *obs.boundary(sys_.graph.n, sys_.grid))
+        chain = AbsorbingChain(spacetime_operator(sys_, variant), *obs.boundary(sys_.graph, sys_.grid))
         reach = _reaches_boundary(chain.p, chain.boundary)
         if not reach.all():
             raise ValidationFailure(f"{np.count_nonzero(~reach)} states have no path to the cue")

@@ -151,7 +151,7 @@ class TestLaplacian:
 
     def test_generalized_with_prior(self, path3):
         psi = np.array([1.0, 0.5, 1.0])
-        lp = np.eye(3) - propagation_operator(path3, psi).toarray()
+        lp = np.eye(3) - propagation_operator(path3, psi).tocsr().toarray()
         assert np.allclose(lp[1], [-0.25, 1.0, -0.25])
 
     def test_unknown_kind(self, path3):
@@ -241,13 +241,13 @@ class TestObservationSet:
         with pytest.raises(ObservationError, match="outside"):
             ObservationSet.of((0, 1.5))
 
-    def test_duplicates_merge(self):
+    def test_duplicates_merge(self, path3):
         # a repeated row is one cue, in space and in space-time
         once = ObservationSet.of((0, 0.5, 1.0))
         twice = ObservationSet.of((0, 0.5, 1.0), (0, 0.5, 1.0))
         for grid in (None, TimeGrid(0.0, 1.0, 3)):
-            cells, values = twice.boundary(3, grid)
-            assert cells.tolist() == once.boundary(3, grid)[0].tolist() and values.tolist() == [0.5]
+            cells, values = twice.boundary(path3, grid)
+            assert cells.tolist() == once.boundary(path3, grid)[0].tolist() and values.tolist() == [0.5]
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_time_rejected(self, t):
@@ -260,10 +260,10 @@ class TestObservationSet:
 
     def test_boundary_range(self, path3):
         with pytest.raises(ObservationError, match="out of range"):
-            ObservationSet.of((7, 1.0)).boundary(path3.n)
+            ObservationSet.of((7, 1.0)).boundary(path3)
 
-    def test_signed_zero_cues_merge_to_the_same_bits(self):
+    def test_signed_zero_cues_merge_to_the_same_bits(self, path3):
         rows = [(1, -0.0, 0.5), (1, 0.0)]
         for order in (1, -1):
-            cells, values = ObservationSet.of(*rows[::order]).boundary(3)
+            cells, values = ObservationSet.of(*rows[::order]).boundary(path3)
             assert cells.tolist() == [1] and values.tobytes() == np.zeros(1).tobytes()

@@ -14,12 +14,12 @@ from threatprop.spacetime import TimeGrid, assemble_spacetime
 
 SRC = Path(threatprop.__file__).resolve().parents[1]
 
-# Graph search and linear algebra, which neither propagate command runs.
-NOT_ON_PROPAGATE_PATH = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
-
-# Modules that `propagate spacetime` never runs, so its process must not load them.
+# Modules that `propagate spacetime` never runs, so its process must not
+# load them: graph search, linear algebra and the other commands' modules.
 NOT_ON_SPACETIME_PATH = (
-    *NOT_ON_PROPAGATE_PATH,
+    "scipy.sparse.csgraph",
+    "scipy.sparse.linalg",
+    "scipy.linalg",
     "threatprop.experiment",
     "threatprop.spectral",
     "threatprop.validate",
@@ -97,7 +97,8 @@ def test_propagate_spacetime_loads_only_what_it_runs(tmp_path):
 
 
 def test_propagate_spatial_loads_no_graph_search_or_linalg(tmp_path):
-    # The bfs prior's hop distances and the reach check are numpy traversals.
+    # The bfs prior's hop distances, the reach check and the harmonic solve
+    # all run on the graph's numpy columns, so no scipy module loads.
     edges, _ = spacetime_input(tmp_path)
     obs = tmp_path / "spatial-obs.csv"
     obs.write_text("vertex,p\nv0,1.0\n")
@@ -106,20 +107,34 @@ def test_propagate_spatial_loads_no_graph_search_or_linalg(tmp_path):
         loaded = run_cli(tmp_path, ["propagate", "spatial", "--graph", str(edges), "--obs", str(obs),
                                     "--prior", prior, "--out", str(out)])
         assert out.exists()
-        assert [m for m in NOT_ON_PROPAGATE_PATH if m in loaded] == [], prior
+        assert scipy_modules(loaded) == [], prior
+
+
+def test_detect_spec_loads_no_scipy(tmp_path):
+    # 256 vertices take the Lanczos path, above the dense eigensolve's limit.
+    run_cli(tmp_path, ["generate", "sbm", "--seed", "1", "--out", str(tmp_path / "net")])
+    for eigenvector in ("principal", "localized"):
+        out = tmp_path / f"{eigenvector}.csv"
+        loaded = run_cli(tmp_path, ["detect", "spec", "--graph", str(tmp_path / "net" / "edges.csv"),
+                                    "--eigenvector", eigenvector, "--out", str(out)])
+        assert out.exists()
+        assert scipy_modules(loaded) == [], eigenvector
 
 
 def test_experiment_trial_loads_no_csgraph(tmp_path):
-    # The bfs detector's hop distances are a numpy traversal; the spec
-    # detector still needs scipy.sparse.linalg.
+    # The bfs detector's hop distances and solve and the spec detector's
+    # Lanczos iteration run on numpy columns, so a trial of either benchmark
+    # with all three detectors, and an experiment run in-process, load no
+    # scipy module at all.
     script = """
-from threatprop.experiment import run_trial, sbm_detection_config
+from threatprop.experiment import hmmb_detection_config, run_experiment, run_trial, sbm_detection_config
 
-_result = sorted(run_trial(sbm_detection_config(trials=1), 0))
+_result = [sorted(run_trial(sbm_detection_config(trials=1), 0)), sorted(run_trial(hmmb_detection_config(trials=1), 0)),
+           sorted(run_experiment(sbm_detection_config(trials=2, threads=1)).curves)]
 """
-    detectors, loaded = loaded_modules(tmp_path, script)
-    assert detectors == ["_truth", "bfs", "spec", "sttp"]
-    assert "scipy.sparse.linalg" in loaded and "scipy.sparse.csgraph" not in loaded
+    (sbm, hmmb, curves), loaded = loaded_modules(tmp_path, script)
+    assert sbm == hmmb == ["_truth", "bfs", "spec", "sttp"] and curves == ["bfs", "spec", "sttp"]
+    assert scipy_modules(loaded) == []
 
 
 def test_generate_loads_no_scipy(tmp_path):
@@ -147,7 +162,7 @@ _result = [choose_cue(sbm, _cue_rng(0, 1))[0], choose_cue(hmmb, _cue_rng(0, 1))[
 
 
 def test_pooled_experiment_parent_loads_no_scipy(tmp_path):
-    # Only the fork-started workers solve, so only they import scipy.
+    # Only the fork-started workers run trials, and the parent loads no scipy.
     script = """
 from threatprop.experiment import hmmb_detection_config, run_experiment
 

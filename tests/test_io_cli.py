@@ -320,6 +320,38 @@ class TestCli:
         if method == "harmonic":  # b's dwtp prior is 1/2 over its two neighbours
             assert float(theta["b"]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_lwtp_accepts_what_the_other_priors_accept(self, tmp_path):
+        # No path joins c, whose one record has weight 0, to a or b; the
+        # length-weighted prior averages over the one joined pair, a-b, so
+        # its 2 ** (-1 / 1) = 1/2 damps b's one live neighbour a.
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\na,b,1\nc,b,0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("vertex,p\na,1.0\nc,0.3\n")
+        for prior in ("uniform", "dwtp", "lwtp", "bfs"):
+            out = tmp_path / f"{prior}.csv"
+            assert main(["propagate", "spatial", "--graph", str(edges), "--obs", str(obs), "--prior", prior,
+                         "--out", str(out)]) == 0, prior
+        theta = dict(line.split(",") for line in (tmp_path / "lwtp.csv").read_text().splitlines()[1:])
+        assert float(theta["b"]) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("command, obs_text, options, where", [
+        ("spatial", "vertex,p\na,0.3\nb,1.0\na,0.9\n", [], "vertex a"),
+        ("spacetime", "vertex,p,t\na,0.3,1.0\nb,1.0,2.0\na,0.9,1.0\n", ["--bins", "4", "--lambda", "0.7"],
+         "vertex a at bin 0"),
+    ], ids=["spatial", "spacetime"])
+    def test_a_cue_clash_names_the_vertex_by_its_label(self, tmp_path, capsys, command, obs_text, options, where):
+        # b is read first, so a is vertex 1.
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\nb,a,1,1,1\na,c,1,2,2\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(obs_text)
+        rc = main(["propagate", command, "--graph", str(edges), "--obs", str(obs), *options,
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {where} is cued with both p=0.3 and p=0.9\n"
+        assert list(tmp_path.glob("x.*")) == []
+
     @pytest.mark.parametrize("variant", ["weighted", "coord", "coord-prior"])
     def test_spacetime_refuses_a_weightless_uncued_vertex_under_every_variant(self, tmp_path, capsys, variant):
         # c, the fourth vertex read, has only a zero-weight record; cued, it

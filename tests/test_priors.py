@@ -5,7 +5,7 @@ import pytest
 
 from threatprop import priors
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
-from threatprop.graph import ObservationSet, build_graph
+from threatprop.graph import Graph, ObservationSet, build_graph
 from threatprop.priors import (
     EULER_GAMMA,
     PRIOR_FLOOR,
@@ -19,7 +19,8 @@ from conftest import make_er, rng_for
 
 
 def brute_force_apl(g) -> float:
-    """All-pairs BFS by hand, the oracle for average path length."""
+    """All-pairs BFS by hand over the pairs it joins, the oracle for average
+    path length."""
     rows = {i: set() for i in range(g.n)}
     for e in g.interactions:
         rows[e.u].add(e.v)
@@ -37,8 +38,9 @@ def brute_force_apl(g) -> float:
                         nxt.append(u)
             frontier = nxt
         for t in range(s + 1, g.n):
-            total += dist[t]
-            pairs += 1
+            if t in dist:
+                total += dist[t]
+                pairs += 1
     return total / pairs
 
 
@@ -63,16 +65,22 @@ class TestAveragePathLength:
             assert average_path_length(g) == pytest.approx(brute_force_apl(g))
 
     def test_disconnected_rejected(self):
-        g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(DisconnectedGraphError):
-            average_path_length(g)
+        # Refused only where no pair of vertices is joined by a path.
+        for g in (Graph(3, [], [], []), build_graph([(0, 1, 0.0), (2, 3, 0.0)])):
+            with pytest.raises(DisconnectedGraphError, match="no pair"):
+                average_path_length(g)
+
+    def test_disconnected_averages_the_joined_pairs(self):
+        # Pairs 0-1, 0-2 and 1-2 of the path and 3-4 of the edge: (1 + 2 + 1 + 1) / 4.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)], n=6)
+        assert average_path_length(g) == 1.25
+        assert average_path_length(g) == pytest.approx(brute_force_apl(g))
 
     def test_zero_weight_record_links_nothing(self):
         # As in Graph.hops and every operator; csgraph alone would count the
-        # stored zero as an edge and return 5/3.
+        # stored zero as an edge and return 5/3 over all pairs.
         g = build_graph([(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0)], n=4)
-        with pytest.raises(DisconnectedGraphError):
-            average_path_length(g)
+        assert average_path_length(g) == 1.0
 
 
 class TestClosedFormPathLength:

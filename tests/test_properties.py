@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
 from threatprop import spacetime
-from threatprop._solve import _reaches_boundary, scale_rows
+from threatprop._solve import Entries, _reaches_boundary, scale_rows
 from threatprop.errors import GraphError, ObservationError
 from threatprop.evaluation import RocCurve, roc
 from threatprop.graph import MAX_WEIGHT, MIN_WEIGHT, ObservationSet, build_graph
@@ -110,6 +110,31 @@ def long_row_graph():
     rows += [(2, 1, 1 / (3 + k), t, t) for k, t in enumerate([0.5, 1.5, 2.5, 3.5] * 3)]
     rows += [(1, 1, 0.9, 1.5, 2.5)]
     return build_graph(rows, n=3, allow_self_loops=True), TimeGrid(0.0, 1.0, 4)
+
+
+@PROPERTY
+@given(case=timed_graphs(self_loops=True), data=st.data())
+def test_numpy_adjacency_and_operator_match_their_csr(case, data):
+    """The adjacency's numpy view stores the positions scipy's coalesced CSR
+    stores, each the sum of its records in record order; the degrees are the
+    row sums scipy takes of that CSR, and the spatial operator's product is
+    its CSR's, bit for bit."""
+    g, _ = case
+    sides = (np.r_[g.u, g.v], np.r_[g.v, g.u])
+    want = sp.coo_matrix((np.r_[g.w, g.w], sides), shape=(g.n, g.n)).tocsr()
+    a = g.entries
+    assert np.array_equal(a.rows, np.repeat(np.arange(g.n), np.diff(want.indptr)))
+    assert np.array_equal(a.cols, want.indices)
+    total = {}
+    for r, c, w in zip(*sides, np.r_[g.w, g.w]):  # every record's u end, then every v end
+        total[r, c] = total.get((r, c), 0.0) + w
+    assert a.vals.tolist() == [total[r, c] for r, c in zip(a.rows.tolist(), a.cols.tolist())]
+    assert g.degrees.tobytes() == np.asarray(g.adjacency.sum(axis=1)).ravel().tobytes()
+
+    psi = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n, max_size=g.n)))
+    x = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=g.n, max_size=g.n)))
+    p = propagation_operator(g, psi)
+    assert (p @ x).tobytes() == (p.tocsr() @ x).tobytes()
 
 
 @PROPERTY
@@ -336,7 +361,7 @@ def test_accepted_graphs_give_finite_operators(case, mode, variant):
     psi = np.linspace(1.0, 0.05, g.n)
     sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), 1.0, mode_default=mode)
     operators = {
-        "spatial": propagation_operator(g, psi).data,
+        "spatial": propagation_operator(g, psi).vals,
         "explicit": spacetime_operator(sys_, variant, psi).data,
         "factored": factored_operator(sys_, variant, psi) @ np.ones(sys_.order),
     }
@@ -442,7 +467,7 @@ def substochastic_operators(draw):
     a = sp.csr_matrix((vals, (rows.astype(int), cols.astype(int))), shape=(n, n))
     w = np.asarray(a.sum(axis=1)).ravel()
     psi = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=n, max_size=n)))
-    p = scale_rows(a, np.divide(psi, w, out=np.zeros(n), where=w > 0))
+    p = scale_rows(Entries.of_csr(a), np.divide(psi, w, out=np.zeros(n), where=w > 0)).tocsr()
     return p, np.array(draw(st.lists(vertex, min_size=1, max_size=2 * n)), dtype=np.int64)
 
 

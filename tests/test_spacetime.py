@@ -547,7 +547,7 @@ class TestSpacetimeChain:
 class TestCueBoundary:
     def test_untimed_cue_pins_every_bin(self):
         obs = ObservationSet.of((1, 0.5), (2, 0.7, 1.5), (2, 0.7, 1.9))
-        cells, values = obs.boundary(4, TimeGrid(0.0, 1.0, 3))
+        cells, values = obs.boundary(build_graph(PATH4), TimeGrid(0.0, 1.0, 3))
         assert cells.tolist() == [3, 4, 5, 7] and values.tolist() == [0.5, 0.5, 0.5, 0.7]
 
     def test_same_value_twice_is_one_cell(self):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from threatprop._solve import scale_rows, solve_boundary_value
+from threatprop import _solve, spatial
+from threatprop._solve import Entries, scale_rows, solve_boundary_value
 from threatprop.errors import ConvergenceError, DisconnectedGraphError, GraphError
 from threatprop.graph import ObservationSet, build_graph
 from threatprop.priors import PriorSpec, compute_prior
-from threatprop import spatial
+from threatprop.spacetime import TimeGrid, assemble_spacetime, solve_spacetime
 from threatprop.spatial import (
     STREAM_GAP_BLOCKS,
     _step_uniforms,
@@ -28,7 +29,7 @@ from conftest import make_er, rng_for
 
 def dense_harmonic_oracle(g, psi, obs):
     """Independent dense solve of the partitioned boundary-value system."""
-    lp = np.eye(g.n) - propagation_operator(g, psi).toarray()
+    lp = np.eye(g.n) - propagation_operator(g, psi).tocsr().toarray()
     boundary = np.array(sorted({e.vertex for e in obs.entries}))
     values = {e.vertex: e.p for e in obs.entries}
     interior = np.array([v for v in range(g.n) if v not in values])
@@ -89,7 +90,7 @@ class TestSolveHarmonic:
             g, psi, obs = random_system(rng)
             tol = 1e-10
             theta = solve_harmonic(g, psi, obs, tol=tol)
-            lp = np.eye(g.n) - propagation_operator(g, psi).toarray()
+            lp = np.eye(g.n) - propagation_operator(g, psi).tocsr().toarray()
             interior = np.array([v for v in range(g.n) if v not in set(obs.vertices)])
             resid = np.abs(lp @ theta)[interior].max()
             assert resid <= tol * 1.01
@@ -156,6 +157,25 @@ class TestSolveHarmonic:
         assert np.array_equal(solve_boundary_value(Operator(), *cue, tol=1e-12), want)
         with pytest.raises(ValueError, match="needs P as a sparse matrix"):
             solve_boundary_value(Operator(), *cue, method="direct")
+
+    def test_iterative_solve_runs_no_reach_traversal(self, monkeypatch):
+        # 3-4 is cut off from the cue and stochastic (prior one, rows
+        # normalized), which would make the direct method's interior block
+        # singular.  The iterative sweeps keep it at exactly zero without a
+        # reach traversal, and give the bytes of the solve that traversed.
+        def traversal(*args):
+            raise AssertionError("the iterative solve traversed the operator")
+
+        monkeypatch.setattr(_solve, "_reaches_boundary", traversal)
+        psi = np.array([0.9, 0.8, 0.7, 1.0, 1.0])
+        g = build_graph([(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.5)])
+        theta = solve_harmonic(g, psi, ObservationSet.of((0, 1.0)), tol=1e-12, on_unreachable="zero")
+        assert theta.tolist() == [1.0, 0.42553191489345116, 0.2978723404252209, 0.0, 0.0]
+        st = build_graph([(0, 1, 1.0, 0.5, 0.5), (1, 2, 1.0, 1.5, 1.5), (3, 4, 1.0, 0.5, 1.5), (3, 4, 2.0, 1.5, 0.5)])
+        theta = solve_spacetime(assemble_spacetime(st, TimeGrid(0.0, 1.0, 2), 1.0), ObservationSet.of((0, 1.0, 0.5)),
+                                variant="weighted", spatial_psi=psi, tol=1e-12)
+        assert theta.ravel().tolist() == [1.0, 0.5757405956582499, 0.6397117729537939, 0.36429142510438034,
+                                          0.2550039975727179, 0.2550039975727179, 0.0, 0.0, 0.0, 0.0]
 
     def test_disconnected_policy(self):
         g = build_graph([(0, 1, 1.0), (2, 3, 1.0)])
@@ -375,13 +395,13 @@ class TestMonteCarlo:
 class TestPropagationOperator:
     def test_weighted_rows_normalized(self):
         g = build_graph([(0, 1, 2.0), (1, 2, 6.0)])
-        p = propagation_operator(g, np.ones(3)).toarray()
+        p = propagation_operator(g, np.ones(3)).tocsr().toarray()
         assert np.allclose(p[1], [0.25, 0.0, 0.75])
 
     def test_isolated_vertex_policy(self):
         # A vertex without weight gets a zero row: walks there absorb at once.
         g = build_graph([(0, 1, 1.0)], n=3)
-        p = propagation_operator(g, np.ones(3)).toarray()
+        p = propagation_operator(g, np.ones(3)).tocsr().toarray()
         assert np.array_equal(p[2], [0.0, 0.0, 0.0])
 
     def test_row_scaling_stores_what_the_sparse_product_stores(self):
@@ -393,6 +413,7 @@ class TestPropagationOperator:
         a.data = rng.uniform(0.0, 2.0, a.nnz) * (rng.random(a.nnz) > 0.1)
         s, t = (rng.uniform(0.1, 1.0, 30) * (rng.random(30) > 0.2) for _ in range(2))
         twice = sp.diags(t) @ (sp.diags(s) @ a)
-        for got, want in ((scale_rows(a, s), sp.diags(s) @ a), (scale_rows(scale_rows(a, s), t), twice)):
+        once = scale_rows(Entries.of_csr(a), s)
+        for got, want in ((once.tocsr(), sp.diags(s) @ a), (scale_rows(once, t).tocsr(), twice)):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, part), getattr(want, part))

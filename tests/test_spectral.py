@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
+from threatprop import spectral
 from threatprop.errors import EigenSolverError, GraphError
 from threatprop.evaluation import roc
 from threatprop.experiment import sbm_detection_config
 from threatprop.generators import generate_sbm
-from threatprop.graph import Graph, build_graph
+from threatprop.graph import Graph, build_graph, laplacian
 from threatprop.spectral import (
     DENSE_EIG_LIMIT,
+    _eigenpairs,
     fiedler,
     localized_modularity_scores,
     modularity_operator,
@@ -57,7 +58,9 @@ class TestModularityMatrix:
         g = make_er(rng, 20)
         op = modularity_operator(g)
         x = rng.normal(size=g.n)
-        assert np.allclose(op @ x, modularity_matrix(g) @ x)
+        assert np.allclose(op(x), modularity_matrix(g) @ x)
+        block = rng.normal(size=(g.n, 3))
+        assert np.allclose(op(block), modularity_matrix(g) @ block)
 
 
 class TestSpectralScores:
@@ -97,7 +100,7 @@ class TestSpectralScores:
     def test_sparse_path_matches_dense_oracle(self):
         rng = rng_for("bigspec")
         g = make_er(rng, 300, 0.04)
-        scores = spectral_scores(g)  # ARPACK path above cutoff
+        scores = spectral_scores(g)  # Lanczos path above the dense limit
         m = modularity_matrix(g)
         w, v = np.linalg.eigh(m)
         ref = v[:, -1]
@@ -112,37 +115,76 @@ class TestSpectralScores:
             spectral_scores(path3, index=99)
 
 
+def same_up_to_sign(got, want) -> float:
+    """Largest entry difference of each column pair, the column's sign free."""
+    return float(np.minimum(np.abs(got - want).max(axis=0), np.abs(got + want).max(axis=0)).max())
+
+
+class TestLanczosAgainstDense:
+    # Above DENSE_EIG_LIMIT every pair comes from the Lanczos iteration; the
+    # oracle is np.linalg.eigh of the written-out matrix, at the tolerances of
+    # test_sparse_path_matches_dense_oracle.
+    @pytest.fixture
+    def weighted(self):
+        rng = rng_for("lanczos-weighted")
+        g = make_er(rng, DENSE_EIG_LIMIT + 44, 0.04)
+        return Graph(g.n, g.u, g.v, rng.uniform(0.5, 2.0, g.size))
+
+    @pytest.mark.parametrize("k", [1, 5, 31])  # 31 pairs take a basis of 63
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_largest_modularity_pairs(self, weighted, k, scale):
+        g = Graph(weighted.n, weighted.u, weighted.v, weighted.w * scale)
+        w, v = np.linalg.eigh(modularity_matrix(g))
+        got_w, got_v = _eigenpairs(g, modularity_operator(g), k, "LA")
+        assert np.abs(got_w - w[::-1][:k]).max() <= 1e-9 * scale
+        assert same_up_to_sign(got_v, v[:, ::-1][:, :k]) <= 1e-7
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_fiedler_pair(self, weighted, scale):
+        g = Graph(weighted.n, weighted.u, weighted.v, weighted.w * scale)
+        w, v = np.linalg.eigh(laplacian(g).toarray())
+        value, vec = fiedler(g)
+        assert value == pytest.approx(w[1], rel=1e-9)
+        assert same_up_to_sign(vec[:, None], v[:, 1:2]) <= 1e-7
+
+    def test_disjoint_union(self):
+        rng = rng_for("lanczos-union")
+        a, b = make_er(rng, 150, 0.08), make_er(rng, 160, 0.08)
+        g = Graph(a.n + b.n, np.r_[a.u, b.u + a.n], np.r_[a.v, b.v + a.n], np.r_[a.w, b.w])
+        w, v = np.linalg.eigh(modularity_matrix(g))
+        got_w, got_v = _eigenpairs(g, modularity_operator(g), 5, "LA")
+        assert np.abs(got_w - w[::-1][:5]).max() <= 1e-9
+        assert same_up_to_sign(got_v, v[:, ::-1][:, :5]) <= 1e-6
+
+
 class TestEigensolverFailures:
-    # Above the dense cutoff every eigenpair comes from ARPACK.
+    # Above the dense cutoff every eigenpair comes from the Lanczos iteration.
     @pytest.fixture
     def big(self):
         return make_er(rng_for("eigfail"), DENSE_EIG_LIMIT + 44, 0.04)
 
     @pytest.mark.parametrize("solve", [fiedler, spectral_scores, localized_modularity_scores])
-    def test_arpack_failure_is_an_eigensolver_error(self, big, solve, monkeypatch):
-        def stalled(a, k, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((a.shape[0], 0)))
-
-        monkeypatch.setattr(spla, "eigsh", stalled)
+    def test_product_cap_is_an_eigensolver_error(self, big, solve, monkeypatch):
+        monkeypatch.setattr(spectral, "LANCZOS_MAX_PRODUCTS", 3)
         with pytest.raises(EigenSolverError, match="eigensolver failed"):
             solve(big)
 
     def test_perturbed_eigenvector_fails_the_residual_bound(self, big, monkeypatch):
-        real = spla.eigsh
+        real = spectral._lanczos
 
-        def perturbed(*args, **kwargs):
-            w, v = real(*args, **kwargs)
+        def perturbed(*args):
+            w, v = real(*args)
             v[0, -1] += 1e-6
             return w, v
 
-        monkeypatch.setattr(spla, "eigsh", perturbed)
+        monkeypatch.setattr(spectral, "_lanczos", perturbed)
         with pytest.raises(EigenSolverError, match="residual"):
             localized_modularity_scores(big)
 
 
 class TestEigenpairScale:
     def test_last_eigenvector_above_the_dense_limit(self):
-        # index n - 1 asks for all n pairs, which ARPACK cannot give
+        # index n - 1 asks for all n pairs, which the dense eigensolve gives
         g = make_er(rng_for("eiglast"), DENSE_EIG_LIMIT + 44, 0.04)
         _, v = np.linalg.eigh(modularity_matrix(g))
         ref = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
