@@ -382,7 +382,10 @@ def _explicit_adjacency(sys: SpaceTimeSystem) -> sp.csr_matrix:
     # The timed entries; each entry of C at every bin of its receiver, from
     # the sender's hub (time clique) or the sender's same bin (instant
     # contact); the hub rows, weighing each bin of their vertex by one.  The
-    # CSR conversion sums a repeated position in this order.
+    # CSR conversion keeps the positions of this order; it sums a repeated
+    # position in this order only on rows of at most 16 entries, since scipy
+    # sorts a longer row with an unstable sort, so there the values are
+    # equal up to summation order.
     nt, spatial, hubbed = sys.grid.nt, sys.spatial, sys.hub_vertices
     cells, bins = sys.order, np.arange(nt)
     vals, (rows, cols) = _timed_entries(sys)

@@ -1,14 +1,16 @@
 """Spatial threat propagation, and the absorbing chain of any operator.
 
-Two equivalent realizations of the same Bayesian model are provided:
+Three equivalent realizations of the same Bayesian model are provided:
 
 * the harmonic solve of the generalized-Laplacian boundary-value problem,
   ``theta_i = -(L_ii)^{-1} L_ib theta_b`` with ``L = I - diag(psi) D^{-1} A``;
-* an absorbing Markov chain whose absorbing states are the observed vertices
-  plus one augmented non-threat state, where threat is the expected value at
-  the walk's terminal state.
+* the exact hitting-probability solve of an absorbing Markov chain whose
+  absorbing states are the observed vertices plus one augmented non-threat
+  state, where threat is the expected value at the walk's terminal state;
+* simulation of that chain's walks.
 
-A vertex that no cue reaches has exactly zero threat in both; only
+A vertex that no cue reaches has exactly zero threat in all three (the
+chain empties its row, see :class:`AbsorbingChain`); only
 :func:`solve_harmonic` decides whether to refuse one (:func:`require_reach`).
 
 One :class:`AbsorbingChain` serves any operator ``P``, spatial or
@@ -101,6 +103,14 @@ class AbsorbingChain:
     state order is interior states first, then the boundary states, then the
     non-threat state; ``g_block`` and ``h_block`` are the interior-to-interior
     and interior-to-boundary blocks of ``p`` under that order.
+
+    An interior state outside ``reaches`` has no path to the boundary, so
+    its row is emptied and it goes to the non-threat state at once, as a walk
+    there does (the canonical form of Kemeny and Snell, in which such a
+    closed class is absorbed).  Its threat is then exactly zero, and
+    ``I - G`` stays invertible where a stochastic component that no cue
+    reaches would make it singular.  Where every state reaches the boundary
+    the blocks are those of ``p`` itself.
     """
 
     p: sp.csr_matrix
@@ -117,21 +127,35 @@ class AbsorbingChain:
         return len(self.boundary) + 1
 
     @cached_property
+    def reaches(self) -> np.ndarray:
+        """Mask of the states with a path to the boundary, the boundary included."""
+        return _reaches_boundary(self.p, self.boundary)
+
+    @cached_property
     def interior(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.n), self.boundary)
+        inside = np.ones(self.n, dtype=bool)
+        inside[self.boundary] = False
+        return np.flatnonzero(inside)
+
+    @cached_property
+    def _rows(self) -> sp.csr_matrix:
+        """The interior rows of ``p``, emptied outside ``reaches``."""
+        e = Entries.of_csr(self.p[self.interior])
+        keep = self.reaches[self.interior][e.rows]
+        return Entries(e.rows[keep], e.cols[keep], e.vals[keep], e.shape).tocsr()
 
     @cached_property
     def g_block(self) -> sp.csr_matrix:
-        return self.p[self.interior][:, self.interior].tocsr()
+        return self._rows[:, self.interior].tocsr()
 
     @cached_property
     def h_block(self) -> sp.csr_matrix:
-        return self.p[self.interior][:, self.boundary].tocsr()
+        return self._rows[:, self.boundary].tocsr()
 
     @cached_property
     def absorb(self) -> np.ndarray:
         """Interior mass sent to the non-threat state."""
-        return 1.0 - np.asarray(self.p.sum(axis=1)).ravel()[self.interior]
+        return 1.0 - np.asarray(self._rows.sum(axis=1)).ravel()
 
     @cached_property
     def transition_matrix(self) -> sp.csr_matrix:
@@ -219,10 +243,8 @@ def monte_carlo_threat(chain: AbsorbingChain, walks_per_vertex: int, seed: int) 
     slot[chain.boundary] = np.arange(nb)
 
     state = np.repeat(np.arange(n), k).astype(np.int64)
-    absorbing = np.zeros(n + 1, dtype=bool)
-    absorbing[:n] = ~_reaches_boundary(chain.p, chain.boundary)
+    absorbing = np.r_[~chain.reaches, True]
     absorbing[chain.boundary] = True
-    absorbing[n] = True
 
     # Terminal tallies per (start vertex, observed vertex); the non-threat
     # sink contributes nothing.

@@ -16,6 +16,7 @@ bounds, so the two differ only in those.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 import zlib
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spatial
-from ._solve import _reaches_boundary
 from .errors import ValidationFailure
 from .evaluation import roc
 from .generators import SbmParams, generate_sbm
@@ -72,14 +72,28 @@ def _order(rng: np.random.Generator, n: int | range) -> int:
     return n if isinstance(n, int) else int(rng.integers(n.start, n.stop))
 
 
-def _cued_graphs(rng, reps, n, p=0.3, cues=None, kinds=PRIOR_KINDS):
+def _join_cut_off(rng, g, psi, cut_off, p):
+    """``g`` and its prior ``psi`` joined with a connected random component
+    of order ``cut_off`` (or drawn from that range, edge probability ``p``)
+    that shares no edge with it, so no cue of ``g`` reaches it.  In half the
+    draws its prior is one, which makes its rows stochastic and ``I - G``
+    singular over it; otherwise it is its own ``dwtp`` prior."""
+    h = random_connected_graph(rng, _order(rng, cut_off), p)
+    psi_h = np.ones(h.n) if rng.random() < 0.5 else compute_prior(h, PriorSpec("dwtp"))
+    joined = Graph(g.n + h.n, np.r_[g.u, h.u + g.n], np.r_[g.v, h.v + g.n], np.r_[g.w, h.w])
+    return joined, np.r_[psi, psi_h]
+
+
+def _cued_graphs(rng, reps, n, p=0.3, cues=None, kinds=PRIOR_KINDS, cut_off=None):
     """``reps`` random (graph, prior, cues) triples.
 
     Each graph is connected, of order ``n`` (or drawn from the range ``n``),
     with edge probability ``p``.  It has one to ``cues`` cues at distinct
     vertices (by default fewer than a quarter of its order, and at least
     one), each valued in [0.1, 1), and a prior of a kind drawn from
-    ``kinds`` with ``psi0`` in [0.2, 1).
+    ``kinds`` with ``psi0`` in [0.2, 1).  With ``cut_off`` (an order or a
+    range of orders) it is then joined with an uncued component
+    (:func:`_join_cut_off`).
     """
     for _ in range(reps):
         g = random_connected_graph(rng, _order(rng, n), p)
@@ -87,7 +101,10 @@ def _cued_graphs(rng, reps, n, p=0.3, cues=None, kinds=PRIOR_KINDS):
         verts = rng.choice(g.n, size=count, replace=False)
         obs = ObservationSet.of(*[(int(v), float(rng.uniform(0.1, 1.0))) for v in verts])
         kind = kinds[int(rng.integers(len(kinds)))]
-        yield g, compute_prior(g, PriorSpec(kind, psi0=float(rng.uniform(0.2, 1.0))), obs), obs
+        psi = compute_prior(g, PriorSpec(kind, psi0=float(rng.uniform(0.2, 1.0))), obs)
+        if cut_off is not None:
+            g, psi = _join_cut_off(rng, g, psi, cut_off, p)
+        yield g, psi, obs
 
 
 def check_laplacian_kernel(rng, reps, n):
@@ -130,7 +147,7 @@ def check_maximum_principle(rng, reps, n, **family):
     away from every cue; and the largest |theta - p| at the cued vertices."""
     worst, pinned = [], []
     for g, psi, obs in _cued_graphs(rng, reps, n, **family):
-        theta = _harmonic(g, psi, obs, tol=1e-10)
+        theta = _harmonic(g, psi, obs, tol=1e-10, on_unreachable="zero")
         top = theta.max()
         worst.append(max(-theta.min(), top - obs.values.max(), abs(top - theta[obs.vertices].max())))
         pinned.append(np.abs(theta[obs.vertices] - obs.values).max())
@@ -166,7 +183,8 @@ def check_harmonic_hitting_equivalence(rng, reps, n, **family):
     """Largest |harmonic - hitting| over ``reps`` triples of :func:`_cued_graphs`
     (``family`` takes its other arguments)."""
     return float(np.max([
-        np.abs(_harmonic(g, psi, obs, tol=1e-12) - hitting_threat(build_absorbing_chain(g, psi, obs))).max()
+        np.abs(_harmonic(g, psi, obs, tol=1e-12, on_unreachable="zero")
+               - hitting_threat(build_absorbing_chain(g, psi, obs))).max()
         for g, psi, obs in _cued_graphs(rng, reps, n, **family)
     ]))
 
@@ -208,20 +226,18 @@ def _hub_chains(rng, systems, n, variant, tol):
     :func:`hub_systems`, each with its harmonic values (solved to ``tol``
     through the factored operator, which has no hubs) over every state; a
     hub's value is its vertex's bin mean, which its row takes with prior 1.
-    A state with no path to the cue raises :class:`ValidationFailure`, since
-    its walks would test nothing."""
+    A state with no path to the cue scores zero in the factored solve and in
+    the chain alike (:class:`AbsorbingChain` empties its row)."""
     for sys_, obs in hub_systems(rng, systems, n):
         chain = AbsorbingChain(spacetime_operator(sys_, variant), *obs.boundary(sys_.graph, sys_.grid))
-        reach = _reaches_boundary(chain.p, chain.boundary)
-        if not reach.all():
-            raise ValidationFailure(f"{np.count_nonzero(~reach)} states have no path to the cue")
         theta = solve_spacetime(sys_, obs, variant=variant, tol=tol)
         yield np.concatenate([theta.ravel(), theta[sys_.hub_vertices].mean(axis=1)]), chain
 
 
-def check_walk_equivalence(rng, graphs, n, walks, seed=0):
+def check_walk_equivalence(rng, graphs, n, walks, seed=0, cut_off=None):
     """The three solutions on ``graphs`` random graphs of order ``n``, each
-    cued with value 1 at a random vertex under the ``dwtp`` prior: the
+    cued with value 1 at a random vertex under the ``dwtp`` prior, and with
+    ``cut_off`` joined with an uncued component (:func:`_join_cut_off`): the
     largest |harmonic - hitting| and the runs ``(harmonic, walk estimate)``
     of ``walks`` walks per vertex, seeded from ``seed`` up."""
     def cases():
@@ -229,7 +245,9 @@ def check_walk_equivalence(rng, graphs, n, walks, seed=0):
             g = random_connected_graph(rng, n)
             obs = ObservationSet.of((int(rng.integers(g.n)), 1.0))
             psi = compute_prior(g, PriorSpec("dwtp"))
-            yield _harmonic(g, psi, obs, tol=1e-12), build_absorbing_chain(g, psi, obs)
+            if cut_off is not None:
+                g, psi = _join_cut_off(rng, g, psi, cut_off, 0.3)
+            yield _harmonic(g, psi, obs, tol=1e-12, on_unreachable="zero"), build_absorbing_chain(g, psi, obs)
     return _three_solutions(cases(), walks, seed)
 
 
@@ -257,9 +275,7 @@ def walk_band_excess(runs, walks) -> float:
     A naive per-state 3-sigma test rejects a correct estimator with
     probability 1-(1-0.0027)^m, which approaches one for m in the hundreds.
     """
-    from scipy.stats import norm
-
-    zstar = float(norm.isf(0.00135 / sum(exact.size for exact, _ in runs)))
+    zstar = -statistics.NormalDist().inv_cdf(0.00135 / sum(exact.size for exact, _ in runs))
     worst = []
     for exact, mc in runs:
         sigma = np.sqrt(np.maximum(exact * (1 - exact), 0.0) / walks)
@@ -279,7 +295,8 @@ def check_degenerate_constant(rng, n, nt, tol):
     p0 = 0.37
     g = random_connected_graph(rng, n)
     cue = int(g.u[0])
-    theta = _harmonic(g, np.ones(g.n), ObservationSet.of((cue, p0)), tol=1e-10, method="direct")
+    theta = _harmonic(g, np.ones(g.n), ObservationSet.of((cue, p0)), tol=1e-10, method="direct",
+                      on_unreachable="zero")
     times = rng.uniform(0, nt, g.size)
     # rate low enough that no kernel entry is truncated, keeping the lifted
     # graph fully coupled
@@ -309,7 +326,7 @@ def check_spacetime_spatial_equivalence(rng):
     """Largest distance between the single-bin clique space-time solution
     and the spatial one on a random graph of order 15."""
     (g, psi, obs), = _cued_graphs(rng, 1, 15, kinds=("dwtp",))
-    ref = _harmonic(g, psi, obs, tol=1e-12)
+    ref = _harmonic(g, psi, obs, tol=1e-12, on_unreachable="zero")
     sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, 1), mode_default="clique")
     theta = solve_spacetime(sys_, obs, variant="weighted", spatial_psi=psi, tol=1e-12)
     return float(np.abs(theta[:, 0] - ref).max())
@@ -354,9 +371,14 @@ def _banded(check):
     return measure
 
 
+# The orders of the uncued components that the cut-off rows join on.
+CUT_OFF = range(2, 10)
+
 # One row per check: its name, the check, its budget at level fast and at
 # level full (None: the fast one), the bound on each part of its measurement
-# and what each part is.
+# and what each part is.  A ``-cut-off`` row runs its check on graphs joined
+# with an uncued component (``cut_off``), under its own name, so the other
+# rows keep their draws.
 CHECKS = (
     ("laplacian-kernel", check_laplacian_kernel, dict(reps=10, n=25), None,
      (1e-12, 0), ("max |L@1|", "asymmetric entries")),
@@ -364,14 +386,24 @@ CHECKS = (
      (1e-9, 0), ("Fiedler bound violation", "disconnected threshold subgraphs")),
     ("maximum-principle", check_maximum_principle, dict(reps=50, n=18), dict(reps=200, n=18),
      (1e-8, 1e-12), ("worst maximum-principle violation", "max |theta - p| at cues")),
+    ("maximum-principle-cut-off", check_maximum_principle, dict(reps=30, n=18, cut_off=CUT_OFF),
+     dict(reps=100, n=18, cut_off=CUT_OFF),
+     (1e-8, 1e-12), ("worst maximum-principle violation", "max |theta - p| at cues")),
     ("chain-row-stochasticity", check_chain_stochasticity, dict(reps=20, n=15), None,
      1e-12, "max |T@1 - 1|"),
     ("invariant-subspace", check_invariant_subspace, dict(reps=20, n=15), None,
      (1e-12, 0, 0), ("max |T@E - E|", "rank shortfall", "-min E")),
+    ("invariant-subspace-cut-off", check_invariant_subspace, dict(reps=20, n=15, cut_off=CUT_OFF), None,
+     (1e-12, 0, 0), ("max |T@E - E|", "rank shortfall", "-min E")),
     ("harmonic-vs-hitting", check_harmonic_hitting_equivalence, dict(reps=8, n=30), None,
+     1e-8, "max |harmonic - hitting|"),
+    ("harmonic-vs-hitting-cut-off", check_harmonic_hitting_equivalence, dict(reps=8, n=30, cut_off=CUT_OFF), None,
      1e-8, "max |harmonic - hitting|"),
     ("harmonic-vs-walks", _banded(check_walk_equivalence),
      dict(graphs=3, n=30, walks=10_000), dict(graphs=10, n=100, walks=100_000),
+     (1e-8, 1.0), ("max |harmonic - hitting|", "walk band excess")),
+    ("harmonic-vs-walks-cut-off", _banded(check_walk_equivalence),
+     dict(graphs=3, n=30, walks=10_000, cut_off=CUT_OFF), dict(graphs=10, n=100, walks=100_000, cut_off=CUT_OFF),
      (1e-8, 1.0), ("max |harmonic - hitting|", "walk band excess")),
     ("degenerate-constant", check_degenerate_constant, dict(n=20, nt=8, tol=1e-12), None,
      (1e-8, 1e-8), ("spatial err", "space-time err")),

@@ -175,6 +175,19 @@ _result = [len(result.aborted), sorted(result.curves)]
     assert scipy_modules(loaded) == []
 
 
+def test_walk_check_loads_no_scipy_stats(tmp_path):
+    # The walk band's normal quantile comes from the standard library.
+    script = """
+import numpy as np
+from threatprop.validate import _banded, check_walk_equivalence
+
+_result = list(_banded(check_walk_equivalence)(np.random.default_rng(0), graphs=1, n=10, walks=200))
+"""
+    (error, excess), loaded = loaded_modules(tmp_path, script)
+    assert error <= 1e-8 and excess <= 1.0
+    assert "scipy.sparse" in loaded and not [m for m in loaded if m.startswith("scipy.stats")]
+
+
 def test_every_export_resolves():
     for name in threatprop.__all__:
         assert getattr(threatprop, name).__module__.startswith("threatprop."), name

@@ -841,9 +841,9 @@ class TestValidateReport:
     def test_fast_report_names_every_check_in_order(self):
         names = [c["name"] for c in validate.run_suite("fast")["checks"]]
         assert names == [
-            "laplacian-kernel", "fiedler-bounds-and-threshold", "maximum-principle",
-            "chain-row-stochasticity", "invariant-subspace", "harmonic-vs-hitting", "harmonic-vs-walks",
-            "degenerate-constant", "kernel-identities", "spacetime-spatial-equivalence", "roc-properties",
+            "laplacian-kernel", "fiedler-bounds-and-threshold", "maximum-principle", "maximum-principle-cut-off",
+            "chain-row-stochasticity", "invariant-subspace", "invariant-subspace-cut-off", "harmonic-vs-hitting",
+            "harmonic-vs-hitting-cut-off", "harmonic-vs-walks", "harmonic-vs-walks-cut-off", "degenerate-constant", "kernel-identities", "spacetime-spatial-equivalence", "roc-properties",
             "generator-block-densities", "spacetime-harmonic-vs-hitting", "spacetime-harmonic-vs-walks",
         ]
 

@@ -29,10 +29,12 @@ PROPERTY = settings(max_examples=150, deadline=None, database=None)
 def reference_assembly(g, grid, rate, mode_default, truncation=1e-4):
     """Space-time adjacency built one interaction record at a time, keeping a
     timed entry where the kernel reaches the truncation.  The entries reach
-    the CSR conversion, which sums a repeated position in input order, in
-    the factors' order: every timed record's end at v, then every one at u,
-    then every untimed record's end at u, then every one at v, then the
-    hub rows."""
+    the conversion the assembly uses (COO to CSR) in the factors' order:
+    every timed record's end at v, then every one at u, then every untimed
+    record's end at u, then every one at v, then the hub rows.  So a
+    repeated position sums as the assembly's does, also on a row of more
+    than 16 entries, where scipy's unstable row sort does not keep input
+    order."""
     nt = grid.nt
     centers = grid.centers
     eye = np.arange(nt)
@@ -541,6 +543,37 @@ def test_harmonic_matches_hitting_matrix(case):
     g, psi, obs = case
     theta = solve_harmonic(g, psi, obs, tol=1e-12)
     assert np.max(np.abs(theta - hitting_threat(build_absorbing_chain(g, psi, obs)))) <= 1e-9
+
+
+@st.composite
+def cut_off_problems(draw):
+    """A problem from ``propagation_problems`` joined with an uncued
+    component of one to six vertices that shares no edge with it, under a
+    prior of one (stochastic rows wherever it has an edge) or a prior in
+    [0.05, 1]."""
+    g, psi, obs = draw(propagation_problems())
+    m = draw(st.integers(1, 6))
+    pairs = [(g.n + i, g.n + j) for i in range(m) for j in range(i + 1, m)]
+    cut = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs), unique=True)) if pairs else []
+    weight = st.sampled_from([0.5, 1.0, 2.0])
+    rows = [(e.u, e.v, e.weight) for e in g.interactions] + [(u, v, draw(weight)) for u, v in cut]
+    prior = st.one_of(st.just([1.0] * m), st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m))
+    return build_graph(rows, n=g.n + m), np.r_[psi, draw(prior)], obs
+
+
+@PROPERTY
+@given(case=cut_off_problems())
+def test_chain_on_a_cut_off_component_follows_the_harmonic_solve(case):
+    # A component that no cue reaches has zero threat in the chain too: its
+    # rows are emptied, which keeps I - G invertible and T stochastic.
+    g, psi, obs = case
+    chain = build_absorbing_chain(g, psi, obs)
+    theta = solve_harmonic(g, psi, obs, tol=1e-12, on_unreachable="zero")
+    assert np.max(np.abs(hitting_threat(chain) - theta)) <= 1e-10
+    t, e = chain.transition_matrix, chain.invariant_basis()
+    assert np.abs(t @ e - e).max() <= 1e-12
+    assert np.linalg.matrix_rank(e) == chain.n_absorbing
+    assert np.abs(np.asarray(t.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
 
 
 @st.composite

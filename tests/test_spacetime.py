@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from threatprop import spacetime, validate
+from threatprop._solve import solve_boundary_value
 from threatprop.errors import GraphError, ObservationError, ValidationFailure
 from threatprop.experiment import sbm_detection_config
 from threatprop.generators import generate_sbm
@@ -20,7 +22,7 @@ from threatprop.spacetime import (
     solve_spacetime,
     spacetime_operator,
 )
-from threatprop.spatial import solve_harmonic
+from threatprop.spatial import hitting_threat, monte_carlo_threat, solve_harmonic
 from threatprop.validate import check_spacetime_hitting, check_spacetime_walks, hub_systems, walk_band_excess
 
 from conftest import make_er, rng_for
@@ -535,13 +537,26 @@ class TestSpacetimeChain:
         with pytest.raises(ValidationFailure, match="no time clique"):
             check_spacetime_hitting(rng_for("st-chain-hubless"), systems=1, n=8)
 
-    def test_state_cut_off_from_the_cue_fails(self, monkeypatch):
-        # the last hub's row emptied: its walks could not reach the cue
-        monkeypatch.setattr(validate, "spacetime_operator",
-                            lambda sys_, variant: spacetime_operator(sys_, variant).multiply(
-                                np.r_[np.ones(sys_.order + sys_.hubs - 1), 0.0][:, None]).tocsr())
-        with pytest.raises(ValidationFailure, match="no path to the cue"):
-            check_spacetime_walks(rng_for("st-chain-cut"), systems=1, n=8, walks=10)
+    def test_state_cut_off_from_the_cue_scores_zero(self, monkeypatch):
+        # The last hub's row sends all its mass to itself: a closed class
+        # with no path to the cue, which made I - G singular.  The chain
+        # empties that row, so the harmonic solve of the same operator, the
+        # chain's hitting solve and its walks all score the hub exactly 0,
+        # and the first two still agree.
+        def closed_hub(sys_, variant):
+            p = spacetime_operator(sys_, variant)
+            last = p.shape[0] - 1
+            loop = sp.csr_matrix(([1.0], ([last], [last])), shape=p.shape)
+            return (p.multiply(np.r_[np.ones(last), 0.0][:, None]) + loop).tocsr()
+
+        monkeypatch.setattr(validate, "spacetime_operator", closed_hub)
+        (_, chain), = validate._hub_chains(rng_for("st-chain-cut"), 1, 8, "coordinated", 1e-12)
+        assert chain.reaches.tolist() == [True] * (chain.n - 1) + [False]
+        harmonic = solve_boundary_value(chain.p, chain.boundary, chain.boundary_values, tol=1e-12)
+        hitting = hitting_threat(chain)
+        mc = monte_carlo_threat(chain, 10, seed=0)
+        assert harmonic[-1] == hitting[-1] == mc.theta[-1] == 0.0 and mc.capped_walks == 0
+        assert np.abs(harmonic - hitting).max() <= 1e-10
 
 
 class TestCueBoundary:

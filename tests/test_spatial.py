@@ -258,6 +258,25 @@ class TestAbsorbingChain:
         eigs = np.linalg.eigvals(chain.g_block.toarray())
         assert np.abs(eigs).max() < 1.0
 
+    def test_cut_off_component_has_zero_threat(self):
+        # a-b-c cued at a, and d-e-f with prior one: a closed class that
+        # never reaches the cue, which made I - G singular.  Its rows are
+        # emptied, so it is absorbed at zero as the harmonic solve and the
+        # walks have it.
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        psi, obs = np.array([0.9, 0.9, 0.9, 1.0, 1.0, 1.0]), ObservationSet.of((0, 1.0))
+        chain = build_absorbing_chain(g, psi, obs)
+        theta = hitting_threat(chain)
+        assert chain.reaches.tolist() == [True, True, True, False, False, False]
+        assert theta[3:].tolist() == [0.0, 0.0, 0.0]
+        assert np.abs(theta - solve_harmonic(g, psi, obs, tol=1e-14, on_unreachable="zero")).max() <= 1e-13
+        assert np.abs(theta[:3] - [1.0, 90 / 119, 81 / 119]).max() <= 1e-15
+        assert chain.absorb[2:].tolist() == [1.0, 1.0, 1.0]
+        e = chain.invariant_basis()
+        assert np.abs(chain.transition_matrix @ e - e).max() == 0.0
+        assert np.linalg.matrix_rank(e) == chain.n_absorbing == 2
+        assert monte_carlo_threat(chain, 100, seed=1).theta[3:].tolist() == [0.0, 0.0, 0.0]
+
     def test_psi_validation(self, path3):
         with pytest.raises(GraphError):
             build_absorbing_chain(path3, np.array([1.2, 0.5, 0.5]), ObservationSet.of((0, 1.0)))
