@@ -1,5 +1,5 @@
 """Sparse matrices as numpy columns, and the shared boundary-value solver
-for harmonic propagation systems.
+for harmonic propagation systems with its one exact solve.
 
 :class:`Entries` holds a sparse matrix as parallel numpy columns.  Both
 models share it: the spatial adjacency and its propagation operator, and the
@@ -10,7 +10,8 @@ writes a scipy CSR out for the paths that need one.
 
 :func:`solve_boundary_value` solves ``theta = P @ theta`` on interior
 vertices with boundary entries held fixed, where ``P`` is a (sub)stochastic
-propagation operator.  Two methods:
+propagation operator: ``theta_I = (I - G)^{-1} H theta_B`` in the canonical
+form of the absorbing chain (:class:`AbsorbingChain`).  Two methods:
 
 * ``'iterative'`` (the default) sweeps ``theta <- P theta`` with the boundary
   re-imposed until the interior residual is below ``tol``; it needs only
@@ -20,14 +21,11 @@ propagation operator.  Two methods:
   imports no scipy.  Every state that is not on the boundary is interior.
   One that no cue reaches stays exactly zero, since ``P >= 0`` and every
   sweep starts from zero there, so it adds nothing to the residual.
-* ``'direct'`` factorizes ``I - P_II`` with SuperLU and needs ``P`` as a
-  scipy sparse matrix, or as :class:`Entries` written out by ``tocsr``.  It
-  solves only on the states with a path to the boundary along the positive
-  entries of ``P``, found level by level by the sign of the product
-  ``P @ front > 0`` (an entry stored as zero links nothing), because a
-  detached stochastic component would make ``I - P_II`` singular.  It is
-  the exact reference for validation and tests; its fill grows quickly with
-  the order of space-time systems, so nothing selects it by default.
+* ``'direct'`` is the chain's exact solve (:func:`hitting_threat`), the one
+  factorization of ``I - G``, and needs ``P`` as a scipy sparse matrix, or
+  as :class:`Entries` written out by ``tocsr``.  It is the exact reference
+  for validation and tests; its fill grows quickly with the order of
+  space-time systems, so nothing selects it by default.
 
 ``tol`` bounds the interior residual ``max_i |theta_i - (P theta)_i|``, the
 harmonic equation defect.  The error against the exact solution is bounded by
@@ -38,6 +36,8 @@ residual / (1 - rho) only when ``rho = ||P_II||_inf < 1``; at ``rho = 1``
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -128,12 +128,12 @@ def solve_boundary_value(
     boundary = np.asarray(boundary, dtype=np.int64)
     theta = np.zeros(n)
     theta[boundary] = boundary_values
+    interior = np.ones(n, dtype=bool)
+    interior[boundary] = False
+    if not interior.any():
+        return theta
 
     if method == "iterative":
-        interior = np.ones(n, dtype=bool)
-        interior[boundary] = False
-        if not interior.any():
-            return theta
         # Iteration count floor: the 10n heuristic is too small for tight
         # tolerances on small or weakly absorbing systems.
         if max_iter is None:
@@ -142,18 +142,8 @@ def solve_boundary_value(
     else:
         if not hasattr(p, "tocsr"):
             raise ValueError("the direct method needs P as a sparse matrix")
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
         p = p.tocsr()
-        reach = _reaches_boundary(p, boundary)
-        reach[boundary] = False
-        interior = np.flatnonzero(reach)
-        if interior.size == 0:
-            return theta
-        rows = p[interior]
-        a = sp.identity(interior.size, format="csc") - rows[:, interior]
-        theta[interior] = spla.spsolve(a, rows[:, boundary] @ boundary_values)
+        theta = hitting_threat(AbsorbingChain(p, boundary, theta[boundary]))
         resid = _residual(p, theta, interior)
         if not resid <= tol:  # NaN-safe: a failed factorization must not pass
             raise ConvergenceError(f"direct solve residual {resid:.3e} exceeds tol {tol:.1e}", residual=resid)
@@ -162,6 +152,113 @@ def solve_boundary_value(
     if over > CLAMP_WARN:
         logger.warning("clamping harmonic solution by %.3e; system may be ill-conditioned", over)
     return np.clip(theta, 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class AbsorbingChain:
+    """Absorbing-walk realization of a row-substochastic operator ``p``.
+
+    The ``boundary`` states absorb with their ``boundary_values``; every
+    other (interior) state moves by its row of ``p`` and sends the missing
+    mass ``1 - sum_j p_ij`` to one augmented non-threat state.  Canonical
+    state order is interior states first, then the boundary states, then the
+    non-threat state; ``g_block`` and ``h_block`` are the interior-to-interior
+    and interior-to-boundary blocks of ``p`` under that order.
+
+    An interior state outside ``reaches`` has no path to the boundary, so
+    its row is emptied and it goes to the non-threat state at once, as a walk
+    there does (the canonical form of Kemeny and Snell, in which such a
+    closed class is absorbed).  Its threat is then exactly zero, and
+    ``I - G`` stays invertible where a stochastic component that no cue
+    reaches would make it singular.  Where every state reaches the boundary
+    the blocks are those of ``p`` itself.  ``I - G`` is factorized once, and
+    :meth:`invariant_basis` and :func:`hitting_threat` solve through it.
+    """
+
+    p: sp.csr_matrix
+    boundary: np.ndarray
+    boundary_values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.p.shape[0]
+
+    @property
+    def n_absorbing(self) -> int:
+        """Absorbing state count: observed vertices plus the non-threat state."""
+        return len(self.boundary) + 1
+
+    @cached_property
+    def reaches(self) -> np.ndarray:
+        """Mask of the states with a path to the boundary, the boundary included."""
+        return _reaches_boundary(self.p, self.boundary)
+
+    @cached_property
+    def interior(self) -> np.ndarray:
+        inside = np.ones(self.n, dtype=bool)
+        inside[self.boundary] = False
+        return np.flatnonzero(inside)
+
+    @cached_property
+    def _rows(self) -> sp.csr_matrix:
+        """The interior rows of ``p``, emptied outside ``reaches``."""
+        e = Entries.of_csr(self.p[self.interior])
+        keep = self.reaches[self.interior][e.rows]
+        return Entries(e.rows[keep], e.cols[keep], e.vals[keep], e.shape).tocsr()
+
+    @cached_property
+    def g_block(self) -> sp.csr_matrix:
+        return self._rows[:, self.interior].tocsr()
+
+    @cached_property
+    def h_block(self) -> sp.csr_matrix:
+        return self._rows[:, self.boundary].tocsr()
+
+    @cached_property
+    def absorb(self) -> np.ndarray:
+        """Interior mass sent to the non-threat state."""
+        return 1.0 - np.asarray(self._rows.sum(axis=1)).ravel()
+
+    @cached_property
+    def transition_matrix(self) -> sp.csr_matrix:
+        """Full (n+1) x (n+1) row-stochastic chain in canonical state order."""
+        import scipy.sparse as sp
+
+        return sp.bmat([[self.g_block, self.h_block, sp.csr_matrix(self.absorb[:, None])],
+                        [None, sp.identity(len(self.boundary)), None],
+                        [None, None, sp.identity(1)]], format="csr")
+
+    @cached_property
+    def _factors(self):
+        """SuperLU factors of ``I - G``: the one exact solve."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        return spla.splu(sp.identity(len(self.interior), format="csc") - self.g_block.tocsc())
+
+    def _absorbed(self, rhs: np.ndarray) -> np.ndarray:
+        """``(I - G)^{-1} rhs`` for a vector or the columns of a matrix."""
+        return self._factors.solve(rhs) if len(self.interior) else rhs
+
+    def invariant_basis(self) -> np.ndarray:
+        """Nonnegative basis E of the unit-eigenvalue invariant subspace.
+
+        Columns span the subspace satisfying ``T @ E == E``: the interior
+        block is ``(I - G)^{-1} R`` with ``R = [H, absorb]``, padded with an
+        identity over the absorbing states.  Its first ``len(boundary)``
+        columns are the walks' absorption probabilities ``(I - G)^{-1} H``.
+        """
+        e1 = self._absorbed(np.column_stack([self.h_block.toarray(), self.absorb]))
+        return np.vstack([e1, np.eye(self.n_absorbing)])
+
+
+def hitting_threat(chain: AbsorbingChain) -> np.ndarray:
+    """Exact threat vector ``(I - G)^{-1} H b`` over the interior, the
+    boundary values ``b`` on the boundary, in original state order."""
+    theta = np.zeros(chain.n)
+    theta[chain.boundary] = chain.boundary_values
+    theta[chain.interior] = chain._absorbed(chain.h_block @ chain.boundary_values)
+    return theta
 
 
 def hop_levels(step, n: int, sources) -> np.ndarray:

@@ -31,7 +31,7 @@ from .evaluation import RocCurve, convexity_defect, roc, vertical_average
 from .generators import GeneratedNetwork, HmmbParams, SbmParams, generate_hmmb, generate_sbm
 from .graph import Graph, ObservationSet
 from .priors import PriorSpec, compute_prior
-from .spacetime import (MAX_ORDER, REDUCERS, VARIANTS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
+from .spacetime import (MAX_ORDER, REDUCERS, TimeGrid, assemble_spacetime, reduce_to_vertex_scores,
                         solve_spacetime)
 from .spatial import solve_harmonic
 from .spectral import localized_modularity_scores
@@ -65,7 +65,8 @@ class ExperimentConfig:
     aggregate: str = "pool"  # or "vertical"
 
     def __post_init__(self):
-        choices = {"kind": ("sbm", "hmmb"), "variant": VARIANTS, "reducer": REDUCERS,
+        # A trial passes no spatial prior, so coordinated-spatial would abort every one.
+        choices = {"kind": ("sbm", "hmmb"), "variant": ("weighted", "coordinated"), "reducer": REDUCERS,
                    "solve_method": SOLVE_METHODS, "aggregate": ("pool", "vertical")}
         for name, allowed in choices.items():
             if getattr(self, name) not in allowed:

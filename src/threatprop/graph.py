@@ -304,8 +304,7 @@ def laplacian(g: Graph, kind: str = "kirchhoff") -> sp.csr_matrix:
     if kind == "kirchhoff":
         return (sp.diags(d) - g.adjacency).tocsr()
     if np.any(d <= 0):
-        isolated = int(np.argmin(d))
-        raise GraphError(f"zero degree at vertex {isolated}; {kind} laplacian undefined")
+        raise GraphError(f"zero degree at vertex {g.name(np.argmax(d <= 0))}; {kind} laplacian undefined")
     return (sp.identity(g.n, format="csr") - scale_rows(g.entries, 1.0 / d).tocsr()).tocsr()
 
 

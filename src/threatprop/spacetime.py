@@ -420,6 +420,8 @@ def _cell_prior(sys, variant, spatial_psi) -> np.ndarray | None:
     ``weighted`` without a spatial prior."""
     if variant not in VARIANTS:
         raise GraphError(f"unknown variant {variant!r}")
+    if variant == "coordinated" and spatial_psi is not None:
+        raise GraphError("coordinated variant takes no spatial prior; coordinated-spatial applies one")
     spatial = None if spatial_psi is None else np.repeat(checked_prior(spatial_psi, sys.graph.n), sys.grid.nt)
     if variant == "weighted":
         return spatial
@@ -441,8 +443,9 @@ def spacetime_operator(
 
     ``weighted`` normalizes each row by its kernel mass, damped by an optional
     spatial prior; ``coordinated`` normalizes by spatial interaction weight,
-    which folds in the coordination prior; ``coordinated-spatial`` also damps
-    each vertex by a spatial prior.  Hub rows are averages and carry no prior.
+    which folds in the coordination prior, and refuses a spatial prior;
+    ``coordinated-spatial`` also damps each vertex by a spatial prior.  Hub
+    rows are averages and carry no prior.
     """
     psi = _cell_prior(sys, variant, spatial_psi)
     a = sys.adjacency

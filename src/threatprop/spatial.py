@@ -1,4 +1,4 @@
-"""Spatial threat propagation, and the absorbing chain of any operator.
+"""Spatial threat propagation.
 
 Three equivalent realizations of the same Bayesian model are provided:
 
@@ -9,37 +9,31 @@ Three equivalent realizations of the same Bayesian model are provided:
   state, where threat is the expected value at the walk's terminal state;
 * simulation of that chain's walks.
 
-A vertex that no cue reaches has exactly zero threat in all three (the
-chain empties its row, see :class:`AbsorbingChain`); only
-:func:`solve_harmonic` decides whether to refuse one (:func:`require_reach`).
-
-One :class:`AbsorbingChain` serves any operator ``P``, spatial or
-hub-augmented space-time.  Its exact hitting-probability solve and its walk
-simulation, which samples the stored rows of ``P`` in O(nnz) memory, exist
-as independent cross-checks of the harmonic path.
+The first two are one linear system, and the chain holds the one exact
+solve of it: :class:`~threatprop._solve.AbsorbingChain`, re-exported here
+with :func:`hitting_threat`, serves any operator, spatial or hub-augmented
+space-time, and ``method='direct'`` is its solve.  It and the walks, which
+sample the stored rows of ``P`` in O(nnz) memory, cross-check the harmonic
+sweeps.  A vertex that no cue reaches has exactly zero threat in all three
+(the chain empties its row); only :func:`solve_harmonic` decides whether to
+refuse one (:func:`require_reach`).
 
 The propagation operator is :class:`~threatprop._solve.Entries` built from
 the graph's numpy adjacency view, so the harmonic solve loads no scipy.
-``scipy.sparse`` is imported only where a CSR is written out: for the
-``direct`` method, the chain and its transition matrix, and the walks' CDF
-table.
+``scipy.sparse`` is imported only where a CSR is written out: for the chain
+and its exact solve, and for the walks' CDF table.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._solve import Entries, _reaches_boundary, scale_rows, solve_boundary_value
+from ._solve import AbsorbingChain, Entries, hitting_threat, scale_rows, solve_boundary_value  # noqa: F401
 from .errors import DisconnectedGraphError, checked_number, checked_prior
 from .graph import Graph, ObservationSet
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -93,109 +87,9 @@ def solve_harmonic(
     return solve_boundary_value(propagation_operator(g, psi), boundary, values, tol=tol, method=method)
 
 
-@dataclass(frozen=True)
-class AbsorbingChain:
-    """Absorbing-walk realization of a row-substochastic operator ``p``.
-
-    The ``boundary`` states absorb with their ``boundary_values``; every
-    other (interior) state moves by its row of ``p`` and sends the missing
-    mass ``1 - sum_j p_ij`` to one augmented non-threat state.  Canonical
-    state order is interior states first, then the boundary states, then the
-    non-threat state; ``g_block`` and ``h_block`` are the interior-to-interior
-    and interior-to-boundary blocks of ``p`` under that order.
-
-    An interior state outside ``reaches`` has no path to the boundary, so
-    its row is emptied and it goes to the non-threat state at once, as a walk
-    there does (the canonical form of Kemeny and Snell, in which such a
-    closed class is absorbed).  Its threat is then exactly zero, and
-    ``I - G`` stays invertible where a stochastic component that no cue
-    reaches would make it singular.  Where every state reaches the boundary
-    the blocks are those of ``p`` itself.
-    """
-
-    p: sp.csr_matrix
-    boundary: np.ndarray
-    boundary_values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def n_absorbing(self) -> int:
-        """Absorbing state count: observed vertices plus the non-threat state."""
-        return len(self.boundary) + 1
-
-    @cached_property
-    def reaches(self) -> np.ndarray:
-        """Mask of the states with a path to the boundary, the boundary included."""
-        return _reaches_boundary(self.p, self.boundary)
-
-    @cached_property
-    def interior(self) -> np.ndarray:
-        inside = np.ones(self.n, dtype=bool)
-        inside[self.boundary] = False
-        return np.flatnonzero(inside)
-
-    @cached_property
-    def _rows(self) -> sp.csr_matrix:
-        """The interior rows of ``p``, emptied outside ``reaches``."""
-        e = Entries.of_csr(self.p[self.interior])
-        keep = self.reaches[self.interior][e.rows]
-        return Entries(e.rows[keep], e.cols[keep], e.vals[keep], e.shape).tocsr()
-
-    @cached_property
-    def g_block(self) -> sp.csr_matrix:
-        return self._rows[:, self.interior].tocsr()
-
-    @cached_property
-    def h_block(self) -> sp.csr_matrix:
-        return self._rows[:, self.boundary].tocsr()
-
-    @cached_property
-    def absorb(self) -> np.ndarray:
-        """Interior mass sent to the non-threat state."""
-        return 1.0 - np.asarray(self._rows.sum(axis=1)).ravel()
-
-    @cached_property
-    def transition_matrix(self) -> sp.csr_matrix:
-        """Full (n+1) x (n+1) row-stochastic chain in canonical state order."""
-        import scipy.sparse as sp
-
-        return sp.bmat([[self.g_block, self.h_block, sp.csr_matrix(self.absorb[:, None])],
-                        [None, sp.identity(len(self.boundary)), None],
-                        [None, None, sp.identity(1)]], format="csr")
-
-    def invariant_basis(self) -> np.ndarray:
-        """Nonnegative basis E of the unit-eigenvalue invariant subspace.
-
-        Columns span the subspace satisfying ``T @ E == E``: the interior
-        block is ``(I - G)^{-1} R`` with ``R = [H, absorb]``, padded with an
-        identity over the absorbing states.
-        """
-        ni = len(self.interior)
-        r = np.hstack([self.h_block.toarray(), self.absorb[:, None]])
-        e1 = np.linalg.solve(np.eye(ni) - self.g_block.toarray(), r)
-        return np.vstack([e1, np.eye(self.n_absorbing)])
-
-    def hitting_matrix(self) -> np.ndarray:
-        """Walk absorption probabilities ``(I - G)^{-1} H`` (interior x observed)."""
-        ni = len(self.interior)
-        return np.linalg.solve(np.eye(ni) - self.g_block.toarray(), self.h_block.toarray())
-
-
 def build_absorbing_chain(g: Graph, psi: np.ndarray, obs: ObservationSet) -> AbsorbingChain:
     """Assemble the spatial absorbing chain for a graph, prior, and observation set."""
     return AbsorbingChain(propagation_operator(g, psi).tocsr(), *obs.boundary(g))
-
-
-def hitting_threat(chain: AbsorbingChain) -> np.ndarray:
-    """Exact threat vector from the hitting matrix, in original vertex order."""
-    theta = np.zeros(chain.n)
-    theta[chain.boundary] = chain.boundary_values
-    if len(chain.interior):
-        theta[chain.interior] = chain.hitting_matrix() @ chain.boundary_values
-    return theta
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,10 @@ class TestRunExperiment:
             ExperimentConfig(kind="sbm", params=None, trials=0)
         with pytest.raises(GraphError):
             ExperimentConfig(kind="sbm", params=None, aggregate="hexagonal")
+        # A trial passes no spatial prior, so this variant would abort every trial.
+        with pytest.raises(GraphError, match="unknown variant 'coordinated-spatial'; expected one of weighted, "
+                                             "coordinated$"):
+            ExperimentConfig(kind="sbm", params=None, variant="coordinated-spatial")
 
     @pytest.mark.parametrize("detectors", [(), ("bfs", "bfs")], ids=["none", "repeated"])
     def test_detectors_each_named_once(self, detectors):
@@ -291,7 +295,7 @@ def test_default_paths_never_factorize(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("sparse factorization on a default path")
 
-    monkeypatch.setattr(spla, "spsolve", refuse)
+    monkeypatch.setattr(spla, "splu", refuse)
     net = generate_sbm(sbm_detection_config(2.0).params, seed=3)
     cue = int(net.foreground_vertices[0])
     with pytest.raises(AssertionError, match="factorization"):

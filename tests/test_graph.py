@@ -146,7 +146,11 @@ class TestLaplacian:
     def test_normalized_requires_positive_degrees(self):
         # the generalized kind I - D^-1 A is the random-walk normalized Laplacian
         g = build_graph([(0, 1, 1.0)], n=3)
-        with pytest.raises(GraphError, match="zero degree"):
+        with pytest.raises(GraphError, match="zero degree at vertex 2;"):
+            laplacian(g, "generalized")
+        # named as the edge list names it
+        g = build_graph([(0, 1, 1.0)], n=3, labels=["x", "y", "z"])
+        with pytest.raises(GraphError, match="zero degree at vertex z;"):
             laplacian(g, "generalized")
 
     def test_generalized_with_prior(self, path3):

@@ -500,6 +500,8 @@ class TestCli:
         pytest.param("experiment", {**EXPERIMENT, "trials": "x"}, [], id="experiment-trials-type"),
         pytest.param("experiment", {**EXPERIMENT, "tol": "abc"}, [], id="experiment-tol-type"),
         pytest.param("experiment", {**EXPERIMENT, "variant": "bogus"}, [], id="experiment-variant"),
+        pytest.param("experiment", {**EXPERIMENT, "variant": "coordinated-spatial"}, [],
+                     id="experiment-variant-without-spatial-prior"),
         pytest.param("experiment", {**EXPERIMENT, "threads": 2, "solve_method": "direct"}, [],
                      id="experiment-unapplied-keys"),
         pytest.param("experiment", {**EXPERIMENT, "bogus": 1}, [], id="experiment-unknown-key"),

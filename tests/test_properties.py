@@ -203,6 +203,10 @@ def test_operator_matches_nested_products(case, mode, variant, rate, spatial, da
     if spatial or variant == "coordinated-spatial":
         spatial_psi = np.linspace(1.0, 0.05, g.n) if data is None else \
             np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n, max_size=g.n)))
+    if variant == "coordinated" and spatial_psi is not None:
+        with pytest.raises(GraphError, match="coordinated-spatial"):
+            spacetime_operator(sys_, variant, spatial_psi)
+        return
     got = spacetime_operator(sys_, variant, spatial_psi)
     want = reference_operator(sys_, variant, spatial_psi)
     for name in ("data", "indices", "indptr"):
@@ -297,8 +301,10 @@ def test_factored_operator_matches_the_hub_matrix(case, mode, variant, rate, den
         cells = a[:order, :order] + a[:order, order:] @ a[order:, :order] / nt
         got = np.column_stack([sys_.product(e) for e in np.eye(order)])
         np.testing.assert_allclose(got, cells, rtol=1e-14, atol=SUBNORMAL_FLOOR)
-        op = factored_operator(sys_, variant, psi)
-        hub = spacetime_operator(sys_, variant, psi)
+        # The coordinated variant takes no spatial prior.
+        op_psi = None if variant == "coordinated" else psi
+        op = factored_operator(sys_, variant, op_psi)
+        hub = spacetime_operator(sys_, variant, op_psi)
         np.testing.assert_allclose(written_out(op), eliminated_hubs(hub, order), rtol=1e-14, atol=SUBNORMAL_FLOOR)
 
         cells = data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4)) if data else [0]
@@ -361,11 +367,12 @@ def test_accepted_graphs_give_finite_operators(case, mode, variant):
         return
     assert all(map(accepted, weights))
     psi = np.linspace(1.0, 0.05, g.n)
+    op_psi = None if variant == "coordinated" else psi  # the coordinated variant takes no spatial prior
     sys_ = assemble_spacetime(g, TimeGrid(0.0, 1.0, nt), 1.0, mode_default=mode)
     operators = {
         "spatial": propagation_operator(g, psi).vals,
-        "explicit": spacetime_operator(sys_, variant, psi).data,
-        "factored": factored_operator(sys_, variant, psi) @ np.ones(sys_.order),
+        "explicit": spacetime_operator(sys_, variant, op_psi).data,
+        "factored": factored_operator(sys_, variant, op_psi) @ np.ones(sys_.order),
     }
     for name, values in operators.items():
         assert np.all(np.isfinite(values)), name

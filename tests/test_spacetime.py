@@ -485,6 +485,9 @@ class TestSolveSpacetime:
             solve_spacetime(sys_, ObservationSet.of((0, 1.0, 0.5)), variant="odd")
         with pytest.raises(GraphError, match="spatial prior"):
             solve_spacetime(sys_, ObservationSet.of((0, 1.0, 0.5)), variant="coordinated-spatial")
+        # coordinated has no place for one: refused, not dropped
+        with pytest.raises(GraphError, match="coordinated variant takes no spatial prior; coordinated-spatial"):
+            solve_spacetime(sys_, ObservationSet.of((0, 1.0, 0.5)), variant="coordinated", spatial_psi=np.full(2, 0.01))
 
     def test_observation_time_outside_grid(self):
         g = build_graph([(0, 1, 1.0, 0.5, 0.5)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from threatprop import _solve, spatial
 from threatprop._solve import Entries, scale_rows, solve_boundary_value
@@ -216,7 +217,8 @@ class TestAbsorbingChain:
         chain = build_absorbing_chain(g, np.array([0.5, 1.0]), ObservationSet.of((1, 1.0)))
         expected = np.array([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
         assert np.array_equal(chain.transition_matrix.toarray(), expected)
-        assert chain.hitting_matrix()[0, 0] == pytest.approx(0.5)
+        # interior row 0, cue column 0: the walk's absorption probability
+        assert chain.invariant_basis()[0, 0] == pytest.approx(0.5)
 
     def test_neumann_series_oracle(self):
         # (I - G)^{-1} H  ==  sum_k G^k H, expanded until it converges
@@ -232,7 +234,8 @@ class TestAbsorbingChain:
             term = gb @ term
             if np.abs(term).max() < 1e-14:
                 break
-        assert np.allclose(chain.hitting_matrix(), acc, atol=1e-10)
+        hitting = chain.invariant_basis()[:len(chain.interior), :len(chain.boundary)]
+        assert np.allclose(hitting, acc, atol=1e-10)
 
     def test_rows_sum_to_one(self):
         assert check_chain_stochasticity(rng_for("stoch"), reps=10, n=18) <= 1e-14
@@ -262,20 +265,43 @@ class TestAbsorbingChain:
         # a-b-c cued at a, and d-e-f with prior one: a closed class that
         # never reaches the cue, which made I - G singular.  Its rows are
         # emptied, so it is absorbed at zero as the harmonic solve and the
-        # walks have it.
+        # walks have it; the direct method is the chain's solve.
         g = build_graph([(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
         psi, obs = np.array([0.9, 0.9, 0.9, 1.0, 1.0, 1.0]), ObservationSet.of((0, 1.0))
         chain = build_absorbing_chain(g, psi, obs)
         theta = hitting_threat(chain)
+        iterative = solve_harmonic(g, psi, obs, tol=1e-14, on_unreachable="zero")
         assert chain.reaches.tolist() == [True, True, True, False, False, False]
-        assert theta[3:].tolist() == [0.0, 0.0, 0.0]
-        assert np.abs(theta - solve_harmonic(g, psi, obs, tol=1e-14, on_unreachable="zero")).max() <= 1e-13
+        assert theta[3:].tolist() == iterative[3:].tolist() == [0.0, 0.0, 0.0]
+        assert np.array_equal(solve_harmonic(g, psi, obs, tol=1e-14, method="direct", on_unreachable="zero"), theta)
+        assert np.abs(theta - iterative).max() <= 1e-13
         assert np.abs(theta[:3] - [1.0, 90 / 119, 81 / 119]).max() <= 1e-15
         assert chain.absorb[2:].tolist() == [1.0, 1.0, 1.0]
         e = chain.invariant_basis()
         assert np.abs(chain.transition_matrix @ e - e).max() == 0.0
         assert np.linalg.matrix_rank(e) == chain.n_absorbing == 2
         assert monte_carlo_threat(chain, 100, seed=1).theta[3:].tolist() == [0.0, 0.0, 0.0]
+
+    def test_one_factorization_per_chain(self, monkeypatch):
+        calls, splu = [], spla.splu
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counted)
+        g, psi, obs = random_system(rng_for("one-factorization"), n=12)
+        chain = build_absorbing_chain(g, psi, obs)
+        theta = hitting_threat(chain)
+        e = chain.invariant_basis()
+        assert np.array_equal(hitting_threat(chain), theta)
+        ni = len(chain.interior)
+        assert calls == [(ni, ni)]
+        assert np.abs(theta[chain.interior] - e[:ni, :len(chain.boundary)] @ chain.boundary_values).max() <= 1e-14
+        # The direct method builds its own chain, and factorizes it once.
+        direct = solve_harmonic(g, psi, obs, method="direct", on_unreachable="zero")
+        assert calls == [(ni, ni)] * 2
+        assert np.array_equal(direct, np.clip(theta, 0.0, 1.0))
 
     def test_psi_validation(self, path3):
         with pytest.raises(GraphError):
