@@ -290,10 +290,12 @@ def _residual(p, theta, interior) -> float:
 
 
 def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter):
+    step = np.empty_like(theta)  # one buffer for every sweep's |nxt - theta|
     for _ in range(max_iter):
         nxt = p @ theta
         nxt[boundary] = boundary_values
-        diff = float(np.max(np.abs(nxt - theta)))
+        np.subtract(nxt, theta, out=step)
+        diff = float(np.abs(step, out=step).max())
         theta = nxt
         if diff <= 0.5 * tol and _residual(p, theta, interior) <= tol:
             return theta

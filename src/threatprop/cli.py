@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import secrets
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -56,6 +55,8 @@ def cli(log_level):
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
+        import secrets  # loads OpenSSL through hmac, so only a derived seed pays for it
+
         seed = secrets.randbits(32)
         click.echo(f"derived seed {seed}", err=True)
     return seed

@@ -11,7 +11,6 @@ byte-stable across runs.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from pathlib import Path
 
@@ -46,6 +45,16 @@ def _read_rows(path, error) -> list[list[str]]:
         raise error(f"{path}: cannot read the file as CSV text ({exc})") from None
 
 
+def _header_names(path, header, error) -> list[str]:
+    """The stripped column names of a header row; a name given twice is an
+    error, since a reader by name could take only one of its columns."""
+    names = [h.strip() for h in header]
+    twice = sorted({name for name in names if name and names.count(name) > 1})
+    if twice:
+        raise error(f"{path}: column {twice[0]!r} appears twice in the header {','.join(names)}")
+    return names
+
+
 def _labels(g: Graph) -> np.ndarray:
     return np.asarray(g.labels or [str(i) for i in range(g.n)], dtype=object)
 
@@ -61,9 +70,12 @@ def read_edges(path) -> Graph:
     appearance.  An empty weight reads as 1 and empty time fields mark an
     untimed edge; a non-finite time, or a weight that is not 0 or in
     ``[graph.MIN_WEIGHT, graph.MAX_WEIGHT]`` once duplicate untimed edges
-    merge, is an error that names the edge."""
-    header, *rows = _read_rows(path, GraphError) or [None]
-    if header is None or [h.strip() for h in header[:3]] != EDGE_HEADER[:3]:
+    merge, is an error that names the edge.  Columns are read by position,
+    so the header must begin with ``src,dst,weight`` and name the time
+    columns, if any, in the order ``t_src,t_dst``."""
+    header, *rows = _read_rows(path, GraphError) or [[]]
+    names = _header_names(path, header, GraphError)[:5]
+    if len(names) < 3 or names != EDGE_HEADER[:len(names)]:
         raise GraphError(f"{path}: expected edge header {','.join(EDGE_HEADER)}")
     lines = [[c.strip() or None for c in (line + [""] * 4)[:5]] for line in rows if any(c.strip() for c in line)]
     if not lines:
@@ -99,7 +111,7 @@ def read_observations(path, g: Graph) -> ObservationSet:
     header, *rows = _read_rows(path, ObservationError) or [None]
     if header is None:
         raise ObservationError(f"{path}: empty observation file")
-    cols = {name.strip(): i for i, name in enumerate(header)}
+    cols = {name: i for i, name in enumerate(_header_names(path, header, ObservationError))}
     if "vertex" not in cols or "p" not in cols:
         raise ObservationError(f"{path}: expected columns vertex,p[,t], got {header}")
     t_col = cols.get("t")
@@ -168,6 +180,8 @@ def _jsonable(x):
 
 
 def config_digest(obj) -> str:
+    import hashlib  # loads OpenSSL, so only a process that writes metadata pays for it
+
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
 
 

@@ -467,7 +467,8 @@ class FactoredOperator:
         return self.system.order, self.system.order
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * self.system.product(x)
+        y = self.system.product(x)  # a fresh array, so it is scaled in place
+        return np.multiply(y, self.scale, out=y)
 
 
 def factored_operator(

@@ -26,6 +26,9 @@ NOT_ON_SPACETIME_PATH = (
     "multiprocessing",
 )
 
+# The standard-library modules that map OpenSSL's libcrypto into a process.
+DIGEST_MODULES = ("hashlib", "_hashlib", "hmac", "secrets")
+
 
 def spacetime_input(tmp_path):
     """Twenty timed records on a ring of ten vertices over ten time units, one
@@ -43,10 +46,10 @@ def spacetime_input(tmp_path):
 def loaded_modules(tmp_path, script):
     """Run ``script`` in a fresh interpreter in ``tmp_path``; it must bind
     ``_result`` to a JSON value.  Returns that value and the scipy,
-    threatprop and multiprocessing modules the interpreter loaded."""
+    threatprop, multiprocessing and digest modules the interpreter loaded."""
     script += ("\nimport json, sys\n"
                "print(json.dumps([_result, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', "
-               "'threatprop', 'multiprocessing'))]))\n")
+               f"'threatprop', 'multiprocessing', *{DIGEST_MODULES!r}))]))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
@@ -173,6 +176,21 @@ _result = [len(result.aborted), sorted(result.curves)]
     assert aborted == 0 and detectors == ["bfs", "spec", "sttp"]
     assert "multiprocessing" in loaded
     assert scipy_modules(loaded) == []
+
+
+def test_importing_and_pooling_load_no_openssl(tmp_path):
+    # hashlib and secrets load where a command writes a .meta.json or
+    # derives a seed, so importing the I/O, CLI and experiment layers and
+    # running a pooled experiment in-process map no libcrypto.
+    script = """
+import threatprop.cli, threatprop.io
+from threatprop.experiment import hmmb_detection_config, run_experiment
+
+_result = len(run_experiment(hmmb_detection_config(trials=2, threads=2)).aborted)
+"""
+    aborted, loaded = loaded_modules(tmp_path, script)
+    assert aborted == 0 and "multiprocessing" in loaded
+    assert [m for m in DIGEST_MODULES if m in loaded] == []
 
 
 def test_walk_check_loads_no_scipy_stats(tmp_path):

@@ -67,6 +67,26 @@ class TestEdgeListIO:
         with pytest.raises(GraphError, match="header"):
             read_edges(bad)
 
+    @pytest.mark.parametrize("header", [
+        "src,dst,weight,t_dst,t_src",  # by position the column named t_dst would be read as t_src
+        "src,dst,weight,foo,bar",
+        "src,dst,weight,t_dst",
+        "src,dst,weight,t_src,t_src",
+        "src,dst,weight,t_src,t_dst,src",
+    ])
+    def test_misnamed_or_repeated_edge_header_rejected(self, tmp_path, header):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"{header}\na,b,1.0,1.0,2.0\n")
+        with pytest.raises(GraphError, match="header"):
+            read_edges(bad)
+
+    @pytest.mark.parametrize("header", ["src,dst,weight", "src,dst,weight,t_src", " src,dst , weight,t_src,t_dst"])
+    def test_edge_header_prefixes_accepted(self, tmp_path, header):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"{header}\na,b,2.0,1.0,2.0\n")
+        edge, = read_edges(path).interactions
+        assert (edge.weight, edge.t_u, edge.t_v) == (2.0, 1.0, 2.0)
+
     def test_half_timestamp_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,2.5,\n")
@@ -158,6 +178,14 @@ class TestEdgeListIO:
         obs = read_observations(p, g)
         assert obs.entries[0] == (2, 0.5, 3.5)
         assert obs.entries[1] == (1, 0.9, None)
+
+    @pytest.mark.parametrize("header", ["vertex,p,p", "vertex,vertex,p", "vertex,p,t, t"])
+    def test_repeated_observation_column_rejected(self, tmp_path, header):
+        g = build_graph([(0, 1, 1.0), (1, 2, 1.0)], labels=["x", "y", "z"])
+        p = tmp_path / "obs.csv"
+        p.write_text(f"{header}\nx,1,0.5,1.0\n")
+        with pytest.raises(ObservationError, match="appears twice in the header"):
+            read_observations(p, g)
 
     @pytest.mark.parametrize("row, message", [
         ("y,abc,", "could not convert"),
@@ -271,6 +299,24 @@ class TestCli:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, edge_header, obs_header", [
+        ("spacetime", "src,dst,weight,t_src,t_dst", "vertex,p,p"),
+        ("spatial", "src,dst,weight,t_src,t_dst", "vertex,p,p"),
+        ("spacetime", "src,dst,weight,t_dst,t_src", "vertex,p"),
+        ("spacetime", "src,dst,weight,foo,bar", "vertex,p"),
+        ("spatial", "src,dst,weight,t_src,t_dst,weight", "vertex,p"),
+    ])
+    def test_malformed_header_exits_1(self, tmp_path, capsys, command, edge_header, obs_header):
+        edges = tmp_path / "edges.csv"
+        edges.write_text(f"{edge_header}\na,b,1.0,1.0,2.0\nb,c,1.0,2.0,3.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text(f"{obs_header}\na,1,0.5\n")
+        rc = main(["propagate", command, "--graph", str(edges), "--obs", str(obs), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "header" in err and "Traceback" not in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_unreachable_across_a_zero_weight_record_exits_1(self, tmp_path, capsys):
