@@ -30,7 +30,11 @@ form of the absorbing chain (:class:`AbsorbingChain`).  Two methods:
 ``tol`` bounds the interior residual ``max_i |theta_i - (P theta)_i|``, the
 harmonic equation defect.  The error against the exact solution is bounded by
 residual / (1 - rho) only when ``rho = ||P_II||_inf < 1``; at ``rho = 1``
-(a uniform prior of one, for instance) ``tol`` bounds the residual alone.
+(a uniform prior of one, for instance) ``tol`` bounds the residual alone,
+and the error can exceed it: at the experiment's tol of 1e-8, against
+``direct``, it does on 139 of 240 hmmb space-time systems (trials 0-7 of
+``hmmb_detection_config(seed=300..329)``), by up to 2.0e-7, and on none of
+the 240 sbm ones.
 """
 
 from __future__ import annotations
@@ -117,7 +121,6 @@ def solve_boundary_value(
     boundary: np.ndarray,
     boundary_values: np.ndarray,
     tol: float = 1e-10,
-    max_iter: int | None = None,
     method: str = "iterative",
 ) -> np.ndarray:
     """Solve the fixed-boundary harmonic system and clamp the result to [0, 1]."""
@@ -134,11 +137,7 @@ def solve_boundary_value(
         return theta
 
     if method == "iterative":
-        # Iteration count floor: the 10n heuristic is too small for tight
-        # tolerances on small or weakly absorbing systems.
-        if max_iter is None:
-            max_iter = max(10 * n, 4096)
-        theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter)
+        theta = _fixed_point(p, theta, interior, boundary, boundary_values, tol)
     else:
         if not hasattr(p, "tocsr"):
             raise ValueError("the direct method needs P as a sparse matrix")
@@ -289,7 +288,10 @@ def _residual(p, theta, interior) -> float:
     return float(np.max(np.abs(r[interior])))
 
 
-def _fixed_point(p, theta, interior, boundary, boundary_values, tol, max_iter):
+def _fixed_point(p, theta, interior, boundary, boundary_values, tol):
+    # Iteration count floor: the 10n heuristic is too small for tight
+    # tolerances on small or weakly absorbing systems.
+    max_iter = max(10 * theta.size, 4096)
     step = np.empty_like(theta)  # one buffer for every sweep's |nxt - theta|
     for _ in range(max_iter):
         nxt = p @ theta

@@ -119,6 +119,16 @@ def _emit_network(net, out_dir: Path, config: dict, seed: int):
                f"{int(net.truth.sum())} foreground of {net.graph.n})")
 
 
+def _refuse_flags(names, why: str) -> None:
+    """Refuse the flag of each parameter in ``names`` that was given on the
+    command line: the caller has found that ``why``, which leaves it without
+    effect."""
+    ctx = click.get_current_context()
+    for name in names:
+        if ctx.get_parameter_source(name) is click.core.ParameterSource.COMMANDLINE:
+            raise click.UsageError(f"--{name.replace('_', '-')} {why}")
+
+
 def _shape(cls, config_path, knob: str, preset):
     """A generator's ``cls`` params: ``cls(**raw)`` of the ``--config`` file
     (keys checked here, values by the dataclass), else ``preset()``, the
@@ -126,8 +136,7 @@ def _shape(cls, config_path, knob: str, preset):
     refused next to a file, which would leave it without effect."""
     if not config_path:
         return preset()
-    if click.get_current_context().get_parameter_source(knob) is click.core.ParameterSource.COMMANDLINE:
-        raise click.UsageError(f"--{knob.replace('_', '-')} tunes the default shape and has no effect with --config")
+    _refuse_flags([knob], "tunes the default shape and has no effect with --config")
     raw = _load_json(config_path)
     required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
     _check_keys(raw, [f.name for f in fields(cls)], required)
@@ -191,6 +200,10 @@ def propagate():
 def propagate_spatial(graph_path, obs_path, prior, psi0, tol, method, walks, seed, out_path):
     from .spatial import build_absorbing_chain, monte_carlo_threat, require_reach, solve_harmonic
 
+    if prior != "uniform":
+        _refuse_flags(["psi0"], f"sets the uniform prior and has no effect with --prior {prior}")
+    if method != "mc":
+        _refuse_flags(["walks", "seed"], f"applies to --method mc and has no effect with --method {method}")
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     psi = compute_prior(g, PriorSpec(prior, psi0=psi0), obs)
@@ -230,6 +243,10 @@ def propagate_spatial(graph_path, obs_path, prior, psi0, tol, method, walks, see
               help="Also write per-vertex scores with this reducer.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def propagate_spacetime(graph_path, obs_path, dt, bins, lam, variant, mode_default, prior, tol, reducer, out_path):
+    if dt is not None and bins is not None:  # a forced bin count sets the width
+        raise click.UsageError("--dt and --bins both set the bin width; give one of them")
+    if variant != "coord-prior":
+        _refuse_flags(["prior"], f"applies to --variant coord-prior and has no effect with --variant {variant}")
     g = read_edges(graph_path)
     obs = read_observations(obs_path, g)
     obs_times = [e.t for e in obs.entries if e.t is not None]

@@ -43,6 +43,9 @@ logger = logging.getLogger(__name__)
 
 DETECTORS = ("sttp", "bfs", "spec")
 
+# The largest share of a run's trials that may abort before the run fails.
+MAX_ABORT_FRACTION = 0.01
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -61,7 +64,6 @@ class ExperimentConfig:
     solve_method: str = "iterative"
     cue_value: float = 1.0
     threads: int = 1  # worker processes; see run_experiment
-    max_abort_fraction: float = 0.01
     aggregate: str = "pool"  # or "vertical"
 
     def __post_init__(self):
@@ -87,7 +89,6 @@ class ExperimentConfig:
             "rate": checked_number("rate", self.rate, low=0, open_low=True),
             "tol": checked_number("tol", self.tol, low=0, open_low=True),
             "cue_value": checked_number("cue_value", self.cue_value, low=0, high=1),
-            "max_abort_fraction": checked_number("max_abort_fraction", self.max_abort_fraction, low=0, high=1),
         }
         for name, val in fixed.items():
             object.__setattr__(self, name, val)
@@ -253,8 +254,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     results do not depend on the worker count.  Aborted trials are logged
     here, in trial order.
 
-    Raises :class:`ExperimentError` when more than ``max_abort_fraction`` of
-    trials abort or when none completes.  A programming error in a trial
+    Raises :class:`ExperimentError` when more than ``MAX_ABORT_FRACTION`` of
+    trials abort or when none completes; the check runs here, in the calling
+    process, also for pooled runs.  A programming error in a trial
     propagates with its own type.  If a worker dies, the pool is dropped and
     ``BrokenProcessPool`` propagates; the next call starts a new pool.
     """
@@ -274,7 +276,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     aborted = tuple((t, out) for t, out in enumerate(outcomes) if isinstance(out, str))
     for t, why in aborted:
         logger.warning("trial %d aborted: %s", t, why)
-    if len(aborted) > cfg.max_abort_fraction * cfg.trials or len(aborted) == cfg.trials:
+    if len(aborted) > MAX_ABORT_FRACTION * cfg.trials or len(aborted) == cfg.trials:
         raise ExperimentError(
             f"{len(aborted)}/{cfg.trials} trials aborted; first: trial {aborted[0][0]}: {aborted[0][1]}"
         )
@@ -309,7 +311,6 @@ def sbm_detection_config(
     activity: float = 2.0,
     trials: int = 100,
     seed: int = 0,
-    detectors: tuple[str, ...] = DETECTORS,
     threads: int = 1,
 ) -> ExperimentConfig:
     """Benchmark blockmodel: two background communities with an embedded
@@ -323,16 +324,13 @@ def sbm_detection_config(
         ]
     )
     params = SbmParams(sizes=(113, 113, 30), block_probs=s, foreground=2)
-    return ExperimentConfig(
-        kind="sbm", params=params, detectors=detectors, trials=trials, seed=seed, threads=threads
-    )
+    return ExperimentConfig(kind="sbm", params=params, trials=trials, seed=seed, threads=threads)
 
 
 def hmmb_detection_config(
     gamma_fg: float = 1.0,
     trials: int = 100,
     seed: int = 0,
-    detectors: tuple[str, ...] = DETECTORS,
     threads: int = 1,
 ) -> ExperimentConfig:
     """Benchmark hybrid blockmodel at a chosen foreground coordination level."""
@@ -341,7 +339,6 @@ def hmmb_detection_config(
     return ExperimentConfig(
         kind="hmmb",
         params=default_hmmb_params(gamma_fg=gamma_fg),
-        detectors=detectors,
         trials=trials,
         seed=seed,
         rate=3.0,

@@ -299,15 +299,11 @@ def generate_hmmb(params: HmmbParams, seed: int = 0) -> GeneratedNetwork:
     )
 
 
-def default_hmmb_params(
-    gamma_fg: float = 1.0,
-    n: int = 256,
-    expected_foreground: int = 30,
-    gamma_bg: float = 96.0,
-    alpha: float = 2.8,
-    horizon: float = 24.0,
-) -> HmmbParams:
-    """Reference configuration: eleven lifestyles over ten communities.
+def default_hmmb_params(gamma_fg: float = 1.0) -> HmmbParams:
+    """Reference configuration: eleven lifestyles over ten communities and
+    256 vertices, 30 of them expected in the foreground, with background
+    event pools of mean size 96 and a foreground pool of mean size
+    ``gamma_fg``; the degree exponent and horizon are the class defaults.
 
     Nine background lifestyles each center on one of nine background
     communities with spillover into two others; two foreground lifestyles
@@ -316,6 +312,7 @@ def default_hmmb_params(
     support sits at the connectivity-threshold density ``log(m)/m`` for the
     community's expected order.
     """
+    n, expected_foreground = 256, 30
     k, l = 10, 11
     eps = 0.05
     x = np.full((l, k), eps)
@@ -345,7 +342,7 @@ def default_hmmb_params(
     np.fill_diagonal(b, 500.0)
     b[9, 9] = 900.0  # covert roles interact intensely when they do interact
 
-    gamma = np.full(k, gamma_bg)
+    gamma = np.full(k, 96.0)
     gamma[9] = checked_number("gamma_fg", gamma_fg)
 
     return HmmbParams(
@@ -357,7 +354,5 @@ def default_hmmb_params(
         block_support=s,
         block_strength=b,
         gamma=gamma,
-        alpha=alpha,
-        horizon=horizon,
         foreground_lifestyles=(9, 10),
     )

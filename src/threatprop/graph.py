@@ -254,7 +254,6 @@ class Graph:
 def build_graph(
     edges: Iterable[tuple],
     n: int | None = None,
-    allow_self_loops: bool = False,
     labels: Sequence[str] | None = None,
 ) -> Graph:
     """Build a :class:`Graph` from edge rows.
@@ -269,8 +268,8 @@ def build_graph(
     GraphError
         On an empty edge list with no vertex count, negative or non-finite
         weights, a positive weight (after merging) outside ``[MIN_WEIGHT,
-        MAX_WEIGHT]``, non-finite times, out-of-range indices, self-loops
-        (unless allowed), or a half-set timestamp pair.
+        MAX_WEIGHT]``, non-finite times, out-of-range indices, or a half-set
+        timestamp pair.
     """
     rows = [(*row, None, None) if len(row) == 3 else tuple(row) for row in edges]
     bad = next((len(row) for row in rows if len(row) != 5), None)
@@ -282,8 +281,6 @@ def build_graph(
     times = np.array([t_u, t_v], dtype=np.float64).reshape(2, -1)
     if np.any(np.isnan(times) & np.not_equal(np.array([t_u, t_v], dtype=object).reshape(2, -1), None)):
         raise GraphError("non-finite timestamp in edge rows")
-    if not allow_self_loops and np.any(u == v):
-        raise GraphError(f"self-loop at vertex {u[np.argmax(u == v)]} (pass allow_self_loops=True to permit)")
     if n is None:
         n = int(max(u.max(), v.max())) + 1 if u.size else 0
     return Graph(n, u, v, w, *times, labels=labels)

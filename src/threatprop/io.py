@@ -70,9 +70,10 @@ def read_edges(path) -> Graph:
     appearance.  An empty weight reads as 1 and empty time fields mark an
     untimed edge; a non-finite time, or a weight that is not 0 or in
     ``[graph.MIN_WEIGHT, graph.MAX_WEIGHT]`` once duplicate untimed edges
-    merge, is an error that names the edge.  Columns are read by position,
-    so the header must begin with ``src,dst,weight`` and name the time
-    columns, if any, in the order ``t_src,t_dst``."""
+    merge, is an error that names the edge, and a self-loop is an error
+    that names its vertex.  Columns are read by position, so the header must
+    begin with ``src,dst,weight`` and name the time columns, if any, in the
+    order ``t_src,t_dst``."""
     header, *rows = _read_rows(path, GraphError) or [[]]
     names = _header_names(path, header, GraphError)[:5]
     if len(names) < 3 or names != EDGE_HEADER[:len(names)]:
@@ -85,6 +86,9 @@ def read_edges(path) -> Graph:
         raise GraphError(f"{path}: edge row without two vertex ids")
     symbols: dict[str, int] = {}
     ends = np.array([symbols.setdefault(name, len(symbols)) for pair in zip(src, dst) for name in pair])
+    loops = ends[0::2] == ends[1::2]
+    if loops.any():
+        raise GraphError(f"{path}: self-loop at vertex {src[int(np.argmax(loops))]}")
     try:
         return build_graph(zip(ends[0::2], ends[1::2], [x or 1.0 for x in weight], t_src, t_dst),
                            n=len(symbols), labels=list(symbols))

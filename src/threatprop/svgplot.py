@@ -28,7 +28,7 @@ def _pt(pfa, pd) -> str:
     return f"{_x(pfa):.2f},{_y(pd):.2f}"
 
 
-def render_roc_svg(curves, title: str = "Detection ROC") -> str:
+def render_roc_svg(curves) -> str:
     """Render labeled (name, RocCurve) pairs with two-sigma error bands."""
     curves = list(curves)
     if not curves:
@@ -38,7 +38,7 @@ def render_roc_svg(curves, title: str = "Detection ROC") -> str:
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{WIDTH / 2:.0f}" y="20" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="14">{title}</text>',
+        'font-size="14">Detection ROC</text>',
     ]
     # axes, gridlines, tick labels
     for i in range(6):

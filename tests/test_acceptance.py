@@ -167,8 +167,8 @@ def test_criterion_8_roc_convexity():
 
     # the aggregate that reflects per-trial curve shape: pooling mixes score
     # scales across trials and dents the low-PFA corner
-    cfg = sbm_detection_config(activity=1.1, trials=100, seed=7, detectors=("sttp",))
-    vert = run_experiment(replace(cfg, aggregate="vertical"))
+    cfg = sbm_detection_config(activity=1.1, trials=100, seed=7)
+    vert = run_experiment(replace(cfg, detectors=("sttp",), aggregate="vertical"))
     sbm_defect = convexity_defect(vert.curves["sttp"])
     ok = own_defect <= 0.02 and sbm_defect <= 0.04
     report(8, ok, f"walk-model defect {own_defect:.4f} (<=0.02), "

@@ -244,7 +244,8 @@ def full_support_params():
 
 class TestHmmb:
     @pytest.mark.parametrize("params", [
-        default_hmmb_params(gamma_fg=1.0), default_hmmb_params(gamma_fg=24.0), default_hmmb_params(n=64),
+        default_hmmb_params(gamma_fg=1.0), default_hmmb_params(gamma_fg=24.0),
+        dataclasses.replace(default_hmmb_params(), n=64),
         chung_lu_params(), full_support_params(),
     ], ids=["gamma1", "gamma24", "n64", "chung-lu", "full-support"])
     def test_matches_all_pairs_draw(self, params):
@@ -346,7 +347,7 @@ class TestHmmb:
     def test_degree_exchangeability_within_lifestyle(self):
         # two vertices conditioned on the same lifestyle draw their degrees
         # from the same distribution
-        params = default_hmmb_params(n=64)
+        params = dataclasses.replace(default_hmmb_params(), n=64)
         lo, hi = [], []
         for seed in range(150):
             net = generate_hmmb(params, seed=3000 + seed)
@@ -376,7 +377,7 @@ class TestHmmb:
                        block_support=good.block_support, block_strength=good.block_strength,
                        gamma=good.gamma * 0.0)
         with pytest.raises(GraphError, match="exponent"):
-            default_hmmb_params(alpha=0.5)
+            dataclasses.replace(default_hmmb_params(), alpha=0.5)
 
 
 def _community_stamps(net, community):

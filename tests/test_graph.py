@@ -6,6 +6,7 @@ import pytest
 
 from threatprop.errors import DisconnectedGraphError, GraphError, ObservationError
 from threatprop.graph import MAX_WEIGHT, MIN_WEIGHT, Graph, ObservationSet, build_graph, laplacian
+from threatprop.io import read_edges
 from threatprop.spatial import propagation_operator
 from threatprop.spacetime import TimeGrid
 from threatprop.spectral import fiedler
@@ -34,10 +35,14 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="out of range"):
             build_graph([(0, 5, 1.0)], n=3)
 
-    def test_self_loop_rejected_by_default(self):
-        with pytest.raises(GraphError, match="self-loop"):
-            build_graph([(2, 2, 1.0)])
-        g = build_graph([(0, 1, 1.0), (2, 2, 1.0)], allow_self_loops=True)
+    def test_self_loop_rejected_by_default(self, tmp_path):
+        # The edge-list reader, the default way in, refuses a self-loop and
+        # names its vertex; a graph built in code may hold one.
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\na,b,1\nc,c,1\n")
+        with pytest.raises(GraphError, match=r"self-loop at vertex c$"):
+            read_edges(path)
+        g = build_graph([(0, 1, 1.0), (2, 2, 1.0)])
         assert g.size == 2
 
     @pytest.mark.parametrize("row, message", [

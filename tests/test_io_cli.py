@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -343,9 +344,9 @@ class TestCli:
         obs = tmp_path / "obs.csv"
         obs.write_text("vertex,p\na,1.0\n")
         errors = []
-        for method in ("harmonic", "mc"):
+        for method, walks in (("harmonic", []), ("mc", ["--walks", "20", "--seed", "1"])):
             rc = main(["propagate", "spatial", "--graph", str(edges), "--obs", str(obs), "--method", method,
-                       "--walks", "20", "--seed", "1", "--out", str(tmp_path / f"{method}.csv")])
+                       *walks, "--out", str(tmp_path / f"{method}.csv")])
             errors.append(capsys.readouterr().err)
             assert rc == 1, method
         assert errors[0] == errors[1] == "error: vertex d unreachable from any observed vertex\n"
@@ -359,8 +360,9 @@ class TestCli:
         obs = tmp_path / "obs.csv"
         obs.write_text("vertex,p\na,1.0\nc,0.3\n")
         out = tmp_path / "theta.csv"
+        walks = ["--walks", "20", "--seed", "1"] if method == "mc" else []
         assert main(["propagate", "spatial", "--graph", str(edges), "--obs", str(obs), "--method", method,
-                     "--walks", "20", "--seed", "1", "--out", str(out)]) == 0
+                     *walks, "--out", str(out)]) == 0
         theta = dict(line.split(",") for line in out.read_text().splitlines()[1:])
         assert (theta["a"], theta["c"]) == ("1.0", "0.3")
         if method == "harmonic":  # b's dwtp prior is 1/2 over its two neighbours
@@ -700,7 +702,10 @@ class TestCli:
         def run(name, *args):
             out = tmp_path / name
             out.mkdir()
-            assert main(["propagate", command, "--graph", str(edges), "--obs", str(obs), *extra, *args,
+            # --walks and --seed are refused next to the harmonic method,
+            # so the method case gives them to its mc runs only.
+            flags = [] if key == "method" and "harmonic" in args else extra
+            assert main(["propagate", command, "--graph", str(edges), "--obs", str(obs), *flags, *args,
                          "--out", str(out / "x.csv")]) == 0
             return {path.name: path.read_bytes() for path in out.iterdir()}
 
@@ -748,6 +753,33 @@ class TestCli:
         assert set(outs[0]) == {"meta.json", "roc_bfs.csv", "roc_spec.csv", "roc.svg", "summary.json"}
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("command, flags, config", [
+        ("spacetime", ["--dt", "0.5", "--bins", "24"], None),
+        ("spacetime", ["--dt", "0.5"], {"bins": 24}),
+        ("spacetime", [], {"dt": 0.5, "bins": 24}),
+        ("spacetime", ["--prior", "lwtp", "--variant", "coord"], None),
+        ("spacetime", ["--prior", "bfs"], None),
+        ("spatial", ["--prior", "dwtp", "--psi0", "0.5"], None),
+        ("spatial", ["--psi0", "0.5"], {"prior": {"kind": "bfs"}}),
+        ("spatial", ["--seed", "3", "--walks", "7"], None),
+        ("spatial", ["--method", "harmonic", "--walks", "7"], None),
+        ("spatial", ["--seed", "3"], {"method": "harmonic"}),
+    ], ids=["dt-bins", "dt-bins-in-file", "dt-bins-both-in-file", "prior-coord", "prior-default-variant",
+            "psi0-dwtp", "psi0-bfs-in-file", "seed-walks-harmonic", "walks-harmonic", "seed-harmonic-in-file"])
+    def test_a_flag_left_without_effect_is_refused(self, tmp_path, capsys, command, flags, config):
+        # The chosen options would drop the flag, and the record would name
+        # a value that nothing used.
+        edges, obs = tmp_path / "edges.csv", tmp_path / "obs.csv"
+        edges.write_text("src,dst,weight,t_src,t_dst\na,b,1.0,0.5,0.5\nb,c,2.0,1.5,1.0\n")
+        obs.write_text("vertex,p,t\na,1.0,0.5\n" if command == "spacetime" else "vertex,p\na,1.0\n")
+        args = ["propagate", command, "--graph", str(edges), "--obs", str(obs), *flags]
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args += ["--config", str(tmp_path / "cfg.json")]
+        assert main([*args, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --")
+        assert list(tmp_path.glob("x.*")) == []
+
     @pytest.mark.parametrize("generator, flag", [("sbm", ["--activity", "9"]), ("hmmb", ["--gamma-fg", "2"])])
     def test_generate_refuses_a_shape_flag_next_to_config(self, tmp_path, capsys, generator, flag):
         # The flag tunes the default shape, which the config file replaces.
@@ -765,7 +797,7 @@ class TestCli:
         from threatprop.generators import default_hmmb_params, generate_hmmb
         from threatprop.io import canonical_json
 
-        params = default_hmmb_params(gamma_fg=2.0, n=64)
+        params = replace(default_hmmb_params(gamma_fg=2.0), n=64)
         raw = json.loads(canonical_json({
             "n": params.n, "communities": params.communities, "lifestyles": params.lifestyles,
             "phi": params.phi, "concentration": params.concentration,
@@ -850,6 +882,30 @@ class TestCliMemory:
         assert maxrss_kib / 1024 < 200, maxrss_kib
 
 
+@pytest.fixture(scope="module")
+def fast_suite():
+    """One unpatched run of the fast suite for the tests that only read it:
+    its report, its wall time, and the messages it logged at WARNING or
+    above, caught by a handler of its own since ``caplog`` lasts one test."""
+    import time
+
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    root = logging.getLogger()
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.WARNING)
+    try:
+        t0 = time.time()
+        report = validate.run_suite("fast")
+        seconds = time.time() - t0
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+    return report, seconds, messages
+
+
 class TestValidateFaultInjection:
     def test_cli_exit_code_on_validation_failure(self, monkeypatch, tmp_path):
         def broken(g, psi, obs, **kw):
@@ -876,18 +932,15 @@ class TestValidateFaultInjection:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "maximum-principle" in failed
 
-    def test_fast_suite_under_a_minute(self):
-        import time
-
-        t0 = time.time()
-        report = validate.run_suite("fast")
-        assert time.time() - t0 < 60
+    def test_fast_suite_under_a_minute(self, fast_suite):
+        report, seconds, _ = fast_suite
+        assert seconds < 60
         assert report["passed"]
 
 
 class TestValidateReport:
-    def test_fast_report_names_every_check_in_order(self):
-        names = [c["name"] for c in validate.run_suite("fast")["checks"]]
+    def test_fast_report_names_every_check_in_order(self, fast_suite):
+        names = [c["name"] for c in fast_suite[0]["checks"]]
         assert names == [
             "laplacian-kernel", "fiedler-bounds-and-threshold", "maximum-principle", "maximum-principle-cut-off",
             "chain-row-stochasticity", "invariant-subspace", "invariant-subspace-cut-off", "harmonic-vs-hitting",
@@ -895,7 +948,5 @@ class TestValidateReport:
             "generator-block-densities", "spacetime-harmonic-vs-hitting", "spacetime-harmonic-vs-walks",
         ]
 
-    def test_fast_suite_logs_no_warning(self, caplog):
-        caplog.set_level(logging.WARNING)
-        validate.run_suite("fast")
-        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+    def test_fast_suite_logs_no_warning(self, fast_suite):
+        assert fast_suite[2] == []

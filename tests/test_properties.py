@@ -97,7 +97,7 @@ def edge_rows(draw, labelled=False, self_loops=False, weight=WEIGHTS):
 def timed_graphs(draw, labelled=False, self_loops=False):
     """A graph of :func:`edge_rows` and its time grid of unit bins."""
     rows, n, nt, labels = draw(edge_rows(labelled, self_loops))
-    return build_graph(rows, n=n, labels=labels, allow_self_loops=self_loops), TimeGrid(0.0, 1.0, nt)
+    return build_graph(rows, n=n, labels=labels), TimeGrid(0.0, 1.0, nt)
 
 
 def long_row_graph():
@@ -111,7 +111,7 @@ def long_row_graph():
     rows += [(a, b, w, 0.5, 0.5) for (a, b), w in zip([(0, 1), (1, 0)] * 3, weights)]
     rows += [(2, 1, 1 / (3 + k), t, t) for k, t in enumerate([0.5, 1.5, 2.5, 3.5] * 3)]
     rows += [(1, 1, 0.9, 1.5, 2.5)]
-    return build_graph(rows, n=3, allow_self_loops=True), TimeGrid(0.0, 1.0, 4)
+    return build_graph(rows, n=3), TimeGrid(0.0, 1.0, 4)
 
 
 @PROPERTY
@@ -360,7 +360,7 @@ def test_accepted_graphs_give_finite_operators(case, mode, variant):
     rows, n, nt, _ = case
     weights = stored_weights(rows)
     try:
-        g = build_graph(rows, n=n, allow_self_loops=True)
+        g = build_graph(rows, n=n)
     except GraphError as exc:
         assert "is neither 0 nor in" in str(exc)
         assert not all(map(accepted, weights))
@@ -420,7 +420,7 @@ def test_edge_csv_round_trip(tmp_path_factory, case):
 @given(case=timed_graphs(self_loops=True))
 @example(case=(build_graph([], n=3), None))
 @example(case=(build_graph([(0, 0, 1.0), (0, 0, 2.0), (0, 1, 0.0), (1, 0, 0.0, 1.0, 2.0), (1, 0, 0.0, 1.0, 2.0),
-                            (1, 2, 1.0), (2, 1, 3.0), (3, 3, 0.5, 1.0, 1.0)], n=5, allow_self_loops=True), None))
+                            (1, 2, 1.0), (2, 1, 3.0), (3, 3, 0.5, 1.0, 1.0)], n=5), None))
 def test_neighbor_counts_match_the_adjacency_rows(case):
     # Repeated timed records, merged untimed ones, zero weights, self-loops
     # and isolated vertices each count as the CSR stores them.

@@ -136,10 +136,13 @@ class TestSolveHarmonic:
                 tight = psi[m] * pb / ((1 - psi[m]) * deg[m] + psi[m])
                 assert theta[m] >= tight - 1e-9
 
-    def test_nonconvergence_carries_residual(self, path3):
-        p = propagation_operator(path3, compute_prior(path3, PriorSpec("dwtp")))
-        with pytest.raises(ConvergenceError) as err:
-            solve_boundary_value(p, np.array([2]), np.array([1.0]), tol=1e-12, max_iter=3)
+    def test_nonconvergence_carries_residual(self):
+        # A 40-vertex path under psi = 1, cued at one end, needs more sweeps
+        # than the cap of max(10 * n, 4096) to reach tol 1e-12.
+        g = build_graph([(i, i + 1, 1.0) for i in range(39)])
+        p = propagation_operator(g, np.ones(g.n))
+        with pytest.raises(ConvergenceError, match="after 4096 sweeps") as err:
+            solve_boundary_value(p, np.array([0]), np.array([1.0]), tol=1e-12)
         assert err.value.residual is not None and err.value.residual > 1e-12
 
     def test_operator_needs_only_shape_and_matmul(self, path3):
@@ -408,7 +411,7 @@ class TestMonteCarlo:
         heavy = (2, 15, 31)
         edges = [(i, i, 200.0 if i in heavy else 1.0) for i in range(2, 33)]
         edges += [(i, cue, 1.0) for i in range(2, 33) for cue in (0, 1)]
-        g = build_graph(edges, allow_self_loops=True)
+        g = build_graph(edges)
         chain = build_absorbing_chain(g, np.ones(g.n), ObservationSet.of((0, 1.0), (1, 0.0)))
         got = monte_carlo_threat(chain, 300, seed=7)
         monkeypatch.setattr(spatial, "_step_uniforms", all_walk_uniforms)
